@@ -9,9 +9,6 @@ diagnostics for maxima of t variables with growing degrees of freedom.
 
 from ranksel.distributions import (
     RandomStream,
-    sample_chi2,
-    sample_normal,
-    sample_t,
     t_cdf,
     t_logcdf,
     t_pdf,
@@ -40,7 +37,6 @@ from ranksel.procedures import (
     Stage1Summary,
     VariancePrior,
     dd_weights,
-    draw_variances,
     estimate_pcs,
     make_slippage_instance,
     run_procedure,

@@ -1,11 +1,9 @@
-"""Student-t, chi-square and normal primitives plus reproducible random streams.
+"""Student-t primitives plus reproducible random streams.
 
-The t distribution functions are written for double-precision accuracy
-(target ~1e-13 absolute for the CDF) because the critical-constant solver
-propagates any CDF error straight into its residual.  The CDF goes through
-the regularized incomplete beta function evaluated with a continued
-fraction (modified Lentz); everything is vectorized over numpy arrays so
-quadrature code can evaluate thousands of nodes per call.
+The critical-constant solver propagates any CDF error straight into its
+residual, so the t functions evaluate ``scipy.special.stdtr`` on the
+lower tail, where it keeps full relative precision, and reach the upper
+tail by symmetry.  All of them are vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtri, stdtr, stdtrit
 
 __all__ = [
     "RandomStream",
@@ -23,14 +21,7 @@ __all__ = [
     "t_cdf",
     "t_logcdf",
     "t_quantile",
-    "sample_t",
-    "sample_normal",
-    "sample_chi2",
 ]
-
-_CF_MAX_ITER = 500
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
 
 
 def _check_nu(nu) -> int:
@@ -39,72 +30,6 @@ def _check_nu(nu) -> int:
     if nu < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
     return int(nu)
-
-
-def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Continued fraction for the incomplete beta, vectorized over x.
-
-    Valid for x < (a+1)/(a+b+2); the caller routes the complementary
-    region through the symmetry relation.  Modified Lentz iteration.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_TINY, where=np.abs(c) < _CF_TINY)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        np.copyto(d, _CF_TINY, where=np.abs(d) < _CF_TINY)
-        c = 1.0 + aa / c
-        np.copyto(c, _CF_TINY, where=np.abs(c) < _CF_TINY)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _CF_EPS):
-            return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction failed to converge (a={a}, b={b})"
-    )
-
-
-def _betainc(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Regularized incomplete beta I_x(a, b) for scalar (a, b), array x."""
-    out = np.empty_like(x)
-    zero = x <= 0.0
-    one = x >= 1.0
-    interior = ~(zero | one)
-    out[zero] = 0.0
-    out[one] = 1.0
-    if np.any(interior):
-        xi = x[interior]
-        log_front = (
-            a * np.log(xi)
-            + b * np.log1p(-xi)
-            + math.lgamma(a + b)
-            - math.lgamma(a)
-            - math.lgamma(b)
-        )
-        front = np.exp(log_front)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        res = np.empty_like(xi)
-        if np.any(direct):
-            res[direct] = front[direct] * _beta_cf(a, b, xi[direct]) / a
-        if np.any(~direct):
-            res[~direct] = 1.0 - front[~direct] * _beta_cf(b, a, 1.0 - xi[~direct]) / b
-        out[interior] = res
-    return out
 
 
 def _t_logpdf(x: np.ndarray, nu: int) -> np.ndarray:
@@ -133,17 +58,15 @@ def t_pdf(x, nu: int):
 
 
 def t_cdf(x, nu: int):
-    """CDF of the t distribution via the regularized incomplete beta.
+    """CDF of the t distribution with ``nu`` degrees of freedom.
 
-    The half-tail is computed as ``0.5 * I_z(nu/2, 1/2)`` with
-    ``z = nu / (nu + x^2)``, which keeps full relative precision deep in
-    either tail (no ``1 - tiny`` cancellation on the small side).
+    Full relative precision in the lower tail (no ``1 - tiny``
+    cancellation).  Accepts a scalar or an ndarray and returns the same
+    shape.
     """
     nu = _check_nu(nu)
     arr, scalar = _as_array(x)
-    z = nu / (nu + arr * arr)
-    half_tail = 0.5 * _betainc(nu / 2.0, 0.5, z)
-    res = np.where(arr > 0, 1.0 - half_tail, half_tail)
+    res = stdtr(nu, arr)
     return float(res) if scalar else res
 
 
@@ -157,18 +80,17 @@ def t_logcdf(x, nu: int):
     arr, scalar = _as_array(x)
     res = np.empty_like(arr)
     neg = arr <= 0
-    if np.any(neg):
-        res[neg] = np.log(t_cdf(arr[neg], nu))
-    if np.any(~neg):
-        res[~neg] = np.log1p(-t_cdf(-arr[~neg], nu))
+    res[neg] = np.log(stdtr(nu, arr[neg]))
+    res[~neg] = np.log1p(-stdtr(nu, -arr[~neg]))
     return float(res) if scalar else res
 
 
 def t_quantile(q: float, nu: int) -> float:
-    """Inverse t CDF by bracketed root refinement.
+    """Inverse t CDF: ``stdtrit`` below the median, Brent's method above.
 
-    The bracket is seeded from the normal quantile and expanded
-    geometrically until it straddles, then handed to Brent's method.
+    The upper half brackets from the normal quantile, doubling until it
+    straddles.  It stays a root search because the solver's integration
+    cutoff is this quantile and the printed constants depend on its bits.
     """
     nu = _check_nu(nu)
     if not 0.0 < q < 1.0:
@@ -176,15 +98,11 @@ def t_quantile(q: float, nu: int) -> float:
     if q == 0.5:
         return 0.0
     if q < 0.5:
-        return -t_quantile(1.0 - q, nu)
+        return float(stdtrit(nu, q))
     hi = max(2.0, 2.0 * float(ndtri(q)))
-    for _ in range(4000):
-        if t_cdf(hi, nu) > q:
-            break
+    while stdtr(nu, hi) <= q:  # ends by hi = inf at the latest, where stdtr is 1 > q
         hi *= 2.0
-    else:
-        raise RuntimeError(f"bracket expansion failed for t quantile q={q}, nu={nu}")
-    root = brentq(lambda v: t_cdf(v, nu) - q, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
+    root = brentq(lambda v: stdtr(nu, v) - q, 0.0, hi, xtol=1e-12, rtol=8.9e-16)
     return float(root)
 
 
@@ -219,24 +137,3 @@ class RandomStream:
             seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
             self._gen = np.random.Generator(np.random.PCG64(seq))
         return self._gen
-
-
-def sample_t(nu: int, rng: RandomStream, size=None):
-    """Draw from the t distribution; returns a float when size is None."""
-    nu = _check_nu(nu)
-    out = rng.generator.standard_t(nu, size=size)
-    return float(out) if size is None else out
-
-
-def sample_normal(mean: float, variance: float, rng: RandomStream, size=None):
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    out = rng.generator.normal(mean, math.sqrt(variance), size=size)
-    return float(out) if size is None else out
-
-
-def sample_chi2(df: int, rng: RandomStream, size=None):
-    if not isinstance(df, (int, np.integer)) or df < 1:
-        raise ValueError(f"chi-square degrees of freedom must be a positive integer, got {df}")
-    out = rng.generator.chisquare(df, size=size)
-    return float(out) if size is None else out

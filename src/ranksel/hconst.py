@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ranksel.distributions import RandomStream, _t_logpdf, t_logcdf, t_quantile, _check_nu
-from ranksel.quadrature import geometric_edges, panel_quadrature
+from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
 __all__ = [
     "DD",
@@ -246,19 +246,22 @@ def solve_h(spec: HEquationSpec) -> HConstant:
             implied_p = math.exp(spec.k * math.log1p(-min(value, 1.0 - 1e-300)))
             return abs(implied_p - spec.p)
 
-    lo, hi, f_lo, f_hi, expansions = _expand_bracket(fn)
-    if lo == hi:
-        root, iterations = 0.0, expansions
-    elif f_lo == 0.0:
-        root, iterations = lo, expansions
-    elif f_hi == 0.0:
-        root, iterations = hi, expansions
-    else:
-        root, results = brentq(
-            fn, lo, hi, xtol=H_INTERVAL_TOL, rtol=8.9e-16, full_output=True
-        )
-        iterations = results.iterations + expansions
-    residual = residual_at(root)
+    try:
+        lo, hi, f_lo, f_hi, expansions = _expand_bracket(fn)
+        if lo == hi:
+            root, iterations = 0.0, expansions
+        elif f_lo == 0.0:
+            root, iterations = lo, expansions
+        elif f_hi == 0.0:
+            root, iterations = hi, expansions
+        else:
+            root, results = brentq(
+                fn, lo, hi, xtol=H_INTERVAL_TOL, rtol=8.9e-16, full_output=True
+            )
+            iterations = results.iterations + expansions
+        residual = residual_at(root)
+    except QuadratureError as err:
+        raise SolverError(f"quadrature failed for {spec}: {err}") from err
     if not residual < P_RESIDUAL_TOL:
         raise SolverError(
             f"residual {residual:.3e} above {P_RESIDUAL_TOL} for {spec}"

@@ -43,7 +43,6 @@ __all__ = [
     "ProcedureOutcome",
     "PCSEstimate",
     "make_slippage_instance",
-    "draw_variances",
     "run_stage1",
     "second_stage_size",
     "dd_weights",
@@ -245,11 +244,6 @@ def make_slippage_instance(
         )
     means = -gap * np.arange(params.k + 1, dtype=float)
     return ProblemInstance(means, variances)
-
-
-def draw_variances(prior: VariancePrior, count: int, rng: RandomStream) -> np.ndarray:
-    """i.i.d. variance draws; positive with probability one by construction."""
-    return prior.sample(count, rng)
 
 
 def run_stage1(

@@ -188,6 +188,20 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_quadrature_failure_exits_3(capsys):
+    # the k=1e6 Cauchy DD integrand is too sharp for the panel refinement
+    argv = ["hconst", "--k", "1000000", "--nu", "1", "--p", "0.999999999"]
+    assert cli.main(argv) == 3
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_hconst_large_nu_solves(tmp_path):
+    rc, text = run_to_file(tmp_path, "h.csv", ["hconst", "--k", "2", "--nu", "10000", "--p", "0.9"])
+    assert rc == 0
+    row = text.splitlines()[3].split(",")
+    assert float(row[6]) < 1e-8 and float(row[7]) < 1e-8
+
+
 def test_io_failure_exits_4(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     rc = cli.main(["hconst", "--k", "2", "--nu", "4", "--p", "0.9", "--out", str(missing_dir)])

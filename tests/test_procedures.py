@@ -17,7 +17,6 @@ from ranksel.procedures import (
     ProcedureParams,
     VariancePrior,
     dd_weights,
-    draw_variances,
     estimate_pcs,
     make_slippage_instance,
     run_procedure,
@@ -106,14 +105,6 @@ def test_slippage_min_gap_property(k, delta, mult):
     inst = make_slippage_instance(params_for(k, delta=delta), gap, np.ones(k + 1))
     assert inst.min_gap() == pytest.approx(gap)
     assert inst.best_index == int(np.argmax(inst.means))
-
-
-def test_draw_variances_deterministic():
-    prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    a = draw_variances(prior, 5, RandomStream(7).substream(1))
-    b = draw_variances(prior, 5, RandomStream(7).substream(1))
-    assert np.array_equal(a, b)
-    assert (a > 0).all()
 
 
 # --------------------------------------------------------------- stage 1
