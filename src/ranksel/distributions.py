@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import brentq
@@ -17,6 +18,7 @@ from scipy.special import ndtri, stdtr, stdtrit
 
 __all__ = [
     "RandomStream",
+    "chunks",
     "t_pdf",
     "t_cdf",
     "t_logcdf",
@@ -137,3 +139,16 @@ class RandomStream:
             seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
             self._gen = np.random.Generator(np.random.PCG64(seq))
         return self._gen
+
+
+def chunks(total: int, per_item: int, budget: int) -> Iterator[tuple[int, int]]:
+    """``(start, count)`` runs covering ``range(total)`` in order.
+
+    Each run holds ``budget // per_item`` items (at least one), so a run of
+    items costing ``per_item`` elements each stays within ``budget``
+    elements.  A caller that draws every run from one generator in this
+    order gets results that do not depend on ``budget``.
+    """
+    size = max(1, budget // per_item)
+    for start in range(0, total, size):
+        yield start, min(size, total - start)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, chunks
 from ranksel.hconst import _resolve_nu
 
 __all__ = [
@@ -105,13 +105,9 @@ def _sample_maxima(
     """Vectorized maxima; consumes the stream exactly like repeated sample_max."""
     gen = rng.generator
     per_rep = k if statistic == MAX_OF_T else 2 * k
-    chunk = max(1, _CHUNK_ELEMENTS // per_rep)
     out = np.empty(replications)
-    done = 0
-    while done < replications:
-        n = min(chunk, replications - done)
-        out[done : done + n] = _draw_base(gen, n, k, nu, statistic).max(axis=1)
-        done += n
+    for start, n in chunks(replications, per_rep, _CHUNK_ELEMENTS):
+        out[start : start + n] = _draw_base(gen, n, k, nu, statistic).max(axis=1)
     return out
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from ranksel.distributions import RandomStream, _t_logpdf, t_logcdf, t_quantile, _check_nu
+from ranksel.distributions import RandomStream, _t_logpdf, _check_nu, chunks, t_logcdf, t_quantile
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
 __all__ = [
@@ -282,11 +282,8 @@ def mc_oracle(
         raise ValueError("replications must be >= 1")
     gen = rng.generator
     per_rep = (spec.k + 1) if spec.variant == DD else 2 * spec.k
-    chunk = max(1, _ORACLE_CHUNK_ELEMENTS // per_rep)
     hits = 0
-    done = 0
-    while done < replications:
-        n = min(chunk, replications - done)
+    for _, n in chunks(replications, per_rep, _ORACLE_CHUNK_ELEMENTS):
         if spec.variant == DD:
             draws = gen.standard_t(spec.nu, size=(n, spec.k + 1))
             hits += int(np.count_nonzero(
@@ -296,7 +293,6 @@ def mc_oracle(
             draws = gen.standard_t(spec.nu, size=(n, spec.k, 2))
             diffs = draws[:, :, 0] - draws[:, :, 1]
             hits += int(np.count_nonzero(diffs.max(axis=1) <= h))
-        done += n
     value = hits / replications
     std_error = math.sqrt(value * (1.0 - value) / replications)
     return MCEstimate(value, std_error, replications)

@@ -14,6 +14,12 @@ mean of all N_i observations.
 
 Population variances can themselves be random, drawn from a prior;
 VariancePrior covers the degenerate, inverse-gamma and lognormal cases.
+
+The simulation layers are vectorized over a leading replication axis:
+run_stage1 and run_procedure run R replications as one batch of (R, k+1)
+arrays, second_stage_size and dd_weights work elementwise, and
+estimate_pcs runs fixed-size replication blocks, each on its own
+substream.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, chunks
 from ranksel.hconst import (
     DD,
     HConstant,
@@ -56,6 +62,13 @@ _METHODS = (EXACT, CHI2)
 
 PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 
+# Stage-1 random variates per replication block of estimate_pcs.  Blocks
+# are sized from k + 1 (and n0 on the exact path) only, so the streams, and
+# with them the estimates, never depend on the thread count.
+_BLOCK_ELEMENTS = 2**14
+# Sample sizes are int64; anything at or above this does not fit.
+_INT64_LIMIT = 2.0**63
+
 
 @dataclass(frozen=True)
 class ProcedureParams:
@@ -69,8 +82,8 @@ class ProcedureParams:
 
     def __post_init__(self):
         _check_probability(self.p)
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.n0 < 2:
@@ -183,6 +196,8 @@ class ProblemInstance:
             raise ValueError("means and variances must be 1-d arrays of equal length")
         if means.size < 2:
             raise ValueError("an instance needs at least two populations")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+            raise ValueError("all means and variances must be finite")
         if np.any(variances <= 0):
             raise ValueError("all variances must be positive")
         object.__setattr__(self, "means", means)
@@ -201,6 +216,8 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class Stage1Summary:
+    """Stage-1 means and S^2, each of shape (replications, k + 1)."""
+
     means: np.ndarray
     variances: np.ndarray
     n0: int
@@ -208,10 +225,12 @@ class Stage1Summary:
 
 @dataclass(frozen=True, eq=False)
 class ProcedureOutcome:
-    selected_index: int
+    """A batch of R runs: (R,) selections, totals and hits; (R, k + 1) sizes and statistics."""
+
+    selected_index: np.ndarray
     sample_sizes: np.ndarray
-    total_samples: int
-    correct: bool
+    total_samples: np.ndarray
+    correct: np.ndarray
     statistics: np.ndarray
 
 
@@ -232,6 +251,8 @@ def make_slippage_instance(
     This is the hardest legal configuration when gap is just above delta;
     the best population always sits at index 0.
     """
+    if not math.isfinite(gap * params.k):
+        raise ValueError(f"the means 0, -gap, ..., -k*gap must be finite, got gap={gap}")
     if gap <= params.delta:
         raise ValueError(
             f"gap must strictly exceed delta={params.delta} to stay inside the "
@@ -247,65 +268,84 @@ def make_slippage_instance(
 
 
 def run_stage1(
-    instance: ProblemInstance, n0: int, rng: RandomStream, method: str = EXACT
+    instance: ProblemInstance,
+    n0: int,
+    rng: RandomStream,
+    method: str = EXACT,
+    replications: int = 1,
 ) -> Stage1Summary:
-    """Pilot stage: per-population mean and unbiased sample variance.
+    """Pilot stage of `replications` runs: per-population mean and S^2.
 
-    The exact path simulates all n0 observations.  The chi2 path draws the
-    sufficient statistics directly (mean ~ N(theta, sigma^2/n0), S^2 ~
-    sigma^2 * chi2_{n0-1} / (n0-1)); the two are distributionally
-    indistinguishable and the latter is O(k) instead of O(k * n0).
+    Both fields have shape (replications, k + 1).  The exact path draws
+    all (replications, k + 1, n0) observations in one call.  The chi2 path
+    draws the sufficient statistics directly: (replications, k + 1)
+    normals for the means (mean ~ N(theta, sigma^2/n0)), then as many
+    chi-squares for S^2 ~ sigma^2 * chi2_{n0-1} / (n0-1).  The two are
+    distributionally indistinguishable and the latter is O(k) instead of
+    O(k * n0) per run.
     """
     if n0 < 2:
         raise ValueError(f"N0 must be >= 2, got {n0}")
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
     gen = rng.generator
+    shape = (replications, instance.size)
     sd = np.sqrt(instance.variances)
     if method == EXACT:
-        obs = gen.standard_normal((instance.size, n0)) * sd[:, None] + instance.means[:, None]
-        means = obs.mean(axis=1)
-        variances = obs.var(axis=1, ddof=1)
+        obs = gen.standard_normal(shape + (n0,)) * sd[:, None] + instance.means[:, None]
+        means = obs.mean(axis=2)
+        variances = obs.var(axis=2, ddof=1)
     else:
-        means = instance.means + sd * gen.standard_normal(instance.size) / math.sqrt(n0)
-        variances = instance.variances * gen.chisquare(n0 - 1, size=instance.size) / (n0 - 1)
+        means = instance.means + sd * gen.standard_normal(shape) / math.sqrt(n0)
+        variances = instance.variances * gen.chisquare(n0 - 1, size=shape) / (n0 - 1)
     return Stage1Summary(means, variances, n0)
 
 
-def second_stage_size(s2: float, h: float, delta: float, n0: int) -> int:
+def second_stage_size(s2, h: float, delta: float, n0: int):
     """max{N0 + 1, ceil((h/delta)^2 * S^2)}: the common sample-size rule.
 
-    S^2 = 0 (impossible under the model, reachable with degenerate inputs)
-    falls through to the N0 + 1 floor.
+    Elementwise over an array of S^2 values.  S^2 = 0 (impossible under
+    the model, reachable with degenerate inputs) falls through to the
+    N0 + 1 floor; a size that does not fit int64 raises ValueError.
     """
-    if s2 < 0:
-        raise ValueError(f"S^2 must be nonnegative, got {s2}")
-    if delta <= 0:
+    s2 = np.asarray(s2, dtype=float)
+    if not np.all(s2 >= 0):
+        raise ValueError(f"S^2 must be nonnegative, got {np.min(s2)}")
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if n0 < 2:
         raise ValueError(f"N0 must be >= 2, got {n0}")
-    return max(n0 + 1, math.ceil((h / delta) ** 2 * s2))
+    raw = np.ceil((h / delta) ** 2 * s2)
+    if not np.all(raw < _INT64_LIMIT):
+        raise ValueError(
+            f"second-stage size (h/delta)^2*S^2 = {np.max(raw)} does not fit a 64-bit integer"
+        )
+    return np.maximum(raw.astype(np.int64), n0 + 1)
 
 
-def dd_weights(n0: int, n: int, s2: float, h: float, delta: float) -> np.ndarray:
-    """Two-block weight vector for the Dudewicz-Dalal weighted mean.
+def dd_weights(n0: int, n, s2, h: float, delta: float):
+    """Stage-1 and stage-2 weights (b, c) of the Dudewicz-Dalal weighted mean.
 
-    Weights are constant within stage 1 (first n0 entries) and within
-    stage 2, and solve
+    The weight vector is b on the n0 stage-1 observations and c on the
+    N - n0 stage-2 ones; (b, c) solve
 
-        sum(a) = 1,   S^2 * sum(a^2) = (delta / h)^2,
+        n0 * b + (N - n0) * c = 1,   S^2 * (n0 * b^2 + (N - n0) * c^2) = (delta / h)^2,
 
     which pins the weighted mean's standardized error to an exact t
     distribution with n0 - 1 degrees of freedom.  The quadratic has two
     mirror-image roots around the uniform vector; the classical branch
-    with the larger stage-1 weight is returned.
+    with the larger stage-1 weight is returned.  N and S^2 broadcast.
     """
+    n = np.asarray(n)
+    s2 = np.asarray(s2, dtype=float)
     if n0 < 2:
         raise ValueError(f"N0 must be >= 2, got {n0}")
-    if n < n0 + 1:
-        raise ValueError(f"need N >= N0 + 1, got N={n}, N0={n0}")
-    if s2 <= 0:
-        raise ValueError(f"S^2 must be positive, got {s2}")
+    if not np.all(n >= n0 + 1):
+        raise ValueError(f"need N >= N0 + 1, got N={np.min(n)}, N0={n0}")
+    if not np.all(s2 > 0):
+        raise ValueError(f"S^2 must be positive, got {np.min(s2)}")
     if h <= 0:
         raise ValueError(f"weights need a positive critical constant, got h={h}")
     if delta <= 0:
@@ -315,23 +355,37 @@ def dd_weights(n0: int, n: int, s2: float, h: float, delta: float) -> np.ndarray
     # q * n >= 1 iff n >= (h/delta)^2 S^2, which second_stage_size guarantees;
     # tolerate roundoff at the exact boundary.
     disc = n0 * (q * n - 1.0) / n2
-    if disc < 0:
-        if disc < -1e-9:
-            raise ValueError(
-                f"infeasible weights: N={n} below (h/delta)^2*S^2={(h / delta) ** 2 * s2}"
-            )
-        disc = 0.0
-    d = math.sqrt(disc)
-    c = (1.0 - d) / n
+    if np.any(disc < -1e-9):
+        raise ValueError(
+            f"infeasible weights: N below (h/delta)^2*S^2 (discriminant {np.min(disc)})"
+        )
+    c = (1.0 - np.sqrt(np.maximum(disc, 0.0))) / n
     b = (1.0 - n2 * c) / n0
-    weights = np.empty(n)
-    weights[:n0] = b
-    weights[n0:] = c
-    return weights
+    return b, c
 
 
 def _h_value(h) -> float:
     return float(h.value) if isinstance(h, HConstant) else float(h)
+
+
+def _normal_sums(gen: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """Sum of counts[j] fresh standard normals for every entry j (all >= 1).
+
+    The normals are one sequence in row-major order of `counts`; it is drawn
+    in pieces of about _BLOCK_ELEMENTS variates (whole entries each), which
+    keeps memory bounded when the second-stage sizes are huge.
+    """
+    flat = counts.ravel()
+    ends = np.cumsum(flat)
+    sums = np.empty(flat.size)
+    start = 0
+    while start < flat.size:
+        offset = ends[start] - flat[start]
+        stop = max(start + 1, int(np.searchsorted(ends, offset + _BLOCK_ELEMENTS, "right")))
+        draws = gen.standard_normal(int(ends[stop - 1] - offset))
+        sums[start:stop] = np.add.reduceat(draws, ends[start:stop] - flat[start:stop] - offset)
+        start = stop
+    return sums.reshape(counts.shape)
 
 
 def run_procedure(
@@ -340,12 +394,19 @@ def run_procedure(
     h,
     rng: RandomStream,
     method: str = CHI2,
+    replications: int = 1,
 ) -> ProcedureOutcome:
-    """One full two-stage run; returns selection, sizes and the statistics.
+    """`replications` full two-stage runs; every outcome field has a leading R axis.
 
     The chi2 default simulates sufficient statistics only (needed when k
     runs into the thousands); the exact per-observation path is retained
     for validation.  Argmax ties break to the lowest index.
+
+    Draw order from rng's one generator: stage 1 as in run_stage1, then
+    stage 2.  On the chi2 path stage 2 is one (R, k + 1) array of normals
+    (mean2 = theta + sigma * z / sqrt(N - n0)); on the exact path it is
+    the N - n0 observations of every (replication, population) in
+    row-major order, one normal sequence whose runs are summed.
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -359,38 +420,27 @@ def run_procedure(
             f"the weighted-mean variant needs h > 0, got h={hval} "
             "(p at or below the symmetry point)"
         )
-    stage1 = run_stage1(instance, params.n0, rng, method)
-    sizes = np.array(
-        [
-            second_stage_size(s2, hval, params.delta, params.n0)
-            for s2 in stage1.variances
-        ],
-        dtype=np.int64,
-    )
+    stage1 = run_stage1(instance, params.n0, rng, method, replications)
+    sizes = second_stage_size(stage1.variances, hval, params.delta, params.n0)
+    if np.max(sizes.sum(axis=1, dtype=float)) >= _INT64_LIMIT:
+        raise ValueError("the total sample size of a run does not fit a 64-bit integer")
+    n2 = sizes - params.n0
     gen = rng.generator
     sd = np.sqrt(instance.variances)
-    statistics = np.empty(instance.size)
-    for i in range(instance.size):
-        n2 = int(sizes[i]) - params.n0
-        if method == EXACT:
-            obs2 = gen.standard_normal(n2) * sd[i] + instance.means[i]
-            mean2 = obs2.mean()
-        else:
-            mean2 = instance.means[i] + sd[i] * gen.standard_normal() / math.sqrt(n2)
-        if params.variant == DD:
-            w = dd_weights(params.n0, int(sizes[i]), stage1.variances[i], hval, params.delta)
-            statistics[i] = (
-                w[0] * params.n0 * stage1.means[i] + w[-1] * n2 * mean2
-            )
-        else:
-            statistics[i] = (
-                params.n0 * stage1.means[i] + n2 * mean2
-            ) / sizes[i]
-    selected = int(np.argmax(statistics))
+    if method == EXACT:
+        mean2 = instance.means + sd * (_normal_sums(gen, n2) / n2)
+    else:
+        mean2 = instance.means + sd * gen.standard_normal(n2.shape) / np.sqrt(n2)
+    if params.variant == DD:
+        b, c = dd_weights(params.n0, sizes, stage1.variances, hval, params.delta)
+        statistics = b * params.n0 * stage1.means + c * n2 * mean2
+    else:
+        statistics = (params.n0 * stage1.means + n2 * mean2) / sizes
+    selected = np.argmax(statistics, axis=1)
     return ProcedureOutcome(
         selected_index=selected,
         sample_sizes=sizes,
-        total_samples=int(sizes.sum()),
+        total_samples=sizes.sum(axis=1),
         correct=selected == instance.best_index,
         statistics=statistics,
     )
@@ -406,19 +456,23 @@ def estimate_pcs(
 ) -> PCSEstimate:
     """Monte Carlo probability of correct selection on a fixed instance.
 
-    Each replication runs on its own substream, so the estimate does not
-    depend on execution order.  h is solved from params when not supplied.
+    Replications run in blocks of about _BLOCK_ELEMENTS stage-1 variates
+    (k + 1 per replication, times n0 on the exact path); block b runs as
+    one run_procedure batch on rng.substream(b).  The block size follows
+    from the inputs alone, so the estimate does not depend on execution
+    order or thread count.  h is solved from params when not supplied.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if h is None:
         h = solve_h(HEquationSpec(params.k, params.nu, params.p, params.variant))
+    per_rep = instance.size * (params.n0 if method == EXACT else 1)
     hits = 0
-    total = 0
-    for rep in range(replications):
-        outcome = run_procedure(instance, params, h, rng.substream(rep), method)
-        hits += outcome.correct
-        total += outcome.total_samples
+    total = 0.0
+    for block, (_, count) in enumerate(chunks(replications, per_rep, _BLOCK_ELEMENTS)):
+        outcome = run_procedure(instance, params, h, rng.substream(block), method, count)
+        hits += int(np.count_nonzero(outcome.correct))
+        total += float(outcome.total_samples.sum(dtype=float))
     pcs = hits / replications
     std_error = math.sqrt(pcs * (1.0 - pcs) / replications)
     return PCSEstimate(pcs, std_error, replications, total / replications, h)

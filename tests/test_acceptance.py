@@ -130,12 +130,9 @@ def test_criterion_05_weighted_mean_is_pivotal():
     params = ProcedureParams(p=0.9, delta=1.0, k=1, n0=5, variant=DD)
     inst = make_slippage_instance(params, 1.5, np.array([2.5, 2.5]))
     h = solve_h(HEquationSpec(1, 4, 0.9, DD))
-    rng = RandomStream(SEED)
     reps = 10**5
-    samples = np.empty(2 * reps)
-    for rep in range(reps):
-        out = run_procedure(inst, params, h, rng.substream(rep))
-        samples[2 * rep : 2 * rep + 2] = (out.statistics - inst.means) * h.value
+    out = run_procedure(inst, params, h, RandomStream(SEED), replications=reps)
+    samples = ((out.statistics - inst.means) * h.value).ravel()
     res = stats.kstest(samples, lambda x: stats.t.cdf(x, 4))
     ok = res.pvalue > 0.001
     report(

@@ -161,6 +161,28 @@ def test_seed_env_fallback_and_override(tmp_path, monkeypatch):
     assert cli.main(["hconst", "--k", "2", "--nu", "4", "--p", "0.9"]) == 2
 
 
+PCS_ARGS = ["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--variances", "1,inf,1", "finite"),
+    ("--variances", "1,1e300,1", "64-bit"),
+    ("--gap", "nan", "finite"),
+    ("--gap", "inf", "finite"),
+    ("--delta", "nan", "finite"),
+])
+def test_pcs_non_finite_or_huge_input_exits_2(capsys, flag, value, message):
+    argv = list(PCS_ARGS)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert cli.main(argv + ["--replications", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["hconst", "--nu", "4", "--p", "0.9"]) == 2  # no ks

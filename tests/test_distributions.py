@@ -14,6 +14,7 @@ from scipy import stats
 
 from ranksel.distributions import (
     RandomStream,
+    chunks,
     t_cdf,
     t_logcdf,
     t_pdf,
@@ -154,6 +155,13 @@ def test_substream_nesting_matches_flat_path():
     assert np.array_equal(
         flat.generator.standard_normal(8), nested.generator.standard_normal(8)
     )
+
+
+def test_chunks_cover_range_in_order():
+    assert list(chunks(10, 3, 7)) == [(0, 2), (2, 2), (4, 2), (6, 2), (8, 2)]
+    assert list(chunks(5, 100, 7)) == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
+    assert list(chunks(5, 1, 1000)) == [(0, 5)]
+    assert list(chunks(0, 1, 10)) == []
 
 
 def test_substream_id_validation():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ranksel.extremes as extremes
 from ranksel.distributions import RandomStream
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
     TriangularArraySpec,
+    _sample_maxima,
     ad_distance,
     fit_extremes,
     hill_tail_index,
@@ -41,6 +43,16 @@ def test_sample_max_deterministic():
         sample_max(0, 3, MAX_OF_T, RandomStream(5))
     with pytest.raises(ValueError):
         sample_max(5, 3, "max-of-normal", RandomStream(5))
+
+
+@pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
+def test_sample_maxima_independent_of_chunk_budget(monkeypatch, statistic):
+    results = []
+    for budget in (20_000_000, 8_000_000, 1000, 37):
+        monkeypatch.setattr(extremes, "_CHUNK_ELEMENTS", budget)
+        results.append(_sample_maxima(12, 3, statistic, 2001, RandomStream(5).substream(3)))
+    for other in results[1:]:
+        assert np.array_equal(results[0], other)
 
 
 def test_sample_max_monotone_in_k_under_shared_stream():

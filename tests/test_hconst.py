@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ranksel.hconst as hconst
 from ranksel.distributions import RandomStream
 from ranksel.hconst import (
     DD,
@@ -171,6 +172,16 @@ def test_mc_oracle_determinism():
     a = mc_oracle(spec, 2.5, 10**4, RandomStream(3).substream(8))
     b = mc_oracle(spec, 2.5, 10**4, RandomStream(3).substream(8))
     assert a == b
+
+
+@pytest.mark.parametrize("variant", [DD, RINOTT])
+def test_mc_oracle_independent_of_chunk_budget(monkeypatch, variant):
+    spec = HEquationSpec(6, 4, 0.9, variant)
+    results = []
+    for budget in (8_000_000, 1000, 37):
+        monkeypatch.setattr(hconst, "_ORACLE_CHUNK_ELEMENTS", budget)
+        results.append(mc_oracle(spec, 2.5, 3001, RandomStream(5).substream(1)))
+    assert results[0] == results[1] == results[2]
 
 
 def test_mc_oracle_solver_agreement():

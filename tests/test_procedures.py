@@ -1,5 +1,6 @@
 """Two-stage procedure tests: stage-1 moments, sample-size rule,
-two-block weights, selection invariants, and PCS estimation."""
+two-block weights, selection invariants, the batch against a
+per-population reference loop, and PCS estimation."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from ranksel.distributions import RandomStream
+import ranksel.procedures as procedures
+from ranksel.distributions import RandomStream, chunks
 from ranksel.hconst import DD, RINOTT, HEquationSpec, solve_h
 from ranksel.procedures import (
     CHI2,
@@ -29,6 +31,56 @@ SEED = 20260814
 
 def params_for(k, delta=1.0, p=0.9, n0=5, variant=DD):
     return ProcedureParams(p=p, delta=delta, k=k, n0=n0, variant=variant)
+
+
+def scalar_size(s2, h, delta, n0):
+    return max(n0 + 1, math.ceil((h / delta) ** 2 * s2))
+
+
+def scalar_weights(n0, n, s2, h, delta):
+    """The two-block weight vector, one replication and population at a time."""
+    q = (delta / h) ** 2 / s2
+    n2 = n - n0
+    d = math.sqrt(max(n0 * (q * n - 1.0) / n2, 0.0))
+    c = (1.0 - d) / n
+    b = (1.0 - n2 * c) / n0
+    return np.concatenate([np.full(n0, b), np.full(n2, c)])
+
+
+def reference_run(instance, params, h, gen, method, replications):
+    """Per-replication, per-population loop replaying run_procedure's draw order.
+
+    Stage 1 for all replications first ((R, k+1, n0) observations, or (R, k+1)
+    normals then (R, k+1) chi-squares), then stage 2 one population after
+    another in row-major order, each drawn as its own call.
+    """
+    n0, size = params.n0, instance.size
+    sd = np.sqrt(instance.variances)
+    if method == EXACT:
+        obs = gen.standard_normal((replications, size, n0))
+        obs = obs * sd[:, None] + instance.means[:, None]
+        means1, s2s = obs.mean(axis=2), obs.var(axis=2, ddof=1)
+    else:
+        z = gen.standard_normal((replications, size))
+        means1 = instance.means + sd * z / math.sqrt(n0)
+        s2s = instance.variances * gen.chisquare(n0 - 1, size=(replications, size)) / (n0 - 1)
+    sizes = np.empty((replications, size), dtype=np.int64)
+    statistics = np.empty((replications, size))
+    for r in range(replications):
+        for i in range(size):
+            n = scalar_size(s2s[r, i], h, params.delta, n0)
+            n2 = n - n0
+            if method == EXACT:
+                mean2 = (gen.standard_normal(n2) * sd[i] + instance.means[i]).mean()
+            else:
+                mean2 = instance.means[i] + sd[i] * gen.standard_normal() / math.sqrt(n2)
+            if params.variant == DD:
+                w = scalar_weights(n0, n, s2s[r, i], h, params.delta)
+                statistics[r, i] = w[0] * n0 * means1[r, i] + w[-1] * n2 * mean2
+            else:
+                statistics[r, i] = (n0 * means1[r, i] + n2 * mean2) / n
+            sizes[r, i] = n
+    return np.argmax(statistics, axis=1), sizes, statistics
 
 
 # ---------------------------------------------------------------- priors
@@ -89,6 +141,9 @@ def test_slippage_instance_rejects_gap_not_exceeding_delta():
         make_slippage_instance(params_for(2), gap=1.0, variances=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         make_slippage_instance(params_for(2), gap=1.5, variances=(1.0, 1.0))
+    for gap in (math.nan, math.inf, 1e308):  # 1e308 * 2 overflows to a -inf mean
+        with pytest.raises(ValueError):
+            make_slippage_instance(params_for(2), gap=gap, variances=(1.0, 1.0, 1.0))
 
 
 def test_instance_validation():
@@ -96,6 +151,11 @@ def test_instance_validation():
         ProblemInstance(means=np.zeros(3), variances=np.ones(2))
     with pytest.raises(ValueError):
         ProblemInstance(means=np.zeros(2), variances=np.array([1.0, -1.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ProblemInstance(means=np.array([0.0, bad]), variances=np.ones(2))
+        with pytest.raises(ValueError):
+            ProblemInstance(means=np.zeros(2), variances=np.array([1.0, bad]))
 
 
 @given(st.integers(1, 6), st.floats(0.1, 5.0), st.floats(1.01, 4.0))
@@ -128,8 +188,9 @@ def test_stage1_methods_agree_in_law():
     rng = RandomStream(SEED)
     a = run_stage1(inst, 6, rng.substream(3), method=EXACT)
     b = run_stage1(inst, 6, rng.substream(4), method=CHI2)
-    assert stats.ks_2samp(a.variances, b.variances).pvalue > 0.001
-    assert stats.ks_2samp(a.means, b.means).pvalue > 0.001
+    assert a.variances.shape == b.means.shape == (1, 2 * 10**4)
+    assert stats.ks_2samp(a.variances[0], b.variances[0]).pvalue > 0.001
+    assert stats.ks_2samp(a.means[0], b.means[0]).pvalue > 0.001
 
 
 def test_stage1_validation():
@@ -138,6 +199,8 @@ def test_stage1_validation():
         run_stage1(inst, 1, RandomStream(0))
     with pytest.raises(ValueError):
         run_stage1(inst, 5, RandomStream(0), method="bootstrap")
+    with pytest.raises(ValueError):
+        run_stage1(inst, 5, RandomStream(0), replications=0)
 
 
 # ----------------------------------------------------------- sample size
@@ -163,6 +226,25 @@ def test_second_stage_size_validation():
         second_stage_size(1.0, h=2.0, delta=0.0, n0=4)
     with pytest.raises(ValueError):
         second_stage_size(1.0, h=2.0, delta=1.0, n0=1)
+    with pytest.raises(ValueError):
+        second_stage_size(np.array([1.0, np.nan]), h=2.0, delta=1.0, n0=4)
+
+
+@pytest.mark.parametrize("s2", [math.inf, 1e300, 2.0**63])
+def test_second_stage_size_rejects_sizes_beyond_int64(s2):
+    with pytest.raises(ValueError, match="64-bit"):
+        second_stage_size(np.array([1.0, s2]), h=1.0, delta=1.0, n0=4)
+    # the largest representable size below 2^63 still fits
+    assert second_stage_size(2.0**63 - 1024, h=1.0, delta=1.0, n0=4) == 2**63 - 1024
+
+
+def test_second_stage_size_vectorized_matches_scalar():
+    s2 = RandomStream(SEED).substream(9).generator.chisquare(4, size=(50, 7)) / 4
+    s2[0, :3] = (0.0, 2.75, 0.1)
+    sizes = second_stage_size(s2, h=2.0, delta=1.0, n0=5)
+    assert sizes.shape == s2.shape and sizes.dtype == np.int64
+    expected = [[scalar_size(v, 2.0, 1.0, 5) for v in row] for row in s2]
+    assert sizes.tolist() == expected
 
 
 @given(st.floats(0.01, 50.0), st.integers(-3, 3))
@@ -182,14 +264,11 @@ def test_dd_weights_constraints():
     n0, h, delta = 5, 3.0, 1.0
     s2 = 2.0
     n = second_stage_size(s2, h, delta, n0)
-    w = dd_weights(n0, n, s2, h, delta)
-    assert w.shape == (n,)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert s2 * np.sum(w**2) == pytest.approx((delta / h) ** 2, abs=1e-10)
-    # two-block structure, first block heavier
-    assert np.allclose(w[:n0], w[0])
-    assert np.allclose(w[n0:], w[n0])
-    assert w[0] > w[n0] > 0.0
+    b, c = dd_weights(n0, n, s2, h, delta)
+    assert n0 * b + (n - n0) * c == pytest.approx(1.0, abs=1e-12)
+    assert s2 * (n0 * b**2 + (n - n0) * c**2) == pytest.approx((delta / h) ** 2, abs=1e-10)
+    # first block heavier
+    assert b > c > 0.0
 
 
 def test_dd_weights_uniform_tie():
@@ -197,8 +276,8 @@ def test_dd_weights_uniform_tie():
     n0, n = 3, 8
     h, delta = 2.0, 1.0
     s2 = n * (delta / h) ** 2
-    w = dd_weights(n0, n, s2, h, delta)
-    assert np.allclose(w, 1.0 / n, atol=1e-12)
+    b, c = dd_weights(n0, n, s2, h, delta)
+    assert np.allclose([b, c], 1.0 / n, atol=1e-12)
 
 
 def test_dd_weights_match_quadratic_roots():
@@ -209,9 +288,9 @@ def test_dd_weights_match_quadratic_roots():
     n2 = n - n0
     # m*b + n2*c = 1, m*b^2 + n2*c^2 = q  =>  n2*N*c^2 - 2*n2*c + (1 - n0*q) = 0
     roots = np.roots([n2 * n, -2.0 * n2, 1.0 - n0 * q])
-    w = dd_weights(n0, n, s2, h, delta)
-    assert min(abs(w[-1] - r) for r in roots.real) < 1e-12
-    assert w[-1] == pytest.approx(min(roots.real), abs=1e-12)
+    _, c = dd_weights(n0, n, s2, h, delta)
+    assert min(abs(c - r) for r in roots.real) < 1e-12
+    assert c == pytest.approx(min(roots.real), abs=1e-12)
 
 
 @given(st.integers(2, 12), st.floats(0.05, 20.0), st.floats(1.5, 6.0))
@@ -219,9 +298,25 @@ def test_dd_weights_match_quadratic_roots():
 def test_dd_weights_constraints_property(n0, s2, h):
     delta = 1.0
     n = second_stage_size(s2, h, delta, n0)
-    w = dd_weights(n0, n, s2, h, delta)
+    b, c = dd_weights(n0, n, s2, h, delta)
+    w = scalar_weights(n0, n, s2, h, delta)
+    assert (w[0], w[-1]) == (b, c)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert s2 * np.sum(w**2) == pytest.approx((delta / h) ** 2, abs=1e-10)
+
+
+def test_dd_weights_vectorized_matches_scalar():
+    n0, h, delta = 6, 3.2, 0.8
+    s2 = RandomStream(SEED).substream(10).generator.chisquare(n0 - 1, size=(40, 9)) / (n0 - 1)
+    n = second_stage_size(s2, h, delta, n0)
+    b, c = dd_weights(n0, n, s2, h, delta)
+    assert b.shape == c.shape == s2.shape
+    for idx in np.ndindex(s2.shape):
+        w = scalar_weights(n0, int(n[idx]), s2[idx], h, delta)
+        assert (b[idx], c[idx]) == (w[0], w[-1])
+    n2 = n - n0
+    assert np.allclose(n0 * b + n2 * c, 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(s2 * (n0 * b**2 + n2 * c**2), (delta / h) ** 2, rtol=0.0, atol=1e-12)
 
 
 def test_dd_weights_validation():
@@ -230,6 +325,9 @@ def test_dd_weights_validation():
     with pytest.raises(ValueError):
         # N far below (h/delta)^2 S^2 -> negative discriminant
         dd_weights(5, 6, 100.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        # one infeasible entry spoils the batch
+        dd_weights(5, np.array([200, 6]), np.array([100.0, 100.0]), 1.0, 1.0)
 
 
 # ----------------------------------------------------------- full procedure
@@ -251,13 +349,47 @@ def test_run_procedure_invariants():
     params = params_for(4, n0=6, variant=RINOTT)
     inst = make_slippage_instance(params, 1.5, (1.0, 4.0, 0.25, 2.0, 9.0))
     h = solve_h(HEquationSpec(4, params.nu, 0.9, RINOTT))
-    out = run_procedure(inst, params, h, RandomStream(SEED).substream(6))
-    assert out.sample_sizes.shape == (5,)
-    assert (out.sample_sizes >= params.n0 + 1).all()
-    assert out.total_samples == out.sample_sizes.sum()
-    assert 0 <= out.selected_index < 5
-    assert out.statistics.shape == (5,)
-    assert out.correct == (out.selected_index == inst.best_index)
+    for reps in (1, 40):
+        out = run_procedure(inst, params, h, RandomStream(SEED).substream(6), replications=reps)
+        assert out.sample_sizes.shape == (reps, 5)
+        assert (out.sample_sizes >= params.n0 + 1).all()
+        assert np.array_equal(out.total_samples, out.sample_sizes.sum(axis=1))
+        assert out.selected_index.shape == (reps,)
+        assert ((0 <= out.selected_index) & (out.selected_index < 5)).all()
+        assert out.statistics.shape == (reps, 5)
+        assert np.array_equal(out.correct, out.selected_index == inst.best_index)
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+@pytest.mark.parametrize("variant", [DD, RINOTT])
+def test_batch_matches_reference_loop(variant, method):
+    params = params_for(4, n0=6, variant=variant)
+    inst = make_slippage_instance(params, 1.2, (1.0, 4.0, 0.25, 2.0, 9.0))
+    h = solve_h(HEquationSpec(4, params.nu, 0.9, variant)).value
+    reps = 60
+    out = run_procedure(inst, params, h, RandomStream(SEED).substream(12), method, reps)
+    gen = RandomStream(SEED).substream(12).generator
+    selected, sizes, statistics = reference_run(inst, params, h, gen, method, reps)
+    assert np.array_equal(out.selected_index, selected)
+    assert np.array_equal(out.sample_sizes, sizes)
+    assert np.allclose(out.statistics, statistics, rtol=0.0, atol=1e-12)
+    # the batch consumed exactly the reference's draws
+    rng = RandomStream(SEED).substream(12)
+    run_procedure(inst, params, h, rng, method, reps)
+    assert rng.generator.standard_normal() == gen.standard_normal()
+
+
+def test_exact_stage2_bounded_pieces_match_one_draw(monkeypatch):
+    # huge variances give second-stage runs longer than a piece of draws
+    params = params_for(2, n0=4, variant=RINOTT)
+    inst = make_slippage_instance(params, 1.5, (400.0, 900.0, 2500.0))
+    h = solve_h(HEquationSpec(2, params.nu, 0.9, RINOTT)).value
+    whole = run_procedure(inst, params, h, RandomStream(3), EXACT, 5)
+    monkeypatch.setattr(procedures, "_BLOCK_ELEMENTS", 37)
+    pieces = run_procedure(inst, params, h, RandomStream(3), EXACT, 5)
+    assert whole.sample_sizes.min() > 37
+    assert np.array_equal(whole.sample_sizes, pieces.sample_sizes)
+    assert np.array_equal(whole.statistics, pieces.statistics)
 
 
 def test_run_procedure_shift_invariance():
@@ -281,6 +413,12 @@ def test_run_procedure_validation():
         run_procedure(inst, params_for(2), 0.0, RandomStream(0))  # DD needs h > 0
     with pytest.raises(ValueError):
         run_procedure(inst, params_for(2), 2.0, RandomStream(0), method="antithetic")
+    with pytest.raises(ValueError):
+        run_procedure(inst, params_for(2), 2.0, RandomStream(0), replications=0)
+    # every size fits int64 but their sum over the k + 1 populations does not
+    huge = make_slippage_instance(params_for(10), 1.5, np.full(11, 1e17))
+    with pytest.raises(ValueError, match="total"):
+        run_procedure(huge, params_for(10), 4.0, RandomStream(0))
 
 
 def test_params_validation():
@@ -288,6 +426,9 @@ def test_params_validation():
         params_for(2, p=1.0)
     with pytest.raises(ValueError):
         params_for(2, delta=-1.0)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            params_for(2, delta=delta)
     with pytest.raises(ValueError):
         params_for(0)
     with pytest.raises(ValueError):
@@ -303,11 +444,8 @@ def test_weighted_statistic_pivotal_distribution():
     params = params_for(1)
     inst = make_slippage_instance(params, 1.5, (2.5, 2.5))
     h = solve_h(HEquationSpec(1, params.nu, 0.9, DD))
-    rng = RandomStream(SEED).substream(7)
-    pivots = np.empty((reps, 2))
-    for rep in range(reps):
-        out = run_procedure(inst, params, h, rng.substream(rep))
-        pivots[rep] = (out.statistics - inst.means) * h.value / params.delta
+    out = run_procedure(inst, params, h, RandomStream(SEED).substream(7), replications=reps)
+    pivots = (out.statistics - inst.means) * h.value / params.delta
     res = stats.kstest(pivots.ravel(), stats.t(params.nu).cdf)
     assert res.pvalue > 0.001
 
@@ -353,3 +491,24 @@ def test_estimate_pcs_accepts_explicit_h():
     assert (a.pcs, a.std_error, a.mean_total) == (b.pcs, b.std_error, b.mean_total)
     assert a.h_used is hc
     assert b.h_used == hc.value
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_estimate_pcs_sums_its_blocks(monkeypatch, method):
+    # a small block budget forces several blocks and a partial last one
+    monkeypatch.setattr(procedures, "_BLOCK_ELEMENTS", 5 * 7 * (5 if method == EXACT else 1))
+    params = params_for(4, p=0.75)
+    inst = make_slippage_instance(params, 1.01, (1.0, 2.0, 3.0, 4.0, 5.0))
+    h = solve_h(HEquationSpec(4, params.nu, 0.75, DD))
+    reps = 30
+    est = estimate_pcs(params, inst, reps, RandomStream(17), h=h, method=method)
+    blocks = [count for _, count in chunks(reps, 5 * (5 if method == EXACT else 1),
+                                           procedures._BLOCK_ELEMENTS)]
+    assert blocks == [7, 7, 7, 7, 2]
+    hits = total = 0
+    for b, count in enumerate(blocks):
+        out = run_procedure(inst, params, h, RandomStream(17).substream(b), method, count)
+        hits += int(out.correct.sum())
+        total += int(out.total_samples.sum())
+    assert est.pcs == hits / reps
+    assert est.mean_total == total / reps
