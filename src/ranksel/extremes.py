@@ -39,7 +39,7 @@ MAX_OF_T_SUM = "max-of-t-sum"
 STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
-_CHUNK_ELEMENTS = 20_000_000
+_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,9 @@ class ExtremeFitReport:
 def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic: str) -> np.ndarray:
     if statistic == MAX_OF_T:
         return gen.standard_t(nu, size=(count, k))
-    return gen.standard_t(nu, size=(count, k, 2)).sum(axis=2)
+    draws = gen.standard_t(nu, size=(count, k, 2))
+    # same bits as .sum(axis=2), without the slow length-2 reduction
+    return draws[..., 0] + draws[..., 1]
 
 
 def sample_max(k: int, nu: int, statistic: str, rng: RandomStream) -> float:

@@ -68,6 +68,11 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 _BLOCK_ELEMENTS = 2**14
 # Sample sizes are int64; anything at or above this does not fit.
 _INT64_LIMIT = 2.0**63
+# The exact path draws each population's stage-2 observations as one
+# vector; larger second-stage sizes are refused (128 MiB of float64).
+_EXACT_SIZE_LIMIT = 2**24
+# |mu| below this keeps a lognormal prior's scale exp(mu) finite and nonzero.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -110,6 +115,8 @@ class VariancePrior:
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
+        if not all(math.isfinite(v) for v in self.params):
+            raise ValueError(f"{self.kind} prior parameters must be finite, got {self.params}")
         if self.kind == "fixed":
             if len(self.params) != 1 or self.params[0] <= 0:
                 raise ValueError("fixed prior takes one positive value")
@@ -126,6 +133,10 @@ class VariancePrior:
         else:
             if len(self.params) != 2 or self.params[1] <= 0:
                 raise ValueError("lognormal prior takes (mu, sigma) with sigma > 0")
+            if not abs(self.params[0]) < _LOG_FLOAT_MAX:
+                raise ValueError(
+                    f"lognormal mu must keep exp(mu) a finite nonzero float, got {self.params[0]}"
+                )
 
     @classmethod
     def fixed(cls, value: float) -> "VariancePrior":
@@ -174,11 +185,22 @@ class VariancePrior:
         return self._frozen().sf(x)
 
     def sample(self, count: int, rng: RandomStream) -> np.ndarray:
+        """`count` variance draws from rng's generator, with numpy's own samplers.
+
+        Inverse-gamma is scale / Gamma(shape); lognormal is
+        exp(sigma * Z) * exp(mu), the same bits as scipy's lognorm.rvs on
+        the same generator; fixed consumes no randomness.
+        """
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         if self.kind == "fixed":
             return np.full(count, self.params[0])
-        return np.asarray(self._frozen().rvs(size=count, random_state=rng.generator))
+        gen = rng.generator
+        if self.kind == "inverse-gamma":
+            shape, scale = self.params
+            return scale / gen.standard_gamma(shape, count)
+        mu, sigma = self.params
+        return np.exp(sigma * gen.standard_normal(count)) * math.exp(mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +428,8 @@ def run_procedure(
     stage 2.  On the chi2 path stage 2 is one (R, k + 1) array of normals
     (mean2 = theta + sigma * z / sqrt(N - n0)); on the exact path it is
     the N - n0 observations of every (replication, population) in
-    row-major order, one normal sequence whose runs are summed.
+    row-major order, one normal sequence whose runs are summed.  The exact
+    path refuses second-stage sizes above _EXACT_SIZE_LIMIT (ValueError).
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -424,6 +447,12 @@ def run_procedure(
     sizes = second_stage_size(stage1.variances, hval, params.delta, params.n0)
     if np.max(sizes.sum(axis=1, dtype=float)) >= _INT64_LIMIT:
         raise ValueError("the total sample size of a run does not fit a 64-bit integer")
+    if method == EXACT and np.max(sizes) > _EXACT_SIZE_LIMIT:
+        raise ValueError(
+            f"second-stage size {np.max(sizes)} exceeds the exact method's limit of "
+            f"{_EXACT_SIZE_LIMIT} observations per population; use the chi2 method "
+            "(--method chi2)"
+        )
     n2 = sizes - params.n0
     gen = rng.generator
     sd = np.sqrt(instance.variances)

@@ -183,6 +183,30 @@ def test_pcs_non_finite_or_huge_input_exits_2(capsys, flag, value, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", [
+    "inverse-gamma:3,nan", "lognormal:nan,0.5", "inverse-gamma:inf,4",
+    "lognormal:0,inf", "fixed:inf", "lognormal:1000,1", "lognormal:-1000,1",
+])
+def test_efficiency_bad_prior_exits_2(capsys, spec):
+    argv = ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9",
+            "--replications", "1000", "--prior", spec]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_pcs_exact_huge_second_stage_exits_2(capsys):
+    argv = ["pcs", "--k", "2", "--n0", "5", "--p", "0.9", "--gap", "1.5",
+            "--variances", "1e15,1,1", "--method", "exact", "--replications", "10"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--method chi2" in err
+    assert "Traceback" not in err
+    argv[argv.index("exact")] = "chi2"
+    assert cli.main(argv) == 0
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert cli.main([]) == 2
     assert cli.main(["hconst", "--nu", "4", "--p", "0.9"]) == 2  # no ks

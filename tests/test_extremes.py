@@ -55,6 +55,12 @@ def test_sample_maxima_independent_of_chunk_budget(monkeypatch, statistic):
         assert np.array_equal(results[0], other)
 
 
+def test_draw_base_t_sum_matches_axis_sum():
+    draws = extremes._draw_base(RandomStream(5).substream(4).generator, 300, 7, 3, MAX_OF_T_SUM)
+    gen = RandomStream(5).substream(4).generator
+    assert np.array_equal(draws, gen.standard_t(3, (300, 7, 2)).sum(axis=2))
+
+
 def test_sample_max_monotone_in_k_under_shared_stream():
     # the generator hands out t draws as a prefix sequence, so the max over
     # a larger k from a fresh identical stream dominates the smaller one

@@ -118,6 +118,23 @@ def test_prior_moments_against_sampling():
     assert abs(np.mean(draws**2) - prior.second_moment()) < 3.0 * sq_se
 
 
+@pytest.mark.parametrize("prior, ref", [
+    (VariancePrior.inverse_gamma(3.0, 4.0), stats.invgamma(3.0, scale=4.0)),
+    (VariancePrior.lognormal(0.5, 0.8), stats.lognorm(0.8, scale=math.exp(0.5))),
+])
+def test_prior_sample_ks(prior, ref):
+    draws = prior.sample(20_000, RandomStream(SEED).substream(4))
+    assert stats.kstest(draws, ref.cdf).pvalue > 0.001
+
+
+def test_prior_lognormal_sample_matches_scipy_bits():
+    prior = VariancePrior.lognormal(0.5, 0.8)
+    draws = prior.sample(1000, RandomStream(SEED).substream(5))
+    gen = RandomStream(SEED).substream(5).generator
+    ref = stats.lognorm(0.8, scale=math.exp(0.5)).rvs(size=1000, random_state=gen)
+    assert np.array_equal(draws, ref)
+
+
 def test_prior_sf_matches_scipy():
     prior = VariancePrior.lognormal(0.5, 0.8)
     ref = stats.lognorm(0.8, scale=math.exp(0.5))
