@@ -35,7 +35,7 @@ from ranksel.hconst import (
     _check_variant,
     solve_h,
 )
-from ranksel.procedures import VariancePrior
+from ranksel.procedures import VariancePrior, _check_sizes_fit, _size_factor
 
 __all__ = [
     "AlphaEstimate",
@@ -161,14 +161,16 @@ def estimate_alpha(
     sigma^2 * chi2_nu / nu.  The prior and chi-square draws come from
     fixed substreams (0 and 1), so calling this twice with the same rng
     but different variants reuses identical draws; variant comparisons
-    are then common-random-number coupled.
+    are then common-random-number coupled.  ValueError when an S^2 draw
+    is not finite or a size ceil((h/delta)^2 * S^2) does not fit int64,
+    the rule second_stage_size applies.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     nu = _check_nu(nu)
     _check_probability(p)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     _check_variant(variant)
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -179,11 +181,23 @@ def estimate_alpha(
             f"alpha is only defined for h > 0, got h={h.value} (raise p above the symmetry point)"
         )
     n0 = nu + 1
-    r2 = (h.value / delta) ** 2
-    sigma2 = prior.sample(replications, rng.substream(0))
-    chi2 = rng.substream(1).generator.chisquare(nu, size=replications)
-    s2 = sigma2 * chi2 / nu
-    sizes = np.maximum(float(n0 + 1), np.ceil(s2 * r2))
+    r2 = _size_factor(h.value, delta)
+    if not (r2 > 0 and math.isfinite((n0 + 1) / r2)):
+        raise ValueError(
+            f"(h/delta)^2 = ({h.value}/{delta})^2 underflows: delta is too large to normalize by"
+        )
+    # an overflowing draw is reported below as a usage error, not a warning
+    with np.errstate(over="ignore"):
+        sigma2 = prior.sample(replications, rng.substream(0))
+        chi2 = rng.substream(1).generator.chisquare(nu, size=replications)
+        s2 = sigma2 * chi2 / nu
+    if not np.all(np.isfinite(s2)):
+        raise ValueError(
+            f"the {prior.describe()} prior gave variance draws whose S^2 is not finite"
+        )
+    raw = np.ceil(s2 * r2)
+    _check_sizes_fit(raw)
+    sizes = np.maximum(float(n0 + 1), raw)
     samples = sizes / r2
     alpha = float(samples.mean())
     if replications > 1:

@@ -60,6 +60,11 @@ H_INTERVAL_TOL = 1e-10
 _TAIL_MASS = 1e-12
 _MAX_BRACKET_EXPANSIONS = 200
 _ORACLE_CHUNK_ELEMENTS = 8_000_000
+# Integrals kept per process.  A solve asks for its bracket ends and its
+# root twice (bracket search and brentq; brentq and the residual), and the
+# Rinott bracket points do not depend on k, so a bounded cache removes those
+# repeats without changing a bit of any result.
+_INTEGRAL_CACHE_SIZE = 4096
 
 
 class SolverError(RuntimeError):
@@ -140,6 +145,7 @@ def _integral_domain(nu: int, h: float) -> tuple[float, float, tuple[float, floa
     return lo, hi, (0.0, -h)
 
 
+@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int]:
     """integral of exp(k * log G(t+h) + log g(t)); log-domain for large k."""
     lo, hi, anchors = _integral_domain(nu, h)
@@ -151,6 +157,7 @@ def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int]:
     return res.value, res.nodes
 
 
+@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _pairwise_tail(h: float, nu: int) -> tuple[float, int]:
     """integral of G(-(t+h)) g(t) dt = P(T2 - T1 > h), fully precise when small."""
     lo, hi, anchors = _integral_domain(nu, h)

@@ -339,12 +339,35 @@ def second_stage_size(s2, h: float, delta: float, n0: int):
         raise ValueError(f"delta must be positive, got {delta}")
     if n0 < 2:
         raise ValueError(f"N0 must be >= 2, got {n0}")
-    raw = np.ceil((h / delta) ** 2 * s2)
+    raw = np.ceil(_size_factor(h, delta) * s2)
+    _check_sizes_fit(raw)
+    return np.maximum(raw.astype(np.int64), n0 + 1)
+
+
+def _squared_ratio(a: float, b: float) -> float:
+    """(a / b)^2, inf where Python's power would raise OverflowError."""
+    try:
+        return (a / b) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _size_factor(h: float, delta: float) -> float:
+    """(h/delta)^2, the factor of S^2 in the sample-size rule; ValueError when infinite."""
+    factor = _squared_ratio(h, delta)
+    if not math.isfinite(factor):
+        raise ValueError(
+            f"second-stage size factor (h/delta)^2 = ({h}/{delta})^2 does not fit a 64-bit integer"
+        )
+    return factor
+
+
+def _check_sizes_fit(raw) -> None:
+    """ValueError unless every raw size ceil((h/delta)^2 * S^2) fits int64."""
     if not np.all(raw < _INT64_LIMIT):
         raise ValueError(
             f"second-stage size (h/delta)^2*S^2 = {np.max(raw)} does not fit a 64-bit integer"
         )
-    return np.maximum(raw.astype(np.int64), n0 + 1)
 
 
 def dd_weights(n0: int, n, s2, h: float, delta: float):
@@ -372,7 +395,12 @@ def dd_weights(n0: int, n, s2, h: float, delta: float):
         raise ValueError(f"weights need a positive critical constant, got h={h}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    q = (delta / h) ** 2 / s2
+    target = _squared_ratio(delta, h)
+    if not math.isfinite(target):
+        raise ValueError(
+            f"weights need a finite (delta/h)^2, got ({delta}/{h})^2: delta is too large"
+        )
+    q = target / s2
     n2 = n - n0
     # q * n >= 1 iff n >= (h/delta)^2 S^2, which second_stage_size guarantees;
     # tolerate roundoff at the exact boundary.

@@ -170,6 +170,7 @@ PCS_ARGS = ["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5"]
     ("--gap", "nan", "finite"),
     ("--gap", "inf", "finite"),
     ("--delta", "nan", "finite"),
+    ("--delta", "1e-300", "64-bit"),
 ])
 def test_pcs_non_finite_or_huge_input_exits_2(capsys, flag, value, message):
     argv = list(PCS_ARGS)
@@ -186,6 +187,7 @@ def test_pcs_non_finite_or_huge_input_exits_2(capsys, flag, value, message):
 @pytest.mark.parametrize("spec", [
     "inverse-gamma:3,nan", "lognormal:nan,0.5", "inverse-gamma:inf,4",
     "lognormal:0,inf", "fixed:inf", "lognormal:1000,1", "lognormal:-1000,1",
+    "lognormal:0,1000",
 ])
 def test_efficiency_bad_prior_exits_2(capsys, spec):
     argv = ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9",
@@ -193,6 +195,28 @@ def test_efficiency_bad_prior_exits_2(capsys, spec):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
+def test_pcs_huge_delta_exits_2(capsys):
+    # (delta/h)^2 of the weighted mean overflows while (h/delta)^2 underflows
+    argv = PCS_ARGS[:-2] + ["--gap", "1.5e300", "--delta", "1e300", "--replications", "10"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "delta is too large" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("delta, message", [
+    ("1e-160", "64-bit"), ("1e-150", "64-bit"), ("inf", "finite"), ("nan", "finite"),
+    ("1e300", "underflows"),
+])
+def test_efficiency_bad_delta_exits_2(capsys, delta, message):
+    argv = ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9",
+            "--replications", "10", "--delta", delta]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 
@@ -237,8 +261,10 @@ def test_solver_failure_exits_3(monkeypatch, capsys):
 def test_quadrature_failure_exits_3(capsys):
     # the k=1e6 Cauchy DD integrand is too sharp for the panel refinement
     argv = ["hconst", "--k", "1000000", "--nu", "1", "--p", "0.999999999"]
-    assert cli.main(argv) == 3
-    assert "solver failure" in capsys.readouterr().err
+    # twice in one process: the failed integral must not be remembered
+    for _ in range(2):
+        assert cli.main(argv) == 3
+        assert "solver failure" in capsys.readouterr().err
 
 
 def test_hconst_large_nu_solves(tmp_path):

@@ -233,3 +233,49 @@ def test_h_table_nu_schedules():
     assert [r.nu for r in rows] == [3, 9]
     rows = h_table([2, 4], lambda k: k + 1, 0.9)
     assert [r.nu for r in rows] == [3, 5]
+
+
+def clear_integral_caches():
+    hconst._dd_integral.cache_clear()
+    hconst._pairwise_tail.cache_clear()
+
+
+@pytest.mark.parametrize("k, nu, p", [
+    (10, 2, 0.9), (1000, 9, 0.99), (100, 500, 0.9), (3, 9, 0.1),
+])
+@pytest.mark.parametrize("variant", (DD, RINOTT))
+def test_solve_independent_of_cache_state(monkeypatch, k, nu, p, variant):
+    # p = 0.1 at k = 3 lies below 1/(k+1) (and p^(1/k) below 1/2): both
+    # variants solve to a negative h through the mirrored bracket
+    spec = HEquationSpec(k, nu, p, variant)
+    with monkeypatch.context() as m:
+        m.setattr(hconst, "_dd_integral", hconst._dd_integral.__wrapped__)
+        m.setattr(hconst, "_pairwise_tail", hconst._pairwise_tail.__wrapped__)
+        uncached = solve_h(spec)
+    clear_integral_caches()
+    cold = solve_h(spec)
+    warm = solve_h(spec)
+    assert cold == uncached and warm == uncached
+    assert (cold.value < 0) == (p < 1 / (k + 1))
+
+
+def test_h_table_skips_repeated_integrals(monkeypatch):
+    calls = []
+    real = hconst.panel_quadrature
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hconst, "panel_quadrature", counting)
+    clear_integral_caches()
+    rows = h_table([1, 10, 100, 1000, 10000, 100000], 9, 0.99)
+    solves = [hc for r in rows for hc in (r.dd, r.rinott)]
+    # without reuse every solve integrates iterations + 5 times: both bracket
+    # ends again inside brentq and the root again for the residual
+    assert len(calls) < sum(hc.iterations + 2 for hc in solves)
+
+
+def test_integral_caches_are_bounded():
+    for cached in (hconst._dd_integral, hconst._pairwise_tail):
+        assert cached.cache_info().maxsize is not None
