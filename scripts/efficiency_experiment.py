@@ -30,18 +30,17 @@ def main():
     ap.add_argument("--prior", default="inverse-gamma:3,4")
     ap.add_argument("--replications", type=int, default=2 * 10**5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     prior = VariancePrior.from_string(args.prior)
 
     report = efficiency_curve(KS, args.nu, args.p, 1.0, prior,
-                              args.replications, RandomStream(args.seed), threads=args.threads)
+                              args.replications, RandomStream(args.seed))
     print(f"constant pilot n0={args.nu + 1}: total_ratio limit = {report.theoretical_eta:.6f}")
     show(report)
 
     report = efficiency_curve(KS, ScheduleSpec("log-growth"), args.p, 1.0, prior,
-                              args.replications, RandomStream(args.seed), threads=args.threads)
+                              args.replications, RandomStream(args.seed))
     print("\nlog-growth pilot n0(k) = ceil(ln k) + 2: no closed ratio limit")
     show(report)
     last = report.rows[-1]

@@ -13,7 +13,6 @@ def main():
     ap.add_argument("--nus", default="2,4,9")
     ap.add_argument("--p", type=float, default=0.9)
     ap.add_argument("--kmax", type=int, default=10**5)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
 
     ks = [k for k in (1, 10, 100, 1000, 10**4, 10**5) if k <= args.kmax]
@@ -21,7 +20,7 @@ def main():
         limit = 2.0 ** (1.0 / nu)
         print(f"\nnu={nu}  p={args.p}  (ratio limit 2^(1/nu) = {limit:.6f})")
         print(f"{'k':>8} {'h_dd':>12} {'h_rinott':>12} {'ratio':>10} {'gap':>10}")
-        for row in h_table(ks, nu, args.p, threads=args.threads):
+        for row in h_table(ks, nu, args.p):
             print(
                 f"{row.k:>8} {row.dd.value:>12.6f} {row.rinott.value:>12.6f} "
                 f"{row.ratio:>10.6f} {abs(row.ratio - limit):>10.2e}"

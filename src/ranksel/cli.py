@@ -3,9 +3,10 @@
 Every run writes a header holding the canonical JSON config (command,
 seed, format and all command parameters) followed by a timestamp line and
 the data rows.  Feeding that embedded config back through --config
-reproduces the file bit-for-bit apart from the timestamp.  Worker threads
-only change wall-clock time, never output: all randomness comes from
-substreams keyed by stable ids, and rows are emitted in input order.
+reproduces the file bit-for-bit apart from the timestamp.  All randomness
+comes from substreams keyed by stable ids, so the output does not depend on
+the CPU count; --threads is still accepted for old command lines and configs
+and changes nothing.
 
 Exit codes: 0 success, 2 argument/usage error, 3 solver failure,
 4 I/O failure.
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
     common.add_argument("--format", choices=FORMATS, help="output format (default csv)")
     common.add_argument("--out", help="output path, '-' for stdout (default)")
-    common.add_argument("--threads", type=int, help="worker threads (default 1); never changes output")
+    common.add_argument("--threads", type=int,
+                        help="accepted for old command lines and ignored (must be >= 1)")
 
     parser = _Parser(
         prog="ranksel",
@@ -233,8 +234,8 @@ def _cmd_hconst(args, config):
     p = float(_effective(args, config, "p", required=True))
     cfg = {"command": "hconst", "ks": ks, "nu": nu, "p": p}
 
-    def run(seed: int, threads: int) -> list[dict]:
-        rows = h_table(ks, nu, p, threads=threads)
+    def run(seed: int) -> list[dict]:
+        rows = h_table(ks, nu, p)
         return [
             {
                 "k": r.k,
@@ -273,7 +274,7 @@ def _cmd_pcs(args, config):
         "method": method,
     }
 
-    def run(seed: int, threads: int) -> list[dict]:
+    def run(seed: int) -> list[dict]:
         rng = RandomStream(seed)
 
         def one(variant: str) -> dict:
@@ -290,9 +291,6 @@ def _cmd_pcs(args, config):
                 "h": est.h_used.value, "residual": est.h_used.residual,
             }
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, chosen))
         return [one(v) for v in chosen]
 
     columns = ["variant", "k", "n0", "p", "delta", "gap", "replications",
@@ -325,9 +323,9 @@ def _cmd_efficiency(args, config):
     if schedule_kind == "constant":
         cfg["nu"] = int(nu)
 
-    def run(seed: int, threads: int) -> list[dict]:
+    def run(seed: int) -> list[dict]:
         report = efficiency_curve(
-            ks, schedule, p, delta, prior, replications, RandomStream(seed), threads=threads
+            ks, schedule, p, delta, prior, replications, RandomStream(seed)
         )
         return [
             {
@@ -375,8 +373,8 @@ def _cmd_extremes(args, config):
     if nu_schedule == "fixed":
         cfg["nu"] = int(nu)
 
-    def run(seed: int, threads: int) -> list[dict]:
-        report = fit_extremes(spec, RandomStream(seed), threads=threads)
+    def run(seed: int) -> list[dict]:
+        report = fit_extremes(spec, RandomStream(seed))
         return [
             {
                 "k": r.k, "nu": r.nu, "statistic": statistic,
@@ -419,14 +417,13 @@ def main(argv=None) -> int:
         if fmt not in FORMATS:
             raise UsageError(f"format must be one of {FORMATS}, got {fmt!r}")
         out = getattr(args, "out", None)
-        threads = _effective(args, config, "threads", 1)
-        threads = int(threads)
+        threads = int(_effective(args, config, "threads", 1))
         if threads < 1:
             raise UsageError(f"threads must be >= 1, got {threads}")
         cfg, columns, run = _COMMANDS[command](args, config)
         cfg["seed"] = seed
         cfg["format"] = fmt
-        rows = run(seed, threads)
+        rows = run(seed)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

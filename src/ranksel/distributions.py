@@ -9,8 +9,10 @@ tail by symmetry.  All of them are vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -19,11 +21,18 @@ from scipy.special import ndtri, stdtr, stdtrit
 __all__ = [
     "RandomStream",
     "chunks",
+    "map_blocks",
     "t_pdf",
     "t_cdf",
     "t_logcdf",
     "t_quantile",
 ]
+
+T = TypeVar("T")
+
+# Largest replication count a bulk Monte Carlo command holds in memory: one
+# float array of this length is 128 MiB.
+_REPLICATION_LIMIT = 2**24
 
 
 def _check_nu(nu) -> int:
@@ -152,3 +161,46 @@ def chunks(total: int, per_item: int, budget: int) -> Iterator[tuple[int, int]]:
     size = max(1, budget // per_item)
     for start in range(0, total, size):
         yield start, min(size, total - start)
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def map_blocks(
+    fn: Callable[[RandomStream, int], T],
+    total: int,
+    per_item: int,
+    budget: int,
+    rng: RandomStream,
+) -> list[T]:
+    """``fn(rng.substream(b), count)`` for each block b of ``chunks(total, per_item, budget)``.
+
+    Results come back in block order.  The blocks run on a thread pool with
+    one worker per CPU this process may use (at most one per block), or
+    serially when that is one; numpy's samplers release the interpreter lock,
+    so large blocks draw in parallel.  Block b draws only from substream b,
+    so the results depend on the inputs and the budget, never on the CPU
+    count or the order in which blocks finish.
+    """
+    counts = [n for _, n in chunks(total, per_item, budget)]
+
+    def block(b: int) -> T:
+        return fn(rng.substream(b), counts[b])
+
+    workers = min(_worker_count(), len(counts))
+    if workers <= 1:
+        return [block(b) for b in range(len(counts))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, range(len(counts))))
+
+
+def _check_replication_limit(replications: int) -> None:
+    if replications > _REPLICATION_LIMIT:
+        raise ValueError(
+            f"replications must be at most {_REPLICATION_LIMIT}, got {replications}"
+        )

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
 from scipy import integrate
 
-from ranksel.distributions import RandomStream, _check_nu
+from ranksel.distributions import RandomStream, _check_nu, _check_replication_limit
 from ranksel.hconst import (
     DD,
     RINOTT,
@@ -161,9 +160,10 @@ def estimate_alpha(
     sigma^2 * chi2_nu / nu.  The prior and chi-square draws come from
     fixed substreams (0 and 1), so calling this twice with the same rng
     but different variants reuses identical draws; variant comparisons
-    are then common-random-number coupled.  ValueError when an S^2 draw
-    is not finite or a size ceil((h/delta)^2 * S^2) does not fit int64,
-    the rule second_stage_size applies.
+    are then common-random-number coupled.  ValueError when replications
+    exceed 2^24 (the draws would not fit in memory), an S^2 draw is not
+    finite or a size ceil((h/delta)^2 * S^2) does not fit int64, the rule
+    second_stage_size applies.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -174,6 +174,7 @@ def estimate_alpha(
     _check_variant(variant)
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    _check_replication_limit(replications)
     if h is None:
         h = solve_h(HEquationSpec(k, nu, p, variant))
     if h.value <= 0:
@@ -261,13 +262,8 @@ def efficiency_curve(
     prior: VariancePrior,
     replications: int,
     rng: RandomStream,
-    threads: int = 1,
 ) -> EfficiencyReport:
-    """Efficiency table over ascending ks; rows are independent work items.
-
-    Rows may be computed concurrently (threads > 1); substream keying
-    makes the result identical for any thread count.
-    """
+    """Efficiency table over ascending ks; rows are independent work items."""
     schedule = _resolve_schedule(nu_or_schedule)
     if ks is None:
         ks = schedule.ks
@@ -277,14 +273,7 @@ def efficiency_curve(
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly ascending")
 
-    def row(k: int) -> EfficiencyRow:
-        return _efficiency_row(k, schedule, p, delta, prior, replications, rng)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, ks))
-    else:
-        rows = tuple(row(k) for k in ks)
+    rows = tuple(_efficiency_row(k, schedule, p, delta, prior, replications, rng) for k in ks)
     nus = {r.nu for r in rows}
     eta = theoretical_eta(rows[0].nu) if len(nus) == 1 else None
     return EfficiencyReport(

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, chunks
+from ranksel.distributions import RandomStream, _check_replication_limit, map_blocks
 from ranksel.hconst import _resolve_nu
 
 __all__ = [
@@ -39,7 +38,7 @@ MAX_OF_T_SUM = "max-of-t-sum"
 STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
-_CHUNK_ELEMENTS = 2**20
+_CHUNK_ELEMENTS = 2**19
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,7 @@ class TriangularArraySpec:
             raise ValueError(
                 f"need at least 100 replications for stable fits, got {self.replications}"
             )
+        _check_replication_limit(self.replications)
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,18 @@ def sample_max(k: int, nu: int, statistic: str, rng: RandomStream) -> float:
 def _sample_maxima(
     k: int, nu: int, statistic: str, replications: int, rng: RandomStream
 ) -> np.ndarray:
-    """Vectorized maxima; consumes the stream exactly like repeated sample_max."""
-    gen = rng.generator
+    """Maxima of `replications` independent rows of k base draws.
+
+    Rows are drawn in blocks of about _CHUNK_ELEMENTS variates, block b
+    from ``rng.substream(b)`` (see map_blocks), so the maxima depend on the
+    inputs alone, not on the CPU count.
+    """
     per_rep = k if statistic == MAX_OF_T else 2 * k
-    out = np.empty(replications)
-    for start, n in chunks(replications, per_rep, _CHUNK_ELEMENTS):
-        out[start : start + n] = _draw_base(gen, n, k, nu, statistic).max(axis=1)
-    return out
+
+    def block(stream: RandomStream, n: int) -> np.ndarray:
+        return _draw_base(stream.generator, n, k, nu, statistic).max(axis=1)
+
+    return np.concatenate(map_blocks(block, replications, per_rep, _CHUNK_ELEMENTS, rng))
 
 
 def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -167,19 +172,11 @@ def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStre
     )
 
 
-def fit_extremes(
-    spec: TriangularArraySpec, rng: RandomStream, threads: int = 1
-) -> ExtremeFitReport:
-    """Per-k maxima fits; rows use substreams keyed by k, so the report is
-    deterministic for any thread count."""
-
-    def row(k: int) -> ExtremeFitRow:
-        nu = _resolve_nu(spec.nu_for, k)
-        return _fit_row(k, nu, spec.statistic, spec.replications, rng.substream(k))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(row, spec.ks))
-    else:
-        rows = tuple(row(k) for k in spec.ks)
+def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> ExtremeFitReport:
+    """Per-k maxima fits; row k draws from ``rng.substream(k)``."""
+    rows = tuple(
+        _fit_row(k, _resolve_nu(spec.nu_for, k), spec.statistic, spec.replications,
+                 rng.substream(k))
+        for k in spec.ks
+    )
     return ExtremeFitReport(rows=rows, statistic=spec.statistic, replications=spec.replications)

@@ -24,7 +24,6 @@ avoids raising a near-one number to the k-th power.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
@@ -32,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from ranksel.distributions import RandomStream, _t_logpdf, _check_nu, chunks, t_logcdf, t_quantile
+from ranksel.distributions import RandomStream, _t_logpdf, _check_nu, map_blocks, t_logcdf, t_quantile
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
 __all__ = [
@@ -59,7 +58,7 @@ P_RESIDUAL_TOL = 1e-8
 H_INTERVAL_TOL = 1e-10
 _TAIL_MASS = 1e-12
 _MAX_BRACKET_EXPANSIONS = 200
-_ORACLE_CHUNK_ELEMENTS = 8_000_000
+_ORACLE_CHUNK_ELEMENTS = 4_000_000
 # Integrals kept per process.  A solve asks for its bracket ends and its
 # root twice (bracket search and brentq; brentq and the residual), and the
 # Rinott bracket points do not depend on k, so a bounded cache removes those
@@ -284,22 +283,25 @@ def mc_oracle(
     Kept independent of the quadrature/CDF path: the DD event draws k
     competitors plus a reference and compares the max, the Rinott event
     draws k independent pairs and requires every difference under h.
+    Replications run in blocks of about _ORACLE_CHUNK_ELEMENTS variates,
+    block b from ``rng.substream(b)`` (see map_blocks), so the estimate does
+    not depend on the CPU count.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    gen = rng.generator
-    per_rep = (spec.k + 1) if spec.variant == DD else 2 * spec.k
-    hits = 0
-    for _, n in chunks(replications, per_rep, _ORACLE_CHUNK_ELEMENTS):
+    k, nu = spec.k, spec.nu
+    per_rep = (k + 1) if spec.variant == DD else 2 * k
+
+    def block(stream: RandomStream, n: int) -> int:
+        gen = stream.generator
         if spec.variant == DD:
-            draws = gen.standard_t(spec.nu, size=(n, spec.k + 1))
-            hits += int(np.count_nonzero(
-                draws[:, : spec.k].max(axis=1) <= draws[:, spec.k] + h
-            ))
-        else:
-            draws = gen.standard_t(spec.nu, size=(n, spec.k, 2))
-            diffs = draws[:, :, 0] - draws[:, :, 1]
-            hits += int(np.count_nonzero(diffs.max(axis=1) <= h))
+            draws = gen.standard_t(nu, size=(n, k + 1))
+            return int(np.count_nonzero(draws[:, :k].max(axis=1) <= draws[:, k] + h))
+        draws = gen.standard_t(nu, size=(n, k, 2))
+        diffs = draws[:, :, 0] - draws[:, :, 1]
+        return int(np.count_nonzero(diffs.max(axis=1) <= h))
+
+    hits = sum(map_blocks(block, replications, per_rep, _ORACLE_CHUNK_ELEMENTS, rng))
     value = hits / replications
     std_error = math.sqrt(value * (1.0 - value) / replications)
     return MCEstimate(value, std_error, replications)
@@ -317,14 +319,12 @@ def h_table(
     ks: Sequence[int],
     nu_for: int | Mapping[int, int] | Callable[[int], int],
     p: float,
-    threads: int = 1,
 ) -> list[HTableRow]:
     """Solve both variants over ascending ks and tabulate the h ratio.
 
     The ratio column is h_rinott / h_dd; it is NaN when the DD constant is
     numerically zero (p at the symmetry point), since the ratio is then a
-    0/0 form.  Rows are independent and may be solved concurrently;
-    results do not depend on the thread count.
+    0/0 form.
     """
     ks = list(ks)
     if not ks:
@@ -343,7 +343,4 @@ def h_table(
         ratio = rinott.value / dd.value if abs(dd.value) > 1e-10 else float("nan")
         return HTableRow(k, nu, p, dd, rinott, ratio)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row, ks))
     return [row(k) for k in ks]

@@ -220,6 +220,18 @@ def test_efficiency_bad_delta_exits_2(capsys, delta, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["extremes", "--ks", "10", "--nu", "4"],
+    ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9"],
+], ids=["extremes", "efficiency"])
+def test_replications_beyond_memory_exit_2(capsys, argv):
+    # one float per replication would need 7.28 TiB
+    assert cli.main(argv + ["--replications", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "replications must be at most" in err
+    assert "Traceback" not in err
+
+
 def test_pcs_exact_huge_second_stage_exits_2(capsys):
     argv = ["pcs", "--k", "2", "--n0", "5", "--p", "0.9", "--gap", "1.5",
             "--variances", "1e15,1,1", "--method", "exact", "--replications", "10"]

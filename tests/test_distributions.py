@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import ranksel.distributions as distributions
 from ranksel.distributions import (
     RandomStream,
     chunks,
+    map_blocks,
     t_cdf,
     t_logcdf,
     t_pdf,
@@ -162,6 +164,22 @@ def test_chunks_cover_range_in_order():
     assert list(chunks(5, 100, 7)) == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
     assert list(chunks(5, 1, 1000)) == [(0, 5)]
     assert list(chunks(0, 1, 10)) == []
+
+
+def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
+    rng = RandomStream(4).substream(2)
+
+    def fn(stream, n):
+        return stream.path, stream.generator.standard_normal(n)
+
+    want = [(rng.substream(b).path, rng.substream(b).generator.standard_normal(n))
+            for b, (_, n) in enumerate(chunks(10, 3, 7))]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
+        got = map_blocks(fn, 10, 3, 7, rng)
+        assert [path for path, _ in got] == [path for path, _ in want]
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+        assert map_blocks(fn, 0, 3, 7, rng) == []
 
 
 def test_substream_id_validation():

@@ -201,16 +201,6 @@ def test_efficiency_curve_validation():
         efficiency_curve([2, 2], 4, 0.9, 1.0, prior, 10, RandomStream(0))
 
 
-def test_efficiency_curve_thread_count_irrelevant():
-    prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    seq = efficiency_curve([1, 5, 25], 4, 0.9, 1.0, prior, 2000, RandomStream(9), threads=1)
-    par = efficiency_curve([1, 5, 25], 4, 0.9, 1.0, prior, 2000, RandomStream(9), threads=3)
-    for a, b in zip(seq.rows, par.rows):
-        assert a.alpha_dd == b.alpha_dd
-        assert a.alpha_rinott == b.alpha_rinott
-        assert a.h_dd.value == b.h_dd.value
-
-
 def test_limit_maxmix_closed_cases():
     prior = VariancePrior.fixed(2.5)
     assert limit_maxmix(0.0, prior) == 2.5

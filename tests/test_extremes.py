@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtr
 
+import ranksel.distributions as distributions
 import ranksel.extremes as extremes
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, chunks
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
@@ -46,13 +48,26 @@ def test_sample_max_deterministic():
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
-def test_sample_maxima_independent_of_chunk_budget(monkeypatch, statistic):
-    results = []
-    for budget in (20_000_000, 8_000_000, 1000, 37):
-        monkeypatch.setattr(extremes, "_CHUNK_ELEMENTS", budget)
-        results.append(_sample_maxima(12, 3, statistic, 2001, RandomStream(5).substream(3)))
-    for other in results[1:]:
-        assert np.array_equal(results[0], other)
+def test_sample_maxima_independent_of_worker_count(monkeypatch, statistic):
+    # 2001 rows of 12 draws (24 for the sum) in blocks of 1000 elements: 25 or
+    # 49 blocks, each of which must equal _draw_base on its own substream
+    monkeypatch.setattr(extremes, "_CHUNK_ELEMENTS", 1000)
+    rng = RandomStream(5).substream(3)
+    per_rep = 12 if statistic == MAX_OF_T else 24
+    reference = np.concatenate([
+        extremes._draw_base(rng.substream(b).generator, n, 12, 3, statistic).max(axis=1)
+        for b, (_, n) in enumerate(chunks(2001, per_rep, 1000))
+    ])
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
+        assert np.array_equal(_sample_maxima(12, 3, statistic, 2001, rng), reference)
+
+
+def test_max_of_t_maxima_follow_exact_law():
+    # P(max of k t_nu draws <= x) = G_nu(x)^k, whatever the block layout
+    k, nu = 1000, 3
+    maxima = _sample_maxima(k, nu, MAX_OF_T, 20_000, RandomStream(SEED).substream(9))
+    assert stats.kstest(maxima, lambda x: stdtr(nu, x) ** k).pvalue > 0.001
 
 
 def test_draw_base_t_sum_matches_axis_sum():
@@ -132,8 +147,7 @@ def test_fit_extremes_deterministic_and_thread_independent():
     spec = TriangularArraySpec((5, 20, 80), 4, MAX_OF_T, 400)
     a = fit_extremes(spec, RandomStream(11))
     b = fit_extremes(spec, RandomStream(11))
-    c = fit_extremes(spec, RandomStream(11), threads=3)
-    assert a == b == c
+    assert a == b
     assert fit_extremes(spec, RandomStream(12)) != a
 
 

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ranksel.distributions as distributions
 import ranksel.hconst as hconst
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, chunks
 from ranksel.hconst import (
     DD,
     RINOTT,
@@ -174,14 +175,31 @@ def test_mc_oracle_determinism():
     assert a == b
 
 
+def _oracle_hits(spec, h, gen, n):
+    # one block of the oracle, drawn as documented: DD rows of k competitors
+    # and a reference, Rinott rows of k pairs
+    if spec.variant == DD:
+        draws = gen.standard_t(spec.nu, size=(n, spec.k + 1))
+        return np.count_nonzero(draws[:, : spec.k].max(axis=1) <= draws[:, spec.k] + h)
+    draws = gen.standard_t(spec.nu, size=(n, spec.k, 2))
+    return np.count_nonzero((draws[:, :, 0] - draws[:, :, 1]).max(axis=1) <= h)
+
+
 @pytest.mark.parametrize("variant", [DD, RINOTT])
-def test_mc_oracle_independent_of_chunk_budget(monkeypatch, variant):
+def test_mc_oracle_independent_of_worker_count(monkeypatch, variant):
+    # 3001 replications in blocks of 1000 elements: block b must equal the
+    # same draws made serially from rng.substream(b)
+    monkeypatch.setattr(hconst, "_ORACLE_CHUNK_ELEMENTS", 1000)
     spec = HEquationSpec(6, 4, 0.9, variant)
-    results = []
-    for budget in (8_000_000, 1000, 37):
-        monkeypatch.setattr(hconst, "_ORACLE_CHUNK_ELEMENTS", budget)
-        results.append(mc_oracle(spec, 2.5, 3001, RandomStream(5).substream(1)))
-    assert results[0] == results[1] == results[2]
+    rng = RandomStream(5).substream(1)
+    per_rep = 7 if variant == DD else 12
+    hits = sum(
+        _oracle_hits(spec, 2.5, rng.substream(b).generator, n)
+        for b, (_, n) in enumerate(chunks(3001, per_rep, 1000))
+    )
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
+        assert mc_oracle(spec, 2.5, 3001, rng).value == hits / 3001
 
 
 def test_mc_oracle_solver_agreement():
@@ -209,14 +227,6 @@ def test_h_table_ratio_drifts_toward_limit():
     target = 2.0 ** (2.0 / 4.0)
     gaps = [abs(r.ratio**2 - target) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_h_table_thread_count_irrelevant():
-    seq = h_table([1, 5, 25], 9, 0.95, threads=1)
-    par = h_table([1, 5, 25], 9, 0.95, threads=3)
-    assert [(r.dd.value, r.rinott.value) for r in seq] == [
-        (r.dd.value, r.rinott.value) for r in par
-    ]
 
 
 def test_h_table_validation():
