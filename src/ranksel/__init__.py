@@ -61,7 +61,6 @@ from ranksel.extremes import (
     TriangularArraySpec,
     fit_extremes,
     hill_tail_index,
-    sample_max,
 )
 
 __version__ = "0.1.0"

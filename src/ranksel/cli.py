@@ -191,7 +191,9 @@ def _cell_json(value):
     return value
 
 
-def _render(fmt: str, config: dict, columns: list[str], rows: list[dict]) -> str:
+def _render(fmt: str, config: dict, rows: list[dict]) -> str:
+    """The output text; the first row's keys give the column order."""
+    columns = list(rows[0])
     stamp = datetime.now(timezone.utc).isoformat()
     if fmt == "csv":
         buf = io.StringIO()
@@ -221,7 +223,7 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _cmd_hconst(args, config):
+def _cmd_hconst(args, config, seed):
     ks_raw = _effective(args, config, "ks")
     if ks_raw is None:
         single = _effective(args, config, "k")
@@ -233,28 +235,23 @@ def _cmd_hconst(args, config):
     nu = int(_effective(args, config, "nu", required=True))
     p = float(_effective(args, config, "p", required=True))
     cfg = {"command": "hconst", "ks": ks, "nu": nu, "p": p}
-
-    def run(seed: int) -> list[dict]:
-        rows = h_table(ks, nu, p)
-        return [
-            {
-                "k": r.k,
-                "nu": r.nu,
-                "p": r.p,
-                "h_dd": r.dd.value,
-                "h_rinott": r.rinott.value,
-                "ratio": r.ratio if not math.isnan(r.ratio) else None,
-                "residual_dd": r.dd.residual,
-                "residual_rinott": r.rinott.residual,
-            }
-            for r in rows
-        ]
-
-    columns = ["k", "nu", "p", "h_dd", "h_rinott", "ratio", "residual_dd", "residual_rinott"]
-    return cfg, columns, run
+    rows = [
+        {
+            "k": r.k,
+            "nu": r.nu,
+            "p": r.p,
+            "h_dd": r.dd.value,
+            "h_rinott": r.rinott.value,
+            "ratio": r.ratio if not math.isnan(r.ratio) else None,
+            "residual_dd": r.dd.residual,
+            "residual_rinott": r.rinott.residual,
+        }
+        for r in h_table(ks, nu, p)
+    ]
+    return cfg, rows
 
 
-def _cmd_pcs(args, config):
+def _cmd_pcs(args, config, seed):
     k = int(_effective(args, config, "k", required=True))
     n0 = int(_effective(args, config, "n0", required=True))
     p = float(_effective(args, config, "p", required=True))
@@ -264,41 +261,35 @@ def _cmd_pcs(args, config):
     variants = _effective(args, config, "variants", "both")
     variances_raw = _effective(args, config, "variances")
     method = _effective(args, config, "method", "chi2")
+    chosen = [DD, RINOTT] if variants == "both" else [variants]
+    # validates k (at most 2^24 - 1) before the default variances are built
+    all_params = [ProcedureParams(p=p, delta=delta, k=k, n0=n0, variant=v) for v in chosen]
     variances = (
         [1.0] * (k + 1) if variances_raw is None else _float_list(variances_raw)
     )
-    chosen = [DD, RINOTT] if variants == "both" else [variants]
     cfg = {
         "command": "pcs", "k": k, "n0": n0, "p": p, "delta": delta, "gap": gap,
         "replications": replications, "variants": variants, "variances": variances,
         "method": method,
     }
-
-    def run(seed: int) -> list[dict]:
-        rng = RandomStream(seed)
-
-        def one(variant: str) -> dict:
-            params = ProcedureParams(p=p, delta=delta, k=k, n0=n0, variant=variant)
-            instance = make_slippage_instance(params, gap, variances)
-            est = estimate_pcs(
-                params, instance, replications,
-                rng.substream(0 if variant == DD else 1), method=method,
-            )
-            return {
-                "variant": variant, "k": k, "n0": n0, "p": p, "delta": delta,
-                "gap": gap, "replications": replications, "pcs": est.pcs,
-                "std_error": est.std_error, "mean_total": est.mean_total,
-                "h": est.h_used.value, "residual": est.h_used.residual,
-            }
-
-        return [one(v) for v in chosen]
-
-    columns = ["variant", "k", "n0", "p", "delta", "gap", "replications",
-               "pcs", "std_error", "mean_total", "h", "residual"]
-    return cfg, columns, run
+    rng = RandomStream(seed)
+    rows = []
+    for params in all_params:
+        instance = make_slippage_instance(params, gap, variances)
+        est = estimate_pcs(
+            params, instance, replications,
+            rng.substream(0 if params.variant == DD else 1), method=method,
+        )
+        rows.append({
+            "variant": params.variant, "k": k, "n0": n0, "p": p, "delta": delta,
+            "gap": gap, "replications": replications, "pcs": est.pcs,
+            "std_error": est.std_error, "mean_total": est.mean_total,
+            "h": est.h_used.value, "residual": est.h_used.residual,
+        })
+    return cfg, rows
 
 
-def _cmd_efficiency(args, config):
+def _cmd_efficiency(args, config, seed):
     ks = _int_list(_effective(args, config, "ks", required=True))
     schedule_kind = _effective(args, config, "schedule", "constant")
     nu = _effective(args, config, "nu")
@@ -322,33 +313,25 @@ def _cmd_efficiency(args, config):
     }
     if schedule_kind == "constant":
         cfg["nu"] = int(nu)
-
-    def run(seed: int) -> list[dict]:
-        report = efficiency_curve(
-            ks, schedule, p, delta, prior, replications, RandomStream(seed)
-        )
-        return [
-            {
-                "k": r.k, "nu": r.nu, "n0": r.n0,
-                "h_dd": r.h_dd.value, "h_rinott": r.h_rinott.value,
-                "h_ratio": r.h_ratio, "h_ratio_sq": r.h_ratio_sq,
-                "alpha_dd": r.alpha_dd.alpha, "alpha_dd_se": r.alpha_dd.std_error,
-                "alpha_rinott": r.alpha_rinott.alpha,
-                "alpha_rinott_se": r.alpha_rinott.std_error,
-                "alpha_ratio": r.alpha_ratio, "total_ratio": r.total_ratio,
-                "lhat_dd": r.lhat_dd, "lhat_rinott": r.lhat_rinott,
-                "theoretical_eta": report.theoretical_eta,
-            }
-            for r in report.rows
-        ]
-
-    columns = ["k", "nu", "n0", "h_dd", "h_rinott", "h_ratio", "h_ratio_sq",
-               "alpha_dd", "alpha_dd_se", "alpha_rinott", "alpha_rinott_se",
-               "alpha_ratio", "total_ratio", "lhat_dd", "lhat_rinott", "theoretical_eta"]
-    return cfg, columns, run
+    report = efficiency_curve(ks, schedule, p, delta, prior, replications, RandomStream(seed))
+    rows = [
+        {
+            "k": r.k, "nu": r.nu, "n0": r.n0,
+            "h_dd": r.h_dd.value, "h_rinott": r.h_rinott.value,
+            "h_ratio": r.h_ratio, "h_ratio_sq": r.h_ratio_sq,
+            "alpha_dd": r.alpha_dd.alpha, "alpha_dd_se": r.alpha_dd.std_error,
+            "alpha_rinott": r.alpha_rinott.alpha,
+            "alpha_rinott_se": r.alpha_rinott.std_error,
+            "alpha_ratio": r.alpha_ratio, "total_ratio": r.total_ratio,
+            "lhat_dd": r.lhat_dd, "lhat_rinott": r.lhat_rinott,
+            "theoretical_eta": report.theoretical_eta,
+        }
+        for r in report.rows
+    ]
+    return cfg, rows
 
 
-def _cmd_extremes(args, config):
+def _cmd_extremes(args, config, seed):
     ks = _int_list(_effective(args, config, "ks", required=True))
     nu_schedule = _effective(args, config, "nu_schedule", "fixed")
     nu = _effective(args, config, "nu")
@@ -372,22 +355,16 @@ def _cmd_extremes(args, config):
     }
     if nu_schedule == "fixed":
         cfg["nu"] = int(nu)
-
-    def run(seed: int) -> list[dict]:
-        report = fit_extremes(spec, RandomStream(seed))
-        return [
-            {
-                "k": r.k, "nu": r.nu, "statistic": statistic,
-                "replications": replications, "median": r.median, "iqr": r.iqr,
-                "ad_gumbel": r.ad_gumbel, "ad_frechet": r.ad_frechet,
-                "hill_index": r.hill_index,
-            }
-            for r in report.rows
-        ]
-
-    columns = ["k", "nu", "statistic", "replications", "median", "iqr",
-               "ad_gumbel", "ad_frechet", "hill_index"]
-    return cfg, columns, run
+    rows = [
+        {
+            "k": r.k, "nu": r.nu, "statistic": statistic,
+            "replications": replications, "median": r.median, "iqr": r.iqr,
+            "ad_gumbel": r.ad_gumbel, "ad_frechet": r.ad_frechet,
+            "hill_index": r.hill_index,
+        }
+        for r in fit_extremes(spec, RandomStream(seed)).rows
+    ]
+    return cfg, rows
 
 
 _COMMANDS = {
@@ -420,10 +397,9 @@ def main(argv=None) -> int:
         threads = int(_effective(args, config, "threads", 1))
         if threads < 1:
             raise UsageError(f"threads must be >= 1, got {threads}")
-        cfg, columns, run = _COMMANDS[command](args, config)
+        cfg, rows = _COMMANDS[command](args, config, seed)
         cfg["seed"] = seed
         cfg["format"] = fmt
-        rows = run(seed)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -434,7 +410,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     try:
-        _write(out, _render(fmt, cfg, columns, rows))
+        _write(out, _render(fmt, cfg, rows))
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)
         return EXIT_IO

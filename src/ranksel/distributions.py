@@ -30,9 +30,9 @@ __all__ = [
 
 T = TypeVar("T")
 
-# Largest replication count a bulk Monte Carlo command holds in memory: one
-# float array of this length is 128 MiB.
-_REPLICATION_LIMIT = 2**24
+# Longest array a command may hold in memory (replications, populations or
+# draws in one row): one float array of this length is 128 MiB.
+_ARRAY_LIMIT = 2**24
 
 
 def _check_nu(nu) -> int:
@@ -199,8 +199,6 @@ def map_blocks(
         return list(pool.map(block, range(len(counts))))
 
 
-def _check_replication_limit(replications: int) -> None:
-    if replications > _REPLICATION_LIMIT:
-        raise ValueError(
-            f"replications must be at most {_REPLICATION_LIMIT}, got {replications}"
-        )
+def _check_array_limit(length: int, what: str) -> None:
+    if length > _ARRAY_LIMIT:
+        raise ValueError(f"{what} must be at most {_ARRAY_LIMIT}, got {length}")

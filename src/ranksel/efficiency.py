@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 from scipy import integrate
 
-from ranksel.distributions import RandomStream, _check_nu, _check_replication_limit
+from ranksel.distributions import RandomStream, _check_array_limit, _check_nu
 from ranksel.hconst import (
     DD,
     RINOTT,
@@ -73,7 +73,6 @@ class ScheduleSpec:
 
     kind: str
     value: int | None = None
-    ks: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
@@ -83,8 +82,6 @@ class ScheduleSpec:
                 raise ValueError(f"constant schedule needs value >= 2, got {self.value}")
         elif self.value is not None:
             raise ValueError(f"{self.kind} schedule takes no value parameter")
-        if self.ks is not None:
-            object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
 
     def n0(self, k: int) -> int:
         if k < 1:
@@ -174,7 +171,7 @@ def estimate_alpha(
     _check_variant(variant)
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    _check_replication_limit(replications)
+    _check_array_limit(replications, "replications")
     if h is None:
         h = solve_h(HEquationSpec(k, nu, p, variant))
     if h.value <= 0:
@@ -206,13 +203,6 @@ def estimate_alpha(
     else:
         std_error = 0.0
     return AlphaEstimate(k, variant, alpha, std_error, h, nu, replications)
-
-
-def _resolve_schedule(nu_or_schedule) -> ScheduleSpec:
-    if isinstance(nu_or_schedule, ScheduleSpec):
-        return nu_or_schedule
-    nu = _check_nu(nu_or_schedule)
-    return ScheduleSpec("constant", nu + 1)
 
 
 def _efficiency_row(
@@ -255,18 +245,19 @@ def _efficiency_row(
 
 
 def efficiency_curve(
-    ks: Sequence[int] | None,
-    nu_or_schedule,
+    ks: Sequence[int],
+    schedule: ScheduleSpec,
     p: float,
     delta: float,
     prior: VariancePrior,
     replications: int,
     rng: RandomStream,
 ) -> EfficiencyReport:
-    """Efficiency table over ascending ks; rows are independent work items."""
-    schedule = _resolve_schedule(nu_or_schedule)
-    if ks is None:
-        ks = schedule.ks
+    """Efficiency table over ascending ks; rows are independent work items.
+
+    The pilot size of row k is schedule.n0(k), so nu = schedule.n0(k) - 1; a
+    constant pilot size N0 is ScheduleSpec("constant", N0).
+    """
     if not ks:
         raise ValueError("ks must be non-empty")
     ks = [int(k) for k in ks]

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, _check_replication_limit, map_blocks
+from ranksel.distributions import RandomStream, _check_array_limit, map_blocks
 from ranksel.hconst import _resolve_nu
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "TriangularArraySpec",
     "ExtremeFitRow",
     "ExtremeFitReport",
-    "sample_max",
     "fit_extremes",
     "hill_tail_index",
 ]
@@ -43,10 +42,14 @@ _CHUNK_ELEMENTS = 2**19
 
 @dataclass(frozen=True)
 class TriangularArraySpec:
-    """One maxima experiment: which ks, which nu(k), which base statistic."""
+    """One maxima experiment: which ks, which nu(k), which base statistic.
+
+    nu_for is one degrees-of-freedom value for every k, or a function giving
+    nu for each k.
+    """
 
     ks: tuple[int, ...]
-    nu_for: int | Mapping[int, int] | Callable[[int], int]
+    nu_for: int | Callable[[int], int]
     statistic: str
     replications: int
 
@@ -62,7 +65,10 @@ class TriangularArraySpec:
             raise ValueError(
                 f"need at least 100 replications for stable fits, got {self.replications}"
             )
-        _check_replication_limit(self.replications)
+        _check_array_limit(self.replications, "replications")
+        # one replication of the largest k is drawn as a single row
+        width = 1 if self.statistic == MAX_OF_T else 2
+        _check_array_limit(width * self.ks[-1], "the draws per maximum (k, or 2k for the sum)")
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,6 @@ def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic:
     draws = gen.standard_t(nu, size=(count, k, 2))
     # same bits as .sum(axis=2), without the slow length-2 reduction
     return draws[..., 0] + draws[..., 1]
-
-
-def sample_max(k: int, nu: int, statistic: str, rng: RandomStream) -> float:
-    """Maximum of k i.i.d. draws of the base statistic (one replication)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    draws = _draw_base(rng.generator, 1, k, nu, statistic)
-    return float(draws.max())
 
 
 def _sample_maxima(

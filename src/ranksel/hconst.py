@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -307,9 +307,7 @@ def mc_oracle(
     return MCEstimate(value, std_error, replications)
 
 
-def _resolve_nu(nu_for: int | Mapping[int, int] | Callable[[int], int], k: int) -> int:
-    if isinstance(nu_for, Mapping):
-        return _check_nu(nu_for[k])
+def _resolve_nu(nu_for: int | Callable[[int], int], k: int) -> int:
     if callable(nu_for):
         return _check_nu(nu_for(k))
     return _check_nu(nu_for)
@@ -317,10 +315,13 @@ def _resolve_nu(nu_for: int | Mapping[int, int] | Callable[[int], int], k: int) 
 
 def h_table(
     ks: Sequence[int],
-    nu_for: int | Mapping[int, int] | Callable[[int], int],
+    nu_for: int | Callable[[int], int],
     p: float,
 ) -> list[HTableRow]:
     """Solve both variants over ascending ks and tabulate the h ratio.
+
+    nu_for is one degrees-of-freedom value for every row, or a function
+    giving nu for each k.
 
     The ratio column is h_rinott / h_dd; it is NaN when the DD constant is
     numerically zero (p at the symmetry point), since the ratio is then a

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, chunks
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_array_limit, chunks
 from ranksel.hconst import (
     DD,
     HConstant,
@@ -68,9 +68,6 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 _BLOCK_ELEMENTS = 2**14
 # Sample sizes are int64; anything at or above this does not fit.
 _INT64_LIMIT = 2.0**63
-# The exact path draws each population's stage-2 observations as one
-# vector; larger second-stage sizes are refused (128 MiB of float64).
-_EXACT_SIZE_LIMIT = 2**24
 # |mu| below this keeps a lognormal prior's scale exp(mu) finite and nonzero.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -91,6 +88,8 @@ class ProcedureParams:
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        # every run holds arrays with one entry per population
+        _check_array_limit(self.k + 1, "the population count k + 1")
         if self.n0 < 2:
             raise ValueError(f"N0 must be >= 2, got {self.n0}")
         _check_variant(self.variant)
@@ -457,7 +456,7 @@ def run_procedure(
     (mean2 = theta + sigma * z / sqrt(N - n0)); on the exact path it is
     the N - n0 observations of every (replication, population) in
     row-major order, one normal sequence whose runs are summed.  The exact
-    path refuses second-stage sizes above _EXACT_SIZE_LIMIT (ValueError).
+    path refuses second-stage sizes above _ARRAY_LIMIT (ValueError).
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -475,10 +474,10 @@ def run_procedure(
     sizes = second_stage_size(stage1.variances, hval, params.delta, params.n0)
     if np.max(sizes.sum(axis=1, dtype=float)) >= _INT64_LIMIT:
         raise ValueError("the total sample size of a run does not fit a 64-bit integer")
-    if method == EXACT and np.max(sizes) > _EXACT_SIZE_LIMIT:
+    if method == EXACT and np.max(sizes) > _ARRAY_LIMIT:
         raise ValueError(
             f"second-stage size {np.max(sizes)} exceeds the exact method's limit of "
-            f"{_EXACT_SIZE_LIMIT} observations per population; use the chi2 method "
+            f"{_ARRAY_LIMIT} observations per population; use the chi2 method "
             "(--method chi2)"
         )
     n2 = sizes - params.n0

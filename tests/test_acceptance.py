@@ -170,7 +170,8 @@ def test_criterion_07_efficiency_ratio_trends_to_limit():
     details = []
     for nu in (2, 4):
         rep = efficiency_curve(
-            [10**2, 10**3, 10**4], nu, 0.9, 1.0, prior, 2 * 10**5, RandomStream(SEED)
+            [10**2, 10**3, 10**4], ScheduleSpec("constant", nu + 1), 0.9, 1.0, prior,
+            2 * 10**5, RandomStream(SEED),
         )
         eta = rep.theoretical_eta
         assert eta == theoretical_eta(nu)

@@ -84,12 +84,34 @@ def test_thread_count_does_not_change_output(tmp_path):
     assert strip_timestamp(c) == strip_timestamp(d)
 
 
-def test_embedded_config_reproduces_run(tmp_path):
-    rc, original = run_to_file(tmp_path, "a.csv", HCONST_ARGS)
+def embedded_config(text):
+    if text.startswith("# config "):
+        return parse_header(text)
+    record = json.loads(text.splitlines()[0])
+    assert record["record"] == "config"
+    return record["config"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", [
+    HCONST_ARGS,
+    ["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5",
+     "--replications", "200", "--seed", "7"],
+    ["efficiency", "--ks", "1,3", "--nu", "3", "--p", "0.9", "--replications", "500",
+     "--seed", "2"],
+    ["efficiency", "--ks", "2,10", "--schedule", "log-growth", "--p", "0.9",
+     "--replications", "500", "--seed", "2"],
+    ["extremes", "--ks", "2,4", "--nu", "3", "--replications", "150", "--seed", "5"],
+    ["extremes", "--ks", "2,4", "--nu-schedule", "log", "--statistic", "max-of-t-sum",
+     "--replications", "150", "--seed", "5"],
+], ids=["hconst", "pcs", "efficiency", "efficiency-log-growth", "extremes",
+        "extremes-log-sum"])
+def test_embedded_config_reproduces_run(tmp_path, argv, fmt):
+    rc, original = run_to_file(tmp_path, "a.out", argv + ["--format", fmt])
     assert rc == 0
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(parse_header(original)))
-    rc, replay = run_to_file(tmp_path, "b.csv", ["--config", str(cfg_path)])
+    cfg_path.write_text(json.dumps(embedded_config(original)))
+    rc, replay = run_to_file(tmp_path, "b.out", ["--config", str(cfg_path)])
     assert rc == 0
     assert strip_timestamp(original) == strip_timestamp(replay)
 
@@ -121,6 +143,17 @@ def test_jsonl_matches_csv(tmp_path):
         assert float(cells["pcs"]) == json_row["pcs"]
         assert float(cells["h"]) == json_row["h"]
         assert cells["variant"] == json_row["variant"]
+
+
+def test_pcs_csv_schema(tmp_path):
+    rc, text = run_to_file(tmp_path, "p.csv", PCS_ARGS + ["--replications", "100"])
+    assert rc == 0
+    lines = text.splitlines()
+    assert lines[2].split(",") == [
+        "variant", "k", "n0", "p", "delta", "gap", "replications",
+        "pcs", "std_error", "mean_total", "h", "residual",
+    ]
+    assert [line.split(",")[0] for line in lines[3:]] == ["dd", "rinott"]
 
 
 def test_extremes_and_efficiency_schemas(tmp_path):
@@ -220,15 +253,26 @@ def test_efficiency_bad_delta_exits_2(capsys, delta, message):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["extremes", "--ks", "10", "--nu", "4"],
-    ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9"],
-], ids=["extremes", "efficiency"])
-def test_replications_beyond_memory_exit_2(capsys, argv):
+@pytest.mark.parametrize("argv, message", [
     # one float per replication would need 7.28 TiB
-    assert cli.main(argv + ["--replications", "1000000000000"]) == 2
+    (["extremes", "--ks", "10", "--nu", "4", "--replications", "1000000000000"],
+     "replications must be at most"),
+    (["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9", "--replications", "1000000000000"],
+     "replications must be at most"),
+    # default variances and stage-1 arrays with 1e12 + 1 entries
+    (["pcs", "--k", "1000000000000", "--n0", "10", "--p", "0.9", "--gap", "1.01",
+      "--replications", "100"], "k + 1 must be at most"),
+    # one replication of k = 4e9 draws is a single 32 GB row
+    (["extremes", "--ks", "10,4000000000", "--nu", "3", "--replications", "100"],
+     "draws per maximum"),
+    # k = 1e7 fits one row of single t draws, but the sum needs 2k = 2e7
+    (["extremes", "--ks", "10000000", "--nu", "3", "--statistic", "max-of-t-sum",
+      "--replications", "100"], "draws per maximum"),
+], ids=["extremes", "efficiency", "pcs-k", "extremes-k", "extremes-sum-2k"])
+def test_replications_beyond_memory_exit_2(capsys, argv, message):
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "replications must be at most" in err
+    assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
 
 

@@ -150,7 +150,8 @@ def test_estimate_alpha_validation():
 
 def test_efficiency_curve_k1_row():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    report = efficiency_curve([1], 4, 0.9, 1.0, prior, 5000, RandomStream(5))
+    report = efficiency_curve([1], ScheduleSpec("constant", 5), 0.9, 1.0, prior, 5000,
+                              RandomStream(5))
     row = report.rows[0]
     assert row.h_ratio == pytest.approx(1.0, abs=1e-8)
     assert row.alpha_ratio == pytest.approx(1.0, abs=1e-6)
@@ -159,7 +160,8 @@ def test_efficiency_curve_k1_row():
 
 def test_efficiency_curve_row_consistency():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    report = efficiency_curve([2, 10, 50], 4, 0.9, 2.0, prior, 5000, RandomStream(6))
+    report = efficiency_curve([2, 10, 50], ScheduleSpec("constant", 5), 0.9, 2.0, prior, 5000,
+                              RandomStream(6))
     assert report.theoretical_eta == theoretical_eta(4)
     assert report.schedule == "constant:5"
     for row in report.rows:
@@ -184,21 +186,15 @@ def test_efficiency_curve_growing_schedule_has_no_eta():
     assert [r.n0 for r in report.rows] == [3, 7]
 
 
-def test_efficiency_curve_ks_from_schedule():
-    prior = VariancePrior.fixed(1.0)
-    schedule = ScheduleSpec("constant", 5, ks=(1, 4))
-    report = efficiency_curve(None, schedule, 0.9, 1.0, prior, 500, RandomStream(8))
-    assert [r.k for r in report.rows] == [1, 4]
-
-
 def test_efficiency_curve_validation():
     prior = VariancePrior.fixed(1.0)
+    schedule = ScheduleSpec("constant", 5)
     with pytest.raises(ValueError):
-        efficiency_curve([], 4, 0.9, 1.0, prior, 10, RandomStream(0))
+        efficiency_curve([], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
     with pytest.raises(ValueError):
-        efficiency_curve([4, 2], 4, 0.9, 1.0, prior, 10, RandomStream(0))
+        efficiency_curve([4, 2], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
     with pytest.raises(ValueError):
-        efficiency_curve([2, 2], 4, 0.9, 1.0, prior, 10, RandomStream(0))
+        efficiency_curve([2, 2], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
 
 
 def test_limit_maxmix_closed_cases():

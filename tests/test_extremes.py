@@ -18,7 +18,6 @@ from ranksel.extremes import (
     ad_distance,
     fit_extremes,
     hill_tail_index,
-    sample_max,
 )
 
 SEED = 20260814
@@ -35,16 +34,6 @@ def test_spec_validation():
         TriangularArraySpec((5, 10), 3, "max-of-chi2", 1000)
     with pytest.raises(ValueError):
         TriangularArraySpec((5, 10), 3, MAX_OF_T, 99)
-
-
-def test_sample_max_deterministic():
-    a = sample_max(50, 3, MAX_OF_T, RandomStream(5).substream(2))
-    b = sample_max(50, 3, MAX_OF_T, RandomStream(5).substream(2))
-    assert a == b
-    with pytest.raises(ValueError):
-        sample_max(0, 3, MAX_OF_T, RandomStream(5))
-    with pytest.raises(ValueError):
-        sample_max(5, 3, "max-of-normal", RandomStream(5))
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
@@ -79,7 +68,8 @@ def test_draw_base_t_sum_matches_axis_sum():
 def test_sample_max_monotone_in_k_under_shared_stream():
     # the generator hands out t draws as a prefix sequence, so the max over
     # a larger k from a fresh identical stream dominates the smaller one
-    vals = [sample_max(k, 3, MAX_OF_T, RandomStream(77).substream(0)) for k in (10, 100, 1000)]
+    vals = [extremes._draw_base(RandomStream(77).substream(0).generator, 1, k, 3, MAX_OF_T).max()
+            for k in (10, 100, 1000)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
@@ -152,7 +142,7 @@ def test_fit_extremes_deterministic_and_thread_independent():
 
 
 def test_fit_extremes_nu_mapping():
-    spec = TriangularArraySpec((2, 8), {2: 3, 8: 9}, MAX_OF_T, 200)
+    spec = TriangularArraySpec((2, 8), lambda k: k + 1, MAX_OF_T, 200)
     report = fit_extremes(spec, RandomStream(4))
     assert [row.nu for row in report.rows] == [3, 9]
     assert report.statistic == MAX_OF_T

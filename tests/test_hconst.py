@@ -239,7 +239,7 @@ def test_h_table_validation():
 
 
 def test_h_table_nu_schedules():
-    rows = h_table([2, 4], {2: 3, 4: 9}, 0.9)
+    rows = h_table([2, 4], lambda k: 3 if k == 2 else 9, 0.9)
     assert [r.nu for r in rows] == [3, 9]
     rows = h_table([2, 4], lambda k: k + 1, 0.9)
     assert [r.nu for r in rows] == [3, 5]
