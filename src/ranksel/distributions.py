@@ -16,7 +16,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtri, stdtr, stdtrit
+from scipy.special import ndtri, poch, stdtr, stdtrit
 
 __all__ = [
     "RandomStream",
@@ -44,11 +44,9 @@ def _check_nu(nu) -> int:
 
 
 def _t_logpdf(x: np.ndarray, nu: int) -> np.ndarray:
-    lognorm = (
-        math.lgamma((nu + 1) / 2.0)
-        - math.lgamma(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi)
-    )
+    # log Gamma((nu+1)/2) - log Gamma(nu/2) as one ratio: the difference of
+    # two lgamma values loses 5e-10 to cancellation at nu = 1e6
+    lognorm = math.log(poch(nu / 2.0, 0.5)) - 0.5 * math.log(nu * math.pi)
     return lognorm - ((nu + 1) / 2.0) * np.log1p(x * x / nu)
 
 
@@ -91,7 +89,8 @@ def t_logcdf(x, nu: int):
     arr, scalar = _as_array(x)
     res = np.empty_like(arr)
     neg = arr <= 0
-    res[neg] = np.log(stdtr(nu, arr[neg]))
+    with np.errstate(divide="ignore"):  # a CDF that underflows to 0 has log -inf
+        res[neg] = np.log(stdtr(nu, arr[neg]))
     res[~neg] = np.log1p(-stdtr(nu, -arr[~neg]))
     return float(res) if scalar else res
 

@@ -10,8 +10,10 @@ the Rinott constant solves
 
 where G_nu / g_nu are the t CDF / PDF with nu degrees of freedom and k is
 the number of competitor populations.  Both left-hand sides are smooth and
-strictly increasing in h, so a bracketed Brent search on top of the graded
-quadrature engine solves them to a p-space residual below 1e-8.
+strictly increasing in h, so a safeguarded Newton iteration on top of the
+graded quadrature engine solves them to a p-space residual below 1e-8.
+Each quadrature pass returns the h-derivative beside the value, from the
+same t CDF evaluations, so every Newton step costs one integral.
 
 The Rinott equation is solved in the power-free restatement
 
@@ -19,6 +21,14 @@ The Rinott equation is solved in the power-free restatement
 
 which works on the (small, fully-precise) pairwise tail probability and
 avoids raising a near-one number to the k-th power.
+
+Both equations are exact at h = 0 (the DD left-hand side is 1/(k+1), qbar
+is 1/2), which gives the sign of the root before any integral.  The solver
+then works on the tail beyond the root as a decreasing function of |h|:
+far from the root it steps in log |h| on the log tail, which is close to
+linear for t tails; near the root it steps on the tail itself.  A step that
+leaves the bracket of evaluated points doubles (bracket open on one side)
+or bisects.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import stdtrit
 
 from ranksel.distributions import RandomStream, _t_logpdf, _check_nu, map_blocks, t_logcdf, t_quantile
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
@@ -57,12 +67,19 @@ VARIANTS = (DD, RINOTT)
 P_RESIDUAL_TOL = 1e-8
 H_INTERVAL_TOL = 1e-10
 _TAIL_MASS = 1e-12
-_MAX_BRACKET_EXPANSIONS = 200
+_MAX_SOLVER_STEPS = 200
+# Newton steps go on the log tail while the tail is more than this factor
+# away from its target, on the tail itself nearer the root
+_LOG_STEP_RATIO = 1.01
+# A step changes |h| by at most this factor: from a tail near its h = 0
+# value a Newton line aims far past the root, where the quadrature may fail
+_MAX_STEP_FACTOR = 1024.0
+# Largest |h| the solver evaluates; beyond it the panel edges overflow
+_H_LIMIT = 1e300
 _ORACLE_CHUNK_ELEMENTS = 4_000_000
-# Integrals kept per process.  A solve asks for its bracket ends and its
-# root twice (bracket search and brentq; brentq and the residual), and the
-# Rinott bracket points do not depend on k, so a bounded cache removes those
-# repeats without changing a bit of any result.
+# Integrals kept per process.  A solve's residual re-reads the integral at
+# its last Newton point, and the Rinott integrals do not depend on k, so a
+# bounded cache removes those repeats without changing a bit of any result.
 _INTEGRAL_CACHE_SIZE = 4096
 
 
@@ -71,7 +88,7 @@ class SolverError(RuntimeError):
 
 
 class BracketExpansionError(SolverError):
-    """Geometric bracket expansion hit its retry limit (pathological spec)."""
+    """The root iteration hit its step limit (pathological spec)."""
 
 
 def _check_probability(p: float) -> float:
@@ -145,27 +162,43 @@ def _integral_domain(nu: int, h: float) -> tuple[float, float, tuple[float, floa
 
 
 @lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
-def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int]:
-    """integral of exp(k * log G(t+h) + log g(t)); log-domain for large k."""
+def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int, float]:
+    """integral of exp(k * log G(t+h) + log g(t)), its node count and h-derivative.
+
+    Log-domain for large k; the derivative integrand is
+    k * G(t+h)^(k-1) * g(t+h) * g(t), from the same log G values.
+    """
     lo, hi, anchors = _integral_domain(nu, h)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(k * t_logcdf(t + h, nu) + _t_logpdf(t, nu))
+        log_cdf = t_logcdf(t + h, nu)
+        log_pdf = _t_logpdf(t, nu)
+        log_slope = _t_logpdf(t + h, nu) + log_pdf
+        if k > 1:  # at k = 1, G^0 = 1 also where log G is -inf
+            log_slope += (k - 1) * log_cdf
+        return np.stack((np.exp(k * log_cdf + log_pdf), k * np.exp(log_slope)))
 
     res = panel_quadrature(integrand, geometric_edges(lo, hi, anchors))
-    return res.value, res.nodes
+    return res.value, res.nodes, res.companion
 
 
 @lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
-def _pairwise_tail(h: float, nu: int) -> tuple[float, int]:
-    """integral of G(-(t+h)) g(t) dt = P(T2 - T1 > h), fully precise when small."""
+def _pairwise_tail(h: float, nu: int) -> tuple[float, int, float]:
+    """integral of G(-(t+h)) g(t) dt = P(T2 - T1 > h), its node count and h-derivative.
+
+    Fully precise when small; the derivative is -integral of g(t+h) g(t) dt.
+    """
     lo, hi, anchors = _integral_domain(nu, h)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.exp(t_logcdf(-(t + h), nu) + _t_logpdf(t, nu))
+        log_pdf = _t_logpdf(t, nu)
+        return np.stack((
+            np.exp(t_logcdf(-(t + h), nu) + log_pdf),
+            -np.exp(_t_logpdf(t + h, nu) + log_pdf),
+        ))
 
     res = panel_quadrature(integrand, geometric_edges(lo, hi, anchors))
-    return res.value, res.nodes
+    return res.value, res.nodes, res.companion
 
 
 def dd_prob(h: float, k: int, nu: int) -> float:
@@ -178,7 +211,7 @@ def dd_prob(h: float, k: int, nu: int) -> float:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     nu = _check_nu(nu)
-    value, _ = _dd_integral(float(h), int(k), nu)
+    value, _, _ = _dd_integral(float(h), int(k), nu)
     return min(max(value, 0.0), 1.0)
 
 
@@ -187,92 +220,127 @@ def pairwise_prob(h: float, nu: int) -> float:
     return dd_prob(h, 1, nu)
 
 
-def _expand_bracket(fn: Callable[[float], float]) -> tuple[float, float, float, float, int]:
-    """Bracket the root of an increasing fn, expanding geometrically.
+def _first_guess(nu: int, tail: float) -> float:
+    """|h| at which P(T2 - T1 > |h|) is about ``tail`` (< 1/2), from t quantiles.
 
-    Starts from [0, 1]; mirrors below zero when fn(0) is already positive.
-    Returns (lo, hi, f_lo, f_hi, expansions).
+    The larger of the near-normal answer (T2 - T1 about sqrt(2) times a t
+    variable) and the heavy-tail one (twice the single-variable tail).
     """
-    f0 = fn(0.0)
-    expansions = 0
-    if f0 == 0.0:
-        return 0.0, 0.0, 0.0, 0.0, 0
-    if f0 > 0.0:
-        hi, f_hi = 0.0, f0
-        lo = -1.0
-        f_lo = fn(lo)
-        while f_lo > 0.0:
-            expansions += 1
-            if expansions > _MAX_BRACKET_EXPANSIONS:
-                raise BracketExpansionError(
-                    f"no sign change after {_MAX_BRACKET_EXPANSIONS} downward expansions"
-                )
-            hi, f_hi = lo, f_lo
-            lo *= 2.0
-            f_lo = fn(lo)
-        return lo, hi, f_lo, f_hi, expansions
-    lo, f_lo = 0.0, f0
-    hi = 1.0
-    f_hi = fn(hi)
-    while f_hi < 0.0:
-        expansions += 1
-        if expansions > _MAX_BRACKET_EXPANSIONS:
-            raise BracketExpansionError(
-                f"no sign change after {_MAX_BRACKET_EXPANSIONS} upward expansions"
-            )
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = fn(hi)
-    return lo, hi, f_lo, f_hi, expansions
+    guess = -float(min(math.sqrt(2.0) * stdtrit(nu, tail), stdtrit(nu, 0.5 * tail)))
+    return guess if 0.0 < guess < math.inf else 1.0
 
 
 def solve_h(spec: HEquationSpec) -> HConstant:
-    """Solve `spec`'s equation for h to a p-space residual below 1e-8."""
-    nodes_seen = [0]
+    """Solve `spec`'s equation for h to a p-space residual below 1e-8.
 
+    The iteration runs on u = |h| and on the tail beyond the root, which
+    falls from its exact h = 0 value towards 0 as u grows: 1 - P (DD) or
+    qbar (Rinott) for a positive root, P or 1 - qbar for a negative one.
+    It stops when a Newton step is below H_INTERVAL_TOL + 8.9e-16 * |h|,
+    or the bracket is that narrow, and returns the last point it
+    evaluated, so the residual re-reads a cached integral.  ``iterations``
+    counts integrals asked for, ``bracket`` holds the nearest evaluated h
+    on each side of the root (the root itself on a side where none was
+    evaluated).
+    """
+    k, nu, p = spec.k, spec.nu, spec.p
     if spec.variant == DD:
-        def fn(h: float) -> float:
-            value, nodes = _dd_integral(h, spec.k, spec.nu)
-            nodes_seen[0] = max(nodes_seen[0], nodes)
-            return value - spec.p
+        target, value_at_0 = p, 1.0 / (k + 1)
+        sign = (p > value_at_0) - (p < value_at_0)
+        tail_is_value = sign < 0
+        goal = p if tail_is_value else 1.0 - p
+        # a positive DD root starts from the Rinott one's pairwise tail
+        guess_tail = p if tail_is_value else -math.expm1(math.log(p) / k)
+
+        def integral(h: float) -> tuple[float, int, float]:
+            return _dd_integral(h, k, nu)
 
         def residual_at(h: float) -> float:
-            value, _ = _dd_integral(h, spec.k, spec.nu)
-            return abs(value - spec.p)
+            value, _, _ = _dd_integral(h, k, nu)
+            return abs(value - p)
     else:
-        target_q = -math.expm1(math.log(spec.p) / spec.k)
+        target = -math.expm1(math.log(p) / k)
+        sign = (target < 0.5) - (target > 0.5)
+        tail_is_value = sign > 0
+        # p^(1/k) for 1 - target, which rounds to 0 when p^(1/k) < 1e-16
+        goal = target if tail_is_value else math.exp(math.log(p) / k)
+        guess_tail = goal
 
-        def fn(h: float) -> float:
-            value, nodes = _pairwise_tail(h, spec.nu)
-            nodes_seen[0] = max(nodes_seen[0], nodes)
-            return target_q - value
+        def integral(h: float) -> tuple[float, int, float]:
+            return _pairwise_tail(h, nu)
 
         def residual_at(h: float) -> float:
-            value, _ = _pairwise_tail(h, spec.nu)
-            implied_p = math.exp(spec.k * math.log1p(-min(value, 1.0 - 1e-300)))
-            return abs(implied_p - spec.p)
+            value, _, _ = _pairwise_tail(h, nu)
+            implied_p = math.exp(k * math.log1p(-min(value, 1.0 - 1e-300)))
+            return abs(implied_p - p)
 
+    # h = 0 solves the equation exactly when sign is 0; one integral there
+    # gives the residual
+    u = _first_guess(nu, guess_tail) if sign else 0.0
+    lo, hi = 0.0, math.inf  # u with the tail above / below its goal
+    last_step = step_before = math.inf
+    nodes_max = 0
     try:
-        lo, hi, f_lo, f_hi, expansions = _expand_bracket(fn)
-        if lo == hi:
-            root, iterations = 0.0, expansions
-        elif f_lo == 0.0:
-            root, iterations = lo, expansions
-        elif f_hi == 0.0:
-            root, iterations = hi, expansions
+        for iterations in range(1, _MAX_SOLVER_STEPS + 1):
+            if not u <= _H_LIMIT:
+                raise BracketExpansionError(f"no root below |h| = {_H_LIMIT:g} for {spec}")
+            value, nodes, slope = integral(sign * u)
+            nodes_max = max(nodes_max, nodes)
+            if sign == 0:
+                break
+            # the gap from the value, not the tail: 1 - value drops the digits
+            # of a small DD value
+            if tail_is_value:
+                tail, gap, slope = value, value - target, sign * slope
+            else:
+                tail, gap, slope = 1.0 - value, target - value, -sign * slope
+            if gap > 0.0:
+                lo = u
+            elif gap < 0.0:
+                hi = u
+            else:
+                break
+            step = _newton_step(u, tail, goal, gap, slope)
+            tol = H_INTERVAL_TOL + 8.9e-16 * u
+            if abs(step) <= tol or hi - lo <= tol:
+                break
+            new = min(max(u + step, u / _MAX_STEP_FACTOR), u * _MAX_STEP_FACTOR)
+            if not lo < new < hi or (hi < math.inf and abs(step) > 0.5 * step_before):
+                new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            step_before, last_step = last_step, abs(new - u)
+            u = new
         else:
-            root, results = brentq(
-                fn, lo, hi, xtol=H_INTERVAL_TOL, rtol=8.9e-16, full_output=True
+            raise BracketExpansionError(
+                f"no convergence after {_MAX_SOLVER_STEPS} steps for {spec}"
             )
-            iterations = results.iterations + expansions
-        residual = residual_at(root)
+        residual = residual_at(sign * u)
     except QuadratureError as err:
         raise SolverError(f"quadrature failed for {spec}: {err}") from err
     if not residual < P_RESIDUAL_TOL:
         raise SolverError(
             f"residual {residual:.3e} above {P_RESIDUAL_TOL} for {spec}"
         )
-    return HConstant(float(root), residual, (lo, hi), iterations, nodes_seen[0])
+    if hi == math.inf:  # no point evaluated beyond the root
+        hi = u
+    bracket = (lo, hi) if sign >= 0 else (-hi, -lo)
+    return HConstant(float(sign * u), residual, bracket, iterations, nodes_max)
+
+
+def _newton_step(u: float, tail: float, goal: float, gap: float, slope: float) -> float:
+    """Newton step in u towards tail = goal, given gap = tail - goal and d tail / du = slope < 0.
+
+    Far from the goal the step is taken on log tail against log u; NaN when
+    the slope is unusable, which the caller's bracket test turns into a
+    doubling or a bisection.
+    """
+    if not slope < 0.0:
+        return math.nan
+    ratio = tail / goal if tail > 0.0 and goal > 0.0 else 1.0
+    if not 1.0 / _LOG_STEP_RATIO < ratio < _LOG_STEP_RATIO:
+        log_slope = u * slope / tail
+        if log_slope < 0.0:
+            return u * math.expm1(min(-math.log(ratio) / log_slope, 700.0))
+    return -gap / slope
 
 
 def mc_oracle(

@@ -6,6 +6,11 @@ freedom) with a sigmoid whose transition zone scales roughly like |t|.
 Uniform panels are hopeless on such domains, so panels are laid out
 geometrically around caller-supplied anchor points and every refinement
 pass halves all panels until two successive totals agree.
+
+An integrand may also return two stacked rows, shape ``(2, n)``: row 0 is
+the integral being computed and alone decides refinement, row 1 is summed
+on the same nodes (the root solver gets its derivative this way, from the
+same CDF evaluations as the value).
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ class QuadratureResult:
     nodes: int
     refinements: int
     last_change: float
+    # integral of row 1 of a stacked (2, n) integrand; None for one row
+    companion: float | None = None
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +73,8 @@ def panel_quadrature(
     """Integrate a vectorized f over the panels defined by ``edges``.
 
     Refinement halves every panel; stops when two successive totals agree
-    to ``max(abs_tol, rel_tol * |I|)``.
+    to ``max(abs_tol, rel_tol * |I|)``.  When f returns a ``(2, n)`` stack,
+    row 0 is that total and row 1 comes back as ``companion``.
     """
     gx, gw = _gl_rule(order)
     edges = np.asarray(edges, dtype=float)
@@ -77,12 +85,14 @@ def panel_quadrature(
         halfs = 0.5 * (edges[1:] - edges[:-1])
         xs = (mids[:, None] + halfs[:, None] * gx[None, :]).ravel()
         ws = (halfs[:, None] * gw[None, :]).ravel()
-        value = float(np.dot(f(xs), ws))
+        fx = f(xs)
+        value = float(np.dot(fx[0] if fx.ndim == 2 else fx, ws))
         nodes_used += xs.size
         if prev is not None:
             change = abs(value - prev)
             if change <= max(abs_tol, rel_tol * abs(value)):
-                return QuadratureResult(value, nodes_used, refinement, change)
+                companion = float(np.dot(fx[1], ws)) if fx.ndim == 2 else None
+                return QuadratureResult(value, nodes_used, refinement, change, companion)
         prev = value
         # halve all panels for the next pass
         edges = np.sort(np.concatenate([edges, mids]))

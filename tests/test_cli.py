@@ -5,6 +5,7 @@ import json
 import pytest
 
 import ranksel.cli as cli
+import ranksel.hconst as hconst
 from ranksel.hconst import SolverError, solve_h, HEquationSpec
 
 
@@ -328,6 +329,27 @@ def test_hconst_large_nu_solves(tmp_path):
     assert rc == 0
     row = text.splitlines()[3].split(",")
     assert float(row[6]) < 1e-8 and float(row[7]) < 1e-8
+
+
+def test_hconst_huge_nu_keeps_jensen_ordering(tmp_path):
+    # h_rinott >= h_dd; an inexact t-density normalizer at nu = 1e6 printed
+    # ratios of 0.979 and 0.985 here
+    argv = ["hconst", "--ks", "1,1000", "--nu", "1000000", "--p", "0.999999999"]
+    rc, text = run_to_file(tmp_path, "h.csv", argv)
+    assert rc == 0
+    ratios = [float(line.split(",")[5]) for line in text.splitlines()[3:]]
+    assert len(ratios) == 2 and min(ratios) >= 1.0 - 1e-4
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, p", [("1", "0.999999999"), ("1000", "1e-30")])
+def test_hconst_cdf_underflow_prints_no_warning(tmp_path, k, p):
+    # the t CDF underflows to 0 at some nodes of these solves (at p = 1e-30
+    # the DD root is negative); its log is -inf, not a warning
+    hconst._dd_integral.cache_clear()
+    hconst._pairwise_tail.cache_clear()
+    argv = ["hconst", "--k", k, "--nu", "1000000", "--p", p]
+    assert run_to_file(tmp_path, "h.csv", argv)[0] == 0
 
 
 def test_io_failure_exits_4(tmp_path, capsys):

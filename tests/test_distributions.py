@@ -6,6 +6,7 @@ everything else against internal round-trip identities.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_pdf_matches_scipy():
     xs = np.concatenate([np.linspace(-80.0, 80.0, 321), np.linspace(-2.0, 2.0, 81)])
     for nu in (1, 2, 3, 5, 9, 30, 120, 500):
         assert np.abs(t_pdf(xs, nu) - stats.t.pdf(xs, nu)).max() < 1e-12
+
+
+@pytest.mark.parametrize("nu", [10**4, 10**6])
+def test_pdf_normalizer_large_nu(nu):
+    # log Gamma((nu+1)/2) - log Gamma(nu/2) against its asymptotic series,
+    # whose first omitted term is below 1e-21 here; the lgamma difference
+    # is 5.5e-10 off at nu = 1e6
+    a = nu / 2.0
+    log_ratio = 0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
+    expected = log_ratio - 0.5 * math.log(nu * math.pi)
+    assert distributions._t_logpdf(np.array(0.0), nu) == pytest.approx(expected, abs=5e-12)
+
+
+def test_logcdf_underflow_is_minus_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert t_logcdf(-1e3, 10**6) == -math.inf
 
 
 def test_logcdf_deep_tail():

@@ -81,3 +81,20 @@ def test_vectorized_integrand_contract():
     res = panel_quadrature(f, edges)
     assert res.value == pytest.approx(2.0, rel=1e-10)
     assert all(ndim == 1 for ndim in seen)
+
+
+def test_stacked_integrand_row0_matches_scalar_bits():
+    # row 0 of a (2, n) integrand decides refinement and sums exactly as a
+    # one-row integrand; row 1 is integrated on the same nodes
+    edges = geometric_edges(-600.0, 600.0, (0.3,))
+
+    def peak(x):
+        return np.exp(-1000.0 * (x - 0.3) ** 2)
+
+    alone = panel_quadrature(peak, edges)
+    stacked = panel_quadrature(lambda x: np.stack((peak(x), x * peak(x))), edges)
+    assert stacked.value == alone.value
+    assert (stacked.nodes, stacked.refinements, stacked.last_change) == (
+        alone.nodes, alone.refinements, alone.last_change)
+    assert alone.companion is None
+    assert stacked.companion == pytest.approx(0.3 * alone.value, rel=1e-12)
