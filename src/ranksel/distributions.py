@@ -82,16 +82,15 @@ def t_cdf(x, nu: int):
 def t_logcdf(x, nu: int):
     """log of the t CDF, accurate in both tails.
 
-    For x <= 0 the CDF itself is well-scaled, so the log is direct; for
-    x > 0 it uses log1p of the (exactly computed) upper tail.
+    One ``stdtr`` call on -|x| gives the lower tail at every point: for
+    x <= 0 it is the CDF itself, well-scaled, so the log is direct; for
+    x > 0 it is the (exactly computed) upper tail, taken through log1p.
     """
     nu = _check_nu(nu)
     arr, scalar = _as_array(x)
-    res = np.empty_like(arr)
-    neg = arr <= 0
+    lower = stdtr(nu, -np.abs(arr))
     with np.errstate(divide="ignore"):  # a CDF that underflows to 0 has log -inf
-        res[neg] = np.log(stdtr(nu, arr[neg]))
-    res[~neg] = np.log1p(-stdtr(nu, -arr[~neg]))
+        res = np.where(arr <= 0, np.log(lower), np.log1p(-lower))
     return float(res) if scalar else res
 
 

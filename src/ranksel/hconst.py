@@ -20,7 +20,9 @@ The Rinott equation is solved in the power-free restatement
     qbar(h) = -expm1(log(p) / k),   qbar(h) = integral of G_nu(-(t+h)) g_nu(t) dt,
 
 which works on the (small, fully-precise) pairwise tail probability and
-avoids raising a near-one number to the k-th power.
+avoids raising a near-one number to the k-th power.  A negative root
+(p^(1/k) < 1/2) solves the mirrored form qbar(-h) = p^(1/k), again on a
+tail below 1/2.
 
 Both equations are exact at h = 0 (the DD left-hand side is 1/(k+1), qbar
 is 1/2), which gives the sign of the root before any integral.  The solver
@@ -235,44 +237,46 @@ def solve_h(spec: HEquationSpec) -> HConstant:
 
     The iteration runs on u = |h| and on the tail beyond the root, which
     falls from its exact h = 0 value towards 0 as u grows: 1 - P (DD) or
-    qbar (Rinott) for a positive root, P or 1 - qbar for a negative one.
-    It stops when a Newton step is below H_INTERVAL_TOL + 8.9e-16 * |h|,
-    or the bracket is that narrow, and returns the last point it
-    evaluated, so the residual re-reads a cached integral.  ``iterations``
-    counts integrals asked for, ``bracket`` holds the nearest evaluated h
-    on each side of the root (the root itself on a side where none was
-    evaluated).
+    qbar(h) (Rinott) for a positive root, P or qbar(|h|) = 1 - qbar(h)
+    for a negative one.  It stops when a Newton step is below
+    H_INTERVAL_TOL + 8.9e-16 * |h|, or the bracket is that narrow, and
+    returns the last point it evaluated, with the residual of that point's
+    integral.  ``iterations`` counts integrals asked for, ``bracket`` holds
+    the nearest evaluated h on each side of the root (the root itself on a
+    side where none was evaluated).
     """
     k, nu, p = spec.k, spec.nu, spec.p
     if spec.variant == DD:
-        target, value_at_0 = p, 1.0 / (k + 1)
+        value_at_0 = 1.0 / (k + 1)
         sign = (p > value_at_0) - (p < value_at_0)
-        tail_is_value = sign < 0
-        goal = p if tail_is_value else 1.0 - p
+        goal = p if sign < 0 else 1.0 - p
         # a positive DD root starts from the Rinott one's pairwise tail
-        guess_tail = p if tail_is_value else -math.expm1(math.log(p) / k)
+        guess_tail = p if sign < 0 else -math.expm1(math.log(p) / k)
 
-        def integral(h: float) -> tuple[float, int, float]:
-            return _dd_integral(h, k, nu)
-
-        def residual_at(h: float) -> float:
-            value, _, _ = _dd_integral(h, k, nu)
-            return abs(value - p)
+        def evaluate(u: float) -> tuple[float, float, float, int, float]:
+            value, nodes, slope = _dd_integral(sign * u, k, nu)
+            residual = abs(value - p)
+            if sign < 0:
+                return value, value - p, -slope, nodes, residual
+            # the gap from the value, not the tail: 1 - value drops the
+            # digits of a small DD value
+            return 1.0 - value, p - value, -slope, nodes, residual
     else:
-        target = -math.expm1(math.log(p) / k)
+        log_root = math.log(p) / k
+        target = -math.expm1(log_root)  # qbar at the root
         sign = (target < 0.5) - (target > 0.5)
-        tail_is_value = sign > 0
-        # p^(1/k) for 1 - target, which rounds to 0 when p^(1/k) < 1e-16
-        goal = target if tail_is_value else math.exp(math.log(p) / k)
+        # the tail beyond a root h = -u is 1 - qbar(-u) = qbar(u), which the
+        # integral gives to full precision, and p^(1/k) is its goal
+        goal = target if sign >= 0 else math.exp(log_root)
         guess_tail = goal
 
-        def integral(h: float) -> tuple[float, int, float]:
-            return _pairwise_tail(h, nu)
-
-        def residual_at(h: float) -> float:
-            value, _, _ = _pairwise_tail(h, nu)
-            implied_p = math.exp(k * math.log1p(-min(value, 1.0 - 1e-300)))
-            return abs(implied_p - p)
+        def evaluate(u: float) -> tuple[float, float, float, int, float]:
+            tail, nodes, slope = _pairwise_tail(u, nu)
+            if sign >= 0:
+                implied_p = math.exp(k * math.log1p(-tail))
+            else:
+                implied_p = math.exp(k * math.log(tail)) if tail > 0.0 else 0.0
+            return tail, tail - goal, slope, nodes, abs(implied_p - p)
 
     # h = 0 solves the equation exactly when sign is 0; one integral there
     # gives the residual
@@ -284,16 +288,10 @@ def solve_h(spec: HEquationSpec) -> HConstant:
         for iterations in range(1, _MAX_SOLVER_STEPS + 1):
             if not u <= _H_LIMIT:
                 raise BracketExpansionError(f"no root below |h| = {_H_LIMIT:g} for {spec}")
-            value, nodes, slope = integral(sign * u)
+            tail, gap, slope, nodes, residual = evaluate(u)
             nodes_max = max(nodes_max, nodes)
             if sign == 0:
                 break
-            # the gap from the value, not the tail: 1 - value drops the digits
-            # of a small DD value
-            if tail_is_value:
-                tail, gap, slope = value, value - target, sign * slope
-            else:
-                tail, gap, slope = 1.0 - value, target - value, -sign * slope
             if gap > 0.0:
                 lo = u
             elif gap < 0.0:
@@ -313,7 +311,6 @@ def solve_h(spec: HEquationSpec) -> HConstant:
             raise BracketExpansionError(
                 f"no convergence after {_MAX_SOLVER_STEPS} steps for {spec}"
             )
-        residual = residual_at(sign * u)
     except QuadratureError as err:
         raise SolverError(f"quadrature failed for {spec}: {err}") from err
     if not residual < P_RESIDUAL_TOL:

@@ -341,6 +341,16 @@ def test_hconst_huge_nu_keeps_jensen_ordering(tmp_path):
     assert len(ratios) == 2 and min(ratios) >= 1.0 - 1e-4
 
 
+@pytest.mark.parametrize("nu, p", [("1000000", "1e-12"), ("9", "1e-6")])
+def test_hconst_negative_roots_agree_at_k1(tmp_path, nu, p):
+    # at k = 1 both equations are P(T2 - T1 <= h) = p; the Rinott root once
+    # came from 1 - qbar, which loses the digits of a tail near p
+    rc, text = run_to_file(tmp_path, "h.csv", ["hconst", "--k", "1", "--nu", nu, "--p", p])
+    assert rc == 0
+    h_dd, h_rinott = (float(v) for v in text.splitlines()[3].split(",")[3:5])
+    assert h_dd < 0.0 and h_rinott == pytest.approx(h_dd, rel=1e-9)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k, p", [("1", "0.999999999"), ("1000", "1e-30")])
 def test_hconst_cdf_underflow_prints_no_warning(tmp_path, k, p):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import stdtr
 
 import ranksel.distributions as distributions
 from ranksel.distributions import (
@@ -85,6 +86,23 @@ def test_logcdf_underflow_is_minus_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert t_logcdf(-1e3, 10**6) == -math.inf
+
+
+@pytest.mark.parametrize("nu", [1, 2, 9, 500, 10**6])
+def test_logcdf_bits_match_split_tails(nu):
+    # log of the CDF for x <= 0, log1p of minus the upper tail above: the
+    # lower tail of -|x| serves both sides to the bit
+    x = np.concatenate((
+        [0.0, -0.0, math.inf, -math.inf, math.nan],
+        np.linspace(-50.0, 50.0, 2001),
+        np.random.default_rng(nu).standard_cauchy(2000) * 1e3,
+    ))
+    expected = np.empty_like(x)
+    neg = x <= 0
+    with np.errstate(divide="ignore"):
+        expected[neg] = np.log(stdtr(nu, x[neg]))
+    expected[~neg] = np.log1p(-stdtr(nu, -x[~neg]))
+    assert np.array_equal(t_logcdf(x, nu).view(np.int64), expected.view(np.int64))
 
 
 def test_logcdf_deep_tail():

@@ -24,7 +24,12 @@ from ranksel.hconst import (
     pairwise_prob,
     solve_h,
 )
-from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
+from ranksel.quadrature import (
+    QuadratureError,
+    QuadratureResult,
+    geometric_edges,
+    panel_quadrature,
+)
 
 SEED = 20260814
 
@@ -331,9 +336,12 @@ def _brent_reference(spec):
         def fn(h):
             return hconst._dd_integral(h, k, nu)[0] - p
     else:
-        target_q = -math.expm1(math.log(p) / k)
+        log_root = math.log(p) / k
+        target_q = -math.expm1(log_root)
 
         def fn(h):
+            if h < 0.0:  # 1 - qbar(h) = qbar(-h), to full precision
+                return hconst._pairwise_tail(-h, nu)[0] - math.exp(log_root)
             return target_q - hconst._pairwise_tail(h, nu)[0]
 
     f0 = fn(0.0)
@@ -385,6 +393,68 @@ def test_solver_parity_with_brent_reference():
                 problems.append(f"{spec}: h {hc.value!r}, reference {expected!r}")
     assert problems == []
     assert len(PARITY_SWEEP) == 300
+
+
+def _gl20_two_level(f, edges, abs_tol=1e-13, rel_tol=1e-11, max_refinements=8):
+    """Reference rule: Gauss-Legendre-20 on every panel, all panels halved
+    until two successive totals agree; f returns the solver's (2, n) stack."""
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    prev, nodes = None, 0
+    for refinement in range(max_refinements + 1):
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halfs = 0.5 * (edges[1:] - edges[:-1])
+        xs = (mids[:, None] + halfs[:, None] * gx).ravel()
+        ws = (halfs[:, None] * gw).ravel()
+        fx = f(xs)
+        value, nodes = float(np.dot(fx[0], ws)), nodes + xs.size
+        change = math.inf if prev is None else abs(value - prev)
+        if change <= max(abs_tol, rel_tol * abs(value)):
+            return QuadratureResult(value, nodes, refinement, change, float(np.dot(fx[1], ws)))
+        prev = value
+        edges = np.sort(np.concatenate([edges, mids]))
+    raise QuadratureError("reference rule did not converge")
+
+
+def _reference_integral(cached, *args):
+    """An h integral's value under the reference rule, past its cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hconst, "panel_quadrature", _gl20_two_level)
+        return cached.__wrapped__(*args)[0]
+
+
+def _random_k_nu(rng):
+    return int(10 ** rng.uniform(0, 6)), int(10 ** rng.uniform(math.log10(2), 6))
+
+
+def test_integrals_match_gauss_legendre_reference():
+    rng = np.random.default_rng(SEED)
+    for _ in range(100):
+        h = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2))
+        k, nu = _random_k_nu(rng)
+        for cached, args in ((hconst._dd_integral, (h, k, nu)), (hconst._pairwise_tail, (h, nu))):
+            value = cached.__wrapped__(*args)[0]
+            reference = _reference_integral(cached, *args)
+            assert abs(value - reference) <= max(1e-13, 1e-11 * abs(reference)), (cached, args)
+
+
+def test_roots_meet_residual_under_reference_rule():
+    # p-space residual of each root with both h integrals re-evaluated by the
+    # Gauss-Legendre reference, positive and negative roots of both variants
+    rng = np.random.default_rng(SEED + 1)
+    for _ in range(300):
+        k, nu = _random_k_nu(rng)
+        p = 1.0 / (1.0 + math.exp(-rng.uniform(-12.0, 16.0)))
+        variant = (DD, RINOTT)[rng.integers(2)]
+        h = solve_h(HEquationSpec(k, nu, p, variant)).value
+        if variant == DD:
+            implied_p = _reference_integral(hconst._dd_integral, h, k, nu)
+        elif h >= 0.0:
+            tail = _reference_integral(hconst._pairwise_tail, h, nu)
+            implied_p = math.exp(k * math.log1p(-tail))
+        else:
+            tail = _reference_integral(hconst._pairwise_tail, -h, nu)
+            implied_p = math.exp(k * math.log(tail))
+        assert abs(implied_p - p) < 1e-8, (k, nu, p, variant, h)
 
 
 @pytest.mark.parametrize("guess", [1e-3, 1.0, 1e6])

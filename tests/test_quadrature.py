@@ -1,4 +1,4 @@
-"""Graded-panel Gauss-Legendre engine tests."""
+"""Graded-panel Gauss-Kronrod (G10, K21) engine tests."""
 
 import math
 
@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from ranksel.quadrature import (
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
     QuadratureError,
     geometric_edges,
     panel_quadrature,
@@ -30,6 +33,30 @@ def test_edges_grade_toward_anchor():
 def test_edges_reject_bad_interval():
     with pytest.raises(ValueError):
         geometric_edges(1.0, 1.0, (0.0,))
+
+
+@pytest.mark.parametrize("weights, degree", [(KRONROD_WEIGHTS, 31), (GAUSS_WEIGHTS, 19)])
+def test_rules_exact_to_their_degree(weights, degree):
+    # K21 is exact for degree 31, G10 for 19; a mistyped node or weight
+    # breaks that below the rule's degree
+    def error(j):
+        exact = 0.0 if j % 2 else 2.0 / (j + 1)
+        return abs(np.dot(weights, KRONROD_NODES**j) - exact)
+
+    assert max(error(j) for j in range(degree + 1)) < 1e-15
+    assert error(degree + 1) > 1e-15
+
+
+@pytest.mark.parametrize("f, lo, hi, anchor, exact", [
+    (lambda x: x**3, 0.0, 1.0, 0.0, 0.25),
+    (lambda x: np.exp(-x * x / 2.0), -8.0, 8.0, 0.0,
+     math.sqrt(2.0 * math.pi) * math.erf(8.0 / math.sqrt(2.0))),
+    (lambda x: np.exp(-1000.0 * (x - 0.3) ** 2), -600.0, 600.0, 0.3, math.sqrt(math.pi / 1000.0)),
+])
+def test_error_estimate_bounds_true_error(f, lo, hi, anchor, exact):
+    # the estimate covers the rule's error; rounding adds a few ulp on top
+    res = panel_quadrature(f, geometric_edges(lo, hi, (anchor,)))
+    assert abs(res.value - exact) <= res.error_estimate + 4.0 * math.ulp(exact)
 
 
 def test_polynomial_exact():
@@ -57,7 +84,7 @@ def test_result_metadata():
     res = panel_quadrature(lambda x: np.ones_like(x), edges)
     assert res.value == pytest.approx(2.0, abs=1e-13)
     assert res.nodes > 0
-    assert res.last_change >= 0.0
+    assert res.error_estimate >= 0.0
 
 
 def test_nonconvergent_integrand_raises():
@@ -94,7 +121,7 @@ def test_stacked_integrand_row0_matches_scalar_bits():
     alone = panel_quadrature(peak, edges)
     stacked = panel_quadrature(lambda x: np.stack((peak(x), x * peak(x))), edges)
     assert stacked.value == alone.value
-    assert (stacked.nodes, stacked.refinements, stacked.last_change) == (
-        alone.nodes, alone.refinements, alone.last_change)
+    assert (stacked.nodes, stacked.refinements, stacked.error_estimate) == (
+        alone.nodes, alone.refinements, alone.error_estimate)
     assert alone.companion is None
     assert stacked.companion == pytest.approx(0.3 * alone.value, rel=1e-12)
