@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ranksel.distributions import RandomStream, _check_array_limit, _check_nu
 from ranksel.hconst import (
@@ -34,7 +33,7 @@ from ranksel.hconst import (
     _check_variant,
     solve_h,
 )
-from ranksel.procedures import VariancePrior, _check_sizes_fit, _size_factor
+from ranksel.procedures import VariancePrior, _size_factor, second_stage_size
 
 __all__ = [
     "AlphaEstimate",
@@ -193,10 +192,7 @@ def estimate_alpha(
         raise ValueError(
             f"the {prior.describe()} prior gave variance draws whose S^2 is not finite"
         )
-    raw = np.ceil(s2 * r2)
-    _check_sizes_fit(raw)
-    sizes = np.maximum(float(n0 + 1), raw)
-    samples = sizes / r2
+    samples = second_stage_size(s2, h.value, delta, n0) / r2
     alpha = float(samples.mean())
     if replications > 1:
         std_error = float(samples.std(ddof=1) / math.sqrt(replications))
@@ -279,20 +275,7 @@ def efficiency_curve(
 
 
 def limit_maxmix(L: float, prior: VariancePrior) -> float:
-    """E max{L, sigma^2} by numerical integration against the prior.
-
-    Uses E max{L, X} = L + integral over (L, inf) of P(X > x) dx, which
-    needs only the survival function.
-    """
+    """E max{L, sigma^2} under the prior, in closed form (VariancePrior.expected_max)."""
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    if prior.kind == "fixed":
-        return max(L, prior.params[0])
-    if L == 0:
-        return prior.mean()
-    tail, err = integrate.quad(
-        lambda x: float(prior.sf(x)), L, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200
-    )
-    if err > 1e-6:
-        raise RuntimeError(f"tail integration error estimate {err:.2e} too large")
-    return L + tail
+    return prior.expected_max(L)

@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, _check_array_limit, map_blocks
-from ranksel.hconst import _resolve_nu
+from ranksel.distributions import RandomStream, _check_array_limit, _check_nu, map_blocks
 
 __all__ = [
     "MAX_OF_T",
@@ -148,6 +147,12 @@ def hill_tail_index(sample: np.ndarray, fraction: float = HILL_FRACTION) -> floa
     threshold = pos[-(m + 1)]
     gamma = float(np.mean(np.log(pos[-m:] / threshold)))
     return 1.0 / gamma
+
+
+def _resolve_nu(nu_for: int | Callable[[int], int], k: int) -> int:
+    if callable(nu_for):
+        return _check_nu(nu_for(k))
+    return _check_nu(nu_for)
 
 
 def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStream) -> ExtremeFitRow:

@@ -1,28 +1,26 @@
 """Critical constants for the two-stage selection procedures.
 
-The Dudewicz-Dalal constant h solves
+Both critical-constant equations are functionals of one integral,
 
-    p = integral of G_nu(t + h)^k * g_nu(t) dt,
-
-the Rinott constant solves
-
-    p = [ integral of G_nu(t + h) * g_nu(t) dt ]^k,
+    P_k(h) = integral of G_nu(t + h)^k * g_nu(t) dt,
 
 where G_nu / g_nu are the t CDF / PDF with nu degrees of freedom and k is
-the number of competitor populations.  Both left-hand sides are smooth and
-strictly increasing in h, so a safeguarded Newton iteration on top of the
-graded quadrature engine solves them to a p-space residual below 1e-8.
-Each quadrature pass returns the h-derivative beside the value, from the
-same t CDF evaluations, so every Newton step costs one integral.
+the number of competitor populations: the Dudewicz-Dalal constant h solves
+P_k(h) = p, the Rinott constant P_1(h)^k = p.  Both left-hand sides are
+smooth and strictly increasing in h, so a safeguarded Newton iteration on
+top of the graded quadrature engine solves them to a p-space residual
+below 1e-8.  Each quadrature pass returns the h-derivative beside the
+value, from the same t CDF evaluations, so every Newton step costs one
+integral.
 
 The Rinott equation is solved in the power-free restatement
 
-    qbar(h) = -expm1(log(p) / k),   qbar(h) = integral of G_nu(-(t+h)) g_nu(t) dt,
+    qbar(h) = -expm1(log(p) / k),   qbar(h) = P(T2 - T1 > h) = P_1(-h),
 
-which works on the (small, fully-precise) pairwise tail probability and
-avoids raising a near-one number to the k-th power.  A negative root
-(p^(1/k) < 1/2) solves the mirrored form qbar(-h) = p^(1/k), again on a
-tail below 1/2.
+the last step by the symmetry of g_nu.  It works on the (small,
+fully-precise) pairwise tail probability and avoids raising a near-one
+number to the k-th power.  A negative root (p^(1/k) < 1/2) solves the
+mirrored form qbar(-h) = p^(1/k), again on a tail below 1/2.
 
 Both equations are exact at h = 0 (the DD left-hand side is 1/(k+1), qbar
 is 1/2), which gives the sign of the root before any integral.  The solver
@@ -38,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtrit
@@ -156,21 +154,16 @@ def _tail_cutoff(nu: int) -> float:
     return t_quantile(1.0 - _TAIL_MASS, nu)
 
 
-def _integral_domain(nu: int, h: float) -> tuple[float, float, tuple[float, float]]:
-    T = _tail_cutoff(nu)
-    lo = min(-T, -T + h)
-    hi = max(T, T + h)
-    return lo, hi, (0.0, -h)
-
-
 @lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
 def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int, float]:
     """integral of exp(k * log G(t+h) + log g(t)), its node count and h-derivative.
 
     Log-domain for large k; the derivative integrand is
-    k * G(t+h)^(k-1) * g(t+h) * g(t), from the same log G values.
+    k * G(t+h)^(k-1) * g(t+h) * g(t), from the same log G values.  At k = 1
+    and h = -u it is the pairwise tail P(T2 - T1 > u), fully precise when
+    small: the Rinott equation's left-hand side.
     """
-    lo, hi, anchors = _integral_domain(nu, h)
+    T = _tail_cutoff(nu)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         log_cdf = t_logcdf(t + h, nu)
@@ -180,26 +173,8 @@ def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int, float]:
             log_slope += (k - 1) * log_cdf
         return np.stack((np.exp(k * log_cdf + log_pdf), k * np.exp(log_slope)))
 
-    res = panel_quadrature(integrand, geometric_edges(lo, hi, anchors))
-    return res.value, res.nodes, res.companion
-
-
-@lru_cache(maxsize=_INTEGRAL_CACHE_SIZE)
-def _pairwise_tail(h: float, nu: int) -> tuple[float, int, float]:
-    """integral of G(-(t+h)) g(t) dt = P(T2 - T1 > h), its node count and h-derivative.
-
-    Fully precise when small; the derivative is -integral of g(t+h) g(t) dt.
-    """
-    lo, hi, anchors = _integral_domain(nu, h)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        log_pdf = _t_logpdf(t, nu)
-        return np.stack((
-            np.exp(t_logcdf(-(t + h), nu) + log_pdf),
-            -np.exp(_t_logpdf(t + h, nu) + log_pdf),
-        ))
-
-    res = panel_quadrature(integrand, geometric_edges(lo, hi, anchors))
+    edges = geometric_edges(min(-T, -T + h), max(T, T + h), (0.0, -h))
+    res = panel_quadrature(integrand, edges)
     return res.value, res.nodes, res.companion
 
 
@@ -271,12 +246,13 @@ def solve_h(spec: HEquationSpec) -> HConstant:
         guess_tail = goal
 
         def evaluate(u: float) -> tuple[float, float, float, int, float]:
-            tail, nodes, slope = _pairwise_tail(u, nu)
+            # qbar(u) = P(T2 - T1 > u) = P_1(-u) by the symmetry of g
+            tail, nodes, slope = _dd_integral(-u, 1, nu)
             if sign >= 0:
                 implied_p = math.exp(k * math.log1p(-tail))
             else:
                 implied_p = math.exp(k * math.log(tail)) if tail > 0.0 else 0.0
-            return tail, tail - goal, slope, nodes, abs(implied_p - p)
+            return tail, tail - goal, -slope, nodes, abs(implied_p - p)
 
     # h = 0 solves the equation exactly when sign is 0; one integral there
     # gives the residual
@@ -372,21 +348,8 @@ def mc_oracle(
     return MCEstimate(value, std_error, replications)
 
 
-def _resolve_nu(nu_for: int | Callable[[int], int], k: int) -> int:
-    if callable(nu_for):
-        return _check_nu(nu_for(k))
-    return _check_nu(nu_for)
-
-
-def h_table(
-    ks: Sequence[int],
-    nu_for: int | Callable[[int], int],
-    p: float,
-) -> list[HTableRow]:
-    """Solve both variants over ascending ks and tabulate the h ratio.
-
-    nu_for is one degrees-of-freedom value for every row, or a function
-    giving nu for each k.
+def h_table(ks: Sequence[int], nu: int, p: float) -> list[HTableRow]:
+    """Solve both variants over ascending ks at nu dof and tabulate the h ratio.
 
     The ratio column is h_rinott / h_dd; it is NaN when the DD constant is
     numerically zero (p at the symmetry point), since the ratio is then a
@@ -397,10 +360,10 @@ def h_table(
         raise ValueError("ks must be non-empty")
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly ascending")
+    nu = _check_nu(nu)
     _check_probability(p)
 
     def row(k: int) -> HTableRow:
-        nu = _resolve_nu(nu_for, k)
         try:
             dd = solve_h(HEquationSpec(k, nu, p, DD))
             rinott = solve_h(HEquationSpec(k, nu, p, RINOTT))

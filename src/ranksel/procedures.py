@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammainc, gammaincc, ndtr
 
 from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_array_limit, chunks
 from ranksel.hconst import (
@@ -160,28 +160,52 @@ class VariancePrior:
     def describe(self) -> str:
         return self.kind + ":" + ",".join(repr(v) for v in self.params)
 
-    def _frozen(self):
-        if self.kind == "inverse-gamma":
-            shape, scale = self.params
-            return stats.invgamma(shape, scale=scale)
-        mu, sigma = self.params
-        return stats.lognorm(sigma, scale=math.exp(mu))
-
     def mean(self) -> float:
         if self.kind == "fixed":
             return self.params[0]
-        return float(self._frozen().mean())
+        if self.kind == "inverse-gamma":
+            shape, scale = self.params
+            return scale / (shape - 1.0)
+        mu, sigma = self.params
+        with np.errstate(over="ignore"):
+            return float(np.exp(mu + 0.5 * sigma * sigma))
 
     def second_moment(self) -> float:
         if self.kind == "fixed":
             return self.params[0] ** 2
-        frozen = self._frozen()
-        return float(frozen.var() + frozen.mean() ** 2)
+        if self.kind == "inverse-gamma":
+            shape, scale = self.params
+            return scale * scale / ((shape - 1.0) * (shape - 2.0))
+        mu, sigma = self.params
+        with np.errstate(over="ignore"):
+            return float(np.exp(2.0 * mu + 2.0 * sigma * sigma))
 
     def sf(self, x) -> float | np.ndarray:
+        """P(sigma^2 > x), elementwise; 1 for x <= 0."""
+        x = np.asarray(x, dtype=float)
         if self.kind == "fixed":
-            return np.where(np.asarray(x, dtype=float) < self.params[0], 1.0, 0.0)
-        return self._frozen().sf(x)
+            return np.where(x < self.params[0], 1.0, 0.0)
+        x = np.maximum(x, 0.0)
+        with np.errstate(divide="ignore"):  # x = 0 gives the limit, sf = 1
+            if self.kind == "inverse-gamma":
+                shape, scale = self.params
+                return gammainc(shape, scale / x)
+            mu, sigma = self.params
+            return ndtr((mu - np.log(x)) / sigma)
+
+    def expected_max(self, L: float) -> float:
+        """E max{L, sigma^2} = L * P(sigma^2 <= L) + E[sigma^2; sigma^2 > L], for L >= 0."""
+        if self.kind == "fixed":
+            return max(L, self.params[0])
+        if L == 0:
+            return self.mean()
+        if self.kind == "inverse-gamma":
+            shape, scale = self.params
+            x = scale / L
+            return float(L * gammaincc(shape, x) + self.mean() * gammainc(shape - 1.0, x))
+        mu, sigma = self.params
+        z = (math.log(L) - mu) / sigma
+        return float(L * ndtr(z) + self.mean() * ndtr(sigma - z))
 
     def sample(self, count: int, rng: RandomStream) -> np.ndarray:
         """`count` variance draws from rng's generator, with numpy's own samplers.

@@ -357,7 +357,6 @@ def test_hconst_cdf_underflow_prints_no_warning(tmp_path, k, p):
     # the t CDF underflows to 0 at some nodes of these solves (at p = 1e-30
     # the DD root is negative); its log is -inf, not a warning
     hconst._dd_integral.cache_clear()
-    hconst._pairwise_tail.cache_clear()
     argv = ["hconst", "--k", k, "--nu", "1000000", "--p", p]
     assert run_to_file(tmp_path, "h.csv", argv)[0] == 0
 

@@ -71,15 +71,26 @@ def test_pdf_matches_scipy():
         assert np.abs(t_pdf(xs, nu) - stats.t.pdf(xs, nu)).max() < 1e-12
 
 
-@pytest.mark.parametrize("nu", [10**4, 10**6])
+# log Gamma((nu+1)/2) - log Gamma(nu/2) - log(nu*pi)/2, the log t density at
+# 0, from mpmath at 40 significant digits
+LOG_PDF_AT_ZERO = {
+    1: -1.144729885849400174143427,
+    9: -0.9466599720873063793241598,
+    99: -0.9214637427930916460355868,
+    100: -0.9214384915430045581168471,
+    500: -0.9194385328713410084275683,
+    10**4: -0.9189635332046310751141631,
+    12345: -0.9189587843184618543707244,
+    10**6: -0.9189387832046727417386631,
+}
+
+
+@pytest.mark.parametrize("nu", sorted(LOG_PDF_AT_ZERO))
 def test_pdf_normalizer_large_nu(nu):
-    # log Gamma((nu+1)/2) - log Gamma(nu/2) against its asymptotic series,
-    # whose first omitted term is below 1e-21 here; the lgamma difference
-    # is 5.5e-10 off at nu = 1e6
-    a = nu / 2.0
-    log_ratio = 0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a**3)
-    expected = log_ratio - 0.5 * math.log(nu * math.pi)
-    assert distributions._t_logpdf(np.array(0.0), nu) == pytest.approx(expected, abs=5e-12)
+    # the lgamma difference is 5.5e-10 off at nu = 1e6, poch up to 5.7e-12
+    # off at nu = 12345
+    got = distributions._t_logpdf(np.array(0.0), nu)
+    assert got == pytest.approx(LOG_PDF_AT_ZERO[nu], abs=5e-14)
 
 
 def test_logcdf_underflow_is_minus_inf_without_warning():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from ranksel.distributions import RandomStream
 from ranksel.efficiency import (
@@ -126,7 +126,7 @@ def test_estimate_alpha_exchangeable_across_populations():
     est = estimate_alpha(k, nu, p, delta, prior, DD, reps, RandomStream(4).substream(0))
     h = est.h_used.value
     gen = np.random.Generator(np.random.PCG64(99))
-    sigma2 = prior._frozen().rvs(size=(reps, k + 1), random_state=gen)
+    sigma2 = stats.lognorm(0.5, scale=1.0).rvs(size=(reps, k + 1), random_state=gen)
     s2 = sigma2 * gen.chisquare(nu, size=(reps, k + 1)) / nu
     r2 = (h / delta) ** 2
     samples = np.maximum(float(nu + 2), np.ceil(s2 * r2)) / r2
@@ -207,6 +207,21 @@ def test_limit_maxmix_closed_cases():
     assert 1e6 <= big < 1e6 + 1e-3
     with pytest.raises(ValueError):
         limit_maxmix(-1.0, ig)
+
+
+@pytest.mark.parametrize("prior, ref", [
+    (VariancePrior.inverse_gamma(3.0, 4.0), stats.invgamma(3.0, scale=4.0)),
+    (VariancePrior.lognormal(0.5, 0.8), stats.lognorm(0.8, scale=math.exp(0.5))),
+])
+@pytest.mark.parametrize("L", [0.0, 0.5, 2.0, 10.0, 1e6])
+def test_limit_maxmix_matches_tail_integral(prior, ref, L):
+    # E max{L, X} = L + integral over (L, inf) of P(X > x) dx
+    if L == 0.0:
+        expected = ref.mean()
+    else:
+        tail, _ = integrate.quad(ref.sf, L, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+        expected = L + tail
+    assert limit_maxmix(L, prior) == pytest.approx(expected, rel=1e-14)
 
 
 def test_limit_maxmix_against_mc():

@@ -249,16 +249,8 @@ def test_h_table_validation():
         h_table([5, 2], 4, 0.9)
 
 
-def test_h_table_nu_schedules():
-    rows = h_table([2, 4], lambda k: 3 if k == 2 else 9, 0.9)
-    assert [r.nu for r in rows] == [3, 9]
-    rows = h_table([2, 4], lambda k: k + 1, 0.9)
-    assert [r.nu for r in rows] == [3, 5]
-
-
 def clear_integral_caches():
     hconst._dd_integral.cache_clear()
-    hconst._pairwise_tail.cache_clear()
 
 
 @pytest.mark.parametrize("k, nu, p", [
@@ -271,7 +263,6 @@ def test_solve_independent_of_cache_state(monkeypatch, k, nu, p, variant):
     spec = HEquationSpec(k, nu, p, variant)
     with monkeypatch.context() as m:
         m.setattr(hconst, "_dd_integral", hconst._dd_integral.__wrapped__)
-        m.setattr(hconst, "_pairwise_tail", hconst._pairwise_tail.__wrapped__)
         uncached = solve_h(spec)
     clear_integral_caches()
     cold = solve_h(spec)
@@ -298,35 +289,58 @@ def test_h_table_skips_repeated_integrals(monkeypatch):
 
 
 def test_integral_caches_are_bounded():
-    for cached in (hconst._dd_integral, hconst._pairwise_tail):
-        assert cached.cache_info().maxsize is not None
+    assert hconst._dd_integral.cache_info().maxsize is not None
 
 
-@pytest.mark.parametrize("variant", (DD, RINOTT))
-def test_integrals_keep_value_bits_and_return_derivative(variant):
+# (k, h): a DD value, and the Rinott tail qbar(2.5) = P_1(-2.5)
+@pytest.mark.parametrize("k, h", [(50, 2.5), (1, -2.5)], ids=[DD, RINOTT])
+def test_integrals_keep_value_bits_and_return_derivative(k, h):
     # the value row is the one-row integrand's integral to the bit; the
     # derivative row matches a central difference of the value
-    k, nu = (50, 4) if variant == DD else (1, 4)
-    h, eps = 2.5, 1e-4
+    nu, eps = 4, 1e-4
 
     def one_row(t):
-        if variant == DD:
-            return np.exp(k * t_logcdf(t + h, nu) + _t_logpdf(t, nu))
-        return np.exp(t_logcdf(-(t + h), nu) + _t_logpdf(t, nu))
+        return np.exp(k * t_logcdf(t + h, nu) + _t_logpdf(t, nu))
 
     def integral(h):
-        if variant == DD:
-            return hconst._dd_integral.__wrapped__(h, k, nu)
-        return hconst._pairwise_tail.__wrapped__(h, nu)
+        return hconst._dd_integral.__wrapped__(h, k, nu)
 
     T = hconst._tail_cutoff(nu)
-    edges = geometric_edges(-T, T + h, (0.0, -h))
+    edges = geometric_edges(min(-T, -T + h), max(T, T + h), (0.0, -h))
     value, nodes, derivative = integral(h)
     alone = panel_quadrature(one_row, edges)
     assert value == alone.value and nodes == alone.nodes
     central = (integral(h + eps)[0] - integral(h - eps)[0]) / (2.0 * eps)
     assert derivative == pytest.approx(central, rel=1e-6)
-    assert (derivative > 0) == (variant == DD)
+    assert derivative > 0
+
+
+def _complement_tail(h, nu):
+    """P(T2 - T1 > h) as the integral of G(-(t+h)) g(t) dt and its h-derivative,
+    on the mirror image of the domain _dd_integral(-h, 1, nu) integrates over."""
+    T = hconst._tail_cutoff(nu)
+
+    def integrand(t):
+        log_pdf = _t_logpdf(t, nu)
+        return np.stack((
+            np.exp(t_logcdf(-(t + h), nu) + log_pdf),
+            -np.exp(_t_logpdf(t + h, nu) + log_pdf),
+        ))
+
+    res = panel_quadrature(integrand, geometric_edges(min(-T, -T + h), max(T, T + h), (0.0, -h)))
+    return res.value, res.companion
+
+
+@pytest.mark.parametrize("nu", [1, 2, 9, 500, 10**6])
+def test_rinott_tail_is_mirrored_dd_integral(nu):
+    # qbar(h) = P(T2 - T1 > h) = P_1(-h) by the symmetry of g: the Rinott
+    # tail from the one h integral matches the complement integrand
+    for h in np.concatenate((np.logspace(-2, 6, 17), -np.logspace(-2, 6, 17))):
+        h = float(h)
+        value, _, slope = hconst._dd_integral.__wrapped__(-h, 1, nu)
+        tail, tail_slope = _complement_tail(h, nu)
+        assert abs(value - tail) <= 1e-14 * abs(tail), (h, value, tail)
+        assert abs(-slope - tail_slope) <= 1e-13 * abs(tail_slope), (h, slope, tail_slope)
 
 
 def _brent_reference(spec):
@@ -340,9 +354,9 @@ def _brent_reference(spec):
         target_q = -math.expm1(log_root)
 
         def fn(h):
-            if h < 0.0:  # 1 - qbar(h) = qbar(-h), to full precision
-                return hconst._pairwise_tail(-h, nu)[0] - math.exp(log_root)
-            return target_q - hconst._pairwise_tail(h, nu)[0]
+            if h < 0.0:  # 1 - qbar(h) = qbar(-h) = P_1(h), to full precision
+                return hconst._dd_integral(h, 1, nu)[0] - math.exp(log_root)
+            return target_q - hconst._dd_integral(-h, 1, nu)[0]
 
     f0 = fn(0.0)
     if f0 == 0.0:
@@ -415,11 +429,11 @@ def _gl20_two_level(f, edges, abs_tol=1e-13, rel_tol=1e-11, max_refinements=8):
     raise QuadratureError("reference rule did not converge")
 
 
-def _reference_integral(cached, *args):
-    """An h integral's value under the reference rule, past its cache."""
+def _reference_integral(*args):
+    """The h integral's value under the reference rule, past its cache."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hconst, "panel_quadrature", _gl20_two_level)
-        return cached.__wrapped__(*args)[0]
+        return hconst._dd_integral.__wrapped__(*args)[0]
 
 
 def _random_k_nu(rng):
@@ -431,10 +445,11 @@ def test_integrals_match_gauss_legendre_reference():
     for _ in range(100):
         h = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2))
         k, nu = _random_k_nu(rng)
-        for cached, args in ((hconst._dd_integral, (h, k, nu)), (hconst._pairwise_tail, (h, nu))):
-            value = cached.__wrapped__(*args)[0]
-            reference = _reference_integral(cached, *args)
-            assert abs(value - reference) <= max(1e-13, 1e-11 * abs(reference)), (cached, args)
+        # a DD value and the Rinott tail qbar(h) = P_1(-h)
+        for args in ((h, k, nu), (-h, 1, nu)):
+            value = hconst._dd_integral.__wrapped__(*args)[0]
+            reference = _reference_integral(*args)
+            assert abs(value - reference) <= max(1e-13, 1e-11 * abs(reference)), args
 
 
 def test_roots_meet_residual_under_reference_rule():
@@ -447,12 +462,12 @@ def test_roots_meet_residual_under_reference_rule():
         variant = (DD, RINOTT)[rng.integers(2)]
         h = solve_h(HEquationSpec(k, nu, p, variant)).value
         if variant == DD:
-            implied_p = _reference_integral(hconst._dd_integral, h, k, nu)
+            implied_p = _reference_integral(h, k, nu)
         elif h >= 0.0:
-            tail = _reference_integral(hconst._pairwise_tail, h, nu)
+            tail = _reference_integral(-h, 1, nu)
             implied_p = math.exp(k * math.log1p(-tail))
         else:
-            tail = _reference_integral(hconst._pairwise_tail, -h, nu)
+            tail = _reference_integral(h, 1, nu)
             implied_p = math.exp(k * math.log(tail))
         assert abs(implied_p - p) < 1e-8, (k, nu, p, variant, h)
 

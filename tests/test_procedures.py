@@ -135,11 +135,24 @@ def test_prior_lognormal_sample_matches_scipy_bits():
     assert np.array_equal(draws, ref)
 
 
+PRIORS_AND_SCIPY = [
+    (VariancePrior.inverse_gamma(3.0, 4.0), stats.invgamma(3.0, scale=4.0)),
+    (VariancePrior.inverse_gamma(2.5, 0.3), stats.invgamma(2.5, scale=0.3)),
+    (VariancePrior.lognormal(0.5, 0.8), stats.lognorm(0.8, scale=math.exp(0.5))),
+]
+
+
 def test_prior_sf_matches_scipy():
-    prior = VariancePrior.lognormal(0.5, 0.8)
-    ref = stats.lognorm(0.8, scale=math.exp(0.5))
-    for x in (0.5, 1.0, 3.0):
-        assert prior.sf(x) == pytest.approx(ref.sf(x), rel=1e-12)
+    xs = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 1e6])
+    for prior, ref in PRIORS_AND_SCIPY:
+        assert prior.sf(xs) == pytest.approx(ref.sf(xs), rel=1e-14)
+        assert prior.sf(-1.0) == 1.0
+
+
+def test_prior_moments_match_scipy():
+    for prior, ref in PRIORS_AND_SCIPY:
+        assert prior.mean() == pytest.approx(ref.mean(), rel=1e-15)
+        assert prior.second_moment() == pytest.approx(ref.var() + ref.mean() ** 2, rel=1e-14)
 
 
 # ------------------------------------------------------------- instances
