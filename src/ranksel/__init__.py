@@ -9,6 +9,7 @@ diagnostics for maxima of t variables with growing degrees of freedom.
 
 from ranksel.distributions import (
     RandomStream,
+    ScheduleSpec,
     t_cdf,
     t_logcdf,
     t_pdf,
@@ -45,9 +46,7 @@ from ranksel.procedures import (
 )
 from ranksel.efficiency import (
     AlphaEstimate,
-    EfficiencyReport,
     EfficiencyRow,
-    ScheduleSpec,
     efficiency_curve,
     estimate_alpha,
     limit_maxmix,
@@ -56,7 +55,6 @@ from ranksel.efficiency import (
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
-    ExtremeFitReport,
     ExtremeFitRow,
     TriangularArraySpec,
     fit_extremes,

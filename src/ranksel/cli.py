@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ranksel.distributions import RandomStream
-from ranksel.efficiency import ScheduleSpec, efficiency_curve
+from ranksel.distributions import RandomStream, ScheduleSpec
+from ranksel.efficiency import efficiency_curve, theoretical_eta
 from ranksel.extremes import MAX_OF_T, STATISTICS, TriangularArraySpec, fit_extremes
 from ranksel.hconst import DD, RINOTT, SolverError, h_table
 from ranksel.procedures import (
@@ -46,6 +46,9 @@ EXIT_IO = 4
 SEED_ENV_VAR = "RANKSEL_SEED"
 FORMATS = ("csv", "jsonl")
 _COMMON_KEYS = ("seed", "format", "out", "threads")
+EFFICIENCY_SCHEDULES = ("constant", "log-growth", "power-growth")
+# extremes' --nu-schedule names for the ScheduleSpec kinds
+NU_SCHEDULES = {"fixed": "constant", "log": "log-growth", "linear": "linear"}
 
 
 class UsageError(Exception):
@@ -113,8 +116,8 @@ def _build_parser() -> _Parser:
                        help="tabulate h ratios and normalized expected sample sizes over k")
     p.add_argument("--ks", help="comma-separated k values, ascending")
     p.add_argument("--nu", type=int, help="degrees of freedom for the constant schedule")
-    p.add_argument("--schedule", choices=("constant", "log-growth", "power-growth"),
-                   help="pilot-size schedule (default constant; needs --nu)")
+    p.add_argument("--schedule", choices=EFFICIENCY_SCHEDULES,
+                   help="nu(k) schedule, pilot size nu + 1 (default constant; needs --nu)")
     p.add_argument("--p", type=float, help="target confidence in (0,1)")
     p.add_argument("--delta", type=float, help="indifference parameter (default 1.0)")
     p.add_argument("--prior", help="variance prior, e.g. inverse-gamma:3,4 (default)")
@@ -124,7 +127,7 @@ def _build_parser() -> _Parser:
                        help="fit diagnostics for triangular-array maxima of t statistics")
     p.add_argument("--ks", help="comma-separated k values, ascending")
     p.add_argument("--nu", type=int, help="degrees of freedom for the fixed schedule")
-    p.add_argument("--nu-schedule", choices=("fixed", "log", "linear"),
+    p.add_argument("--nu-schedule", choices=tuple(NU_SCHEDULES),
                    help="nu as a function of k (default fixed; needs --nu)")
     p.add_argument("--statistic", choices=STATISTICS, help="base statistic (default max-of-t)")
     p.add_argument("--replications", type=int, help="maxima replications (default 10000)")
@@ -293,10 +296,14 @@ def _cmd_efficiency(args, config, seed):
     ks = _int_list(_effective(args, config, "ks", required=True))
     schedule_kind = _effective(args, config, "schedule", "constant")
     nu = _effective(args, config, "nu")
+    if schedule_kind not in EFFICIENCY_SCHEDULES:
+        raise UsageError(
+            f"schedule kind must be one of {EFFICIENCY_SCHEDULES}, got {schedule_kind!r}"
+        )
     if schedule_kind == "constant":
         if nu is None:
             raise UsageError("constant schedule needs --nu")
-        schedule = ScheduleSpec("constant", int(nu) + 1)
+        schedule = ScheduleSpec("constant", int(nu))
     else:
         schedule = ScheduleSpec(schedule_kind)
     p = float(_effective(args, config, "p", required=True))
@@ -311,9 +318,10 @@ def _cmd_efficiency(args, config, seed):
         "command": "efficiency", "ks": ks, "schedule": schedule_kind,
         "p": p, "delta": delta, "prior": prior_text, "replications": replications,
     }
+    eta = None
     if schedule_kind == "constant":
-        cfg["nu"] = int(nu)
-    report = efficiency_curve(ks, schedule, p, delta, prior, replications, RandomStream(seed))
+        cfg["nu"] = schedule.nu
+        eta = theoretical_eta(schedule.nu)
     rows = [
         {
             "k": r.k, "nu": r.nu, "n0": r.n0,
@@ -324,9 +332,9 @@ def _cmd_efficiency(args, config, seed):
             "alpha_rinott_se": r.alpha_rinott.std_error,
             "alpha_ratio": r.alpha_ratio, "total_ratio": r.total_ratio,
             "lhat_dd": r.lhat_dd, "lhat_rinott": r.lhat_rinott,
-            "theoretical_eta": report.theoretical_eta,
+            "theoretical_eta": eta,
         }
-        for r in report.rows
+        for r in efficiency_curve(ks, schedule, p, delta, prior, replications, RandomStream(seed))
     ]
     return cfg, rows
 
@@ -337,16 +345,16 @@ def _cmd_extremes(args, config, seed):
     nu = _effective(args, config, "nu")
     statistic = _effective(args, config, "statistic", MAX_OF_T)
     replications = int(_effective(args, config, "replications", 10_000))
+    if nu_schedule not in NU_SCHEDULES:
+        raise UsageError(f"nu schedule must be one of {tuple(NU_SCHEDULES)}, got {nu_schedule!r}")
     if nu_schedule == "fixed":
         if nu is None:
             raise UsageError("fixed nu schedule needs --nu")
-        nu_for = int(nu)
-    elif nu_schedule == "log":
-        nu_for = lambda k: math.ceil(math.log(k)) + 1
+        schedule = ScheduleSpec("constant", int(nu))
     else:
-        nu_for = lambda k: k
+        schedule = ScheduleSpec(NU_SCHEDULES[nu_schedule])
     try:
-        spec = TriangularArraySpec(tuple(ks), nu_for, statistic, replications)
+        spec = TriangularArraySpec(tuple(ks), schedule, statistic, replications)
     except ValueError as err:
         raise UsageError(str(err)) from err
     cfg = {
@@ -354,7 +362,7 @@ def _cmd_extremes(args, config, seed):
         "statistic": statistic, "replications": replications,
     }
     if nu_schedule == "fixed":
-        cfg["nu"] = int(nu)
+        cfg["nu"] = schedule.nu
     rows = [
         {
             "k": r.k, "nu": r.nu, "statistic": statistic,
@@ -362,7 +370,7 @@ def _cmd_extremes(args, config, seed):
             "ad_gumbel": r.ad_gumbel, "ad_frechet": r.ad_frechet,
             "hill_index": r.hill_index,
         }
-        for r in fit_extremes(spec, RandomStream(seed)).rows
+        for r in fit_extremes(spec, RandomStream(seed))
     ]
     return cfg, rows
 

@@ -1,4 +1,4 @@
-"""Student-t primitives plus reproducible random streams.
+"""Student-t primitives, the degrees-of-freedom schedule nu(k) and reproducible random streams.
 
 The critical-constant solver propagates any CDF error straight into its
 residual, so the t functions evaluate ``scipy.special.stdtr`` on the
@@ -20,6 +20,7 @@ from scipy.special import ndtri, poch, stdtr, stdtrit
 
 __all__ = [
     "RandomStream",
+    "ScheduleSpec",
     "chunks",
     "map_blocks",
     "t_pdf",
@@ -41,6 +42,40 @@ def _check_nu(nu) -> int:
     if nu < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
     return int(nu)
+
+
+SCHEDULE_KINDS = ("constant", "log-growth", "power-growth", "linear")
+
+
+@dataclass(frozen=True)
+class ScheduleSpec:
+    """Degrees of freedom nu(k) for k populations; the pilot size is nu(k) + 1.
+
+    constant: nu(k) = nu.  log-growth: ceil(ln k) + 1.  power-growth:
+    ceil(k^(1/4)) + 1.  linear: k.  Every kind is nondecreasing in k.
+    """
+
+    kind: str
+    nu: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in SCHEDULE_KINDS:
+            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        if self.kind == "constant":
+            object.__setattr__(self, "nu", _check_nu(self.nu))
+        elif self.nu is not None:
+            raise ValueError(f"{self.kind} schedule takes no nu")
+
+    def nu_at(self, k: int) -> int:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if self.kind == "constant":
+            return self.nu
+        if self.kind == "log-growth":
+            return math.ceil(math.log(k)) + 1
+        if self.kind == "power-growth":
+            return math.ceil(k ** 0.25) + 1
+        return int(k)
 
 
 def _log_gamma_ratio(nu: int) -> float:

@@ -23,82 +23,37 @@ from typing import Sequence
 
 import numpy as np
 
-from ranksel.distributions import RandomStream, _check_array_limit, _check_nu
-from ranksel.hconst import (
-    DD,
-    RINOTT,
-    HConstant,
-    HEquationSpec,
-    _check_probability,
-    _check_variant,
-    solve_h,
-)
+from ranksel.distributions import RandomStream, ScheduleSpec, _check_array_limit, _check_nu
+from ranksel.hconst import DD, RINOTT, HConstant, HEquationSpec, solve_h
 from ranksel.procedures import VariancePrior, _size_factor, second_stage_size
 
 __all__ = [
     "AlphaEstimate",
-    "ScheduleSpec",
     "EfficiencyRow",
-    "EfficiencyReport",
     "estimate_alpha",
     "theoretical_eta",
     "efficiency_curve",
     "limit_maxmix",
 ]
 
-SCHEDULE_KINDS = ("constant", "log-growth", "power-growth")
-
 
 @dataclass(frozen=True)
 class AlphaEstimate:
-    """Monte Carlo estimate of E N_1 / (h/delta)^2 for one (k, variant)."""
+    """Monte Carlo estimate of E N_1 / (h/delta)^2 and its standard error."""
 
-    k: int
-    variant: str
     alpha: float
     std_error: float
-    h_used: HConstant
-    nu: int
-    replications: int
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Pilot-size schedule N0(k); must be >= 2 and nondecreasing in k.
-
-    constant: N0(k) = value.  log-growth: N0(k) = ceil(ln k) + 2.
-    power-growth: N0(k) = ceil(k^(1/4)) + 2.
-    """
-
-    kind: str
-    value: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
-        if self.kind == "constant":
-            if self.value is None or self.value < 2:
-                raise ValueError(f"constant schedule needs value >= 2, got {self.value}")
-        elif self.value is not None:
-            raise ValueError(f"{self.kind} schedule takes no value parameter")
-
-    def n0(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "log-growth":
-            return math.ceil(math.log(k)) + 2
-        return math.ceil(k ** 0.25) + 2
-
-    def describe(self) -> str:
-        if self.kind == "constant":
-            return f"constant:{self.value}"
-        return self.kind
 
 
 @dataclass(frozen=True)
 class EfficiencyRow:
+    """One k of the efficiency table.
+
+    total_ratio estimates the ratio of expected total sample sizes (Rinott
+    over Dudewicz-Dalal) at this k; under a constant nu its k -> infinity
+    limit is theoretical_eta(nu).
+    """
+
     k: int
     nu: int
     n0: int
@@ -114,25 +69,6 @@ class EfficiencyRow:
     lhat_rinott: float
 
 
-@dataclass(frozen=True)
-class EfficiencyReport:
-    """Per-k efficiency table.
-
-    total_ratio estimates the ratio of expected total sample sizes
-    (Rinott over Dudewicz-Dalal) at each finite k; theoretical_eta is its
-    k -> infinity limit 2^(2/nu), reported only when the schedule keeps nu
-    constant (existence under growing schedules is an open question).
-    """
-
-    rows: tuple[EfficiencyRow, ...]
-    theoretical_eta: float | None
-    schedule: str
-    p: float
-    delta: float
-    prior: VariancePrior
-    replications: int
-
-
 def theoretical_eta(nu: int) -> float:
     """Limit of the total-sample ratio for constant pilot size: 2^(2/nu)."""
     _check_nu(nu)
@@ -140,48 +76,39 @@ def theoretical_eta(nu: int) -> float:
 
 
 def estimate_alpha(
-    k: int,
+    h: float,
     nu: int,
-    p: float,
     delta: float,
     prior: VariancePrior,
-    variant: str,
     replications: int,
     rng: RandomStream,
-    h: HConstant | None = None,
 ) -> AlphaEstimate:
-    """Estimate alpha = E N_1 / (h/delta)^2 under the variance prior.
+    """Estimate alpha = E N_1 / (h/delta)^2 under the variance prior, for critical constant h.
 
     Each replication draws sigma^2 from the prior and S^2 as
     sigma^2 * chi2_nu / nu.  The prior and chi-square draws come from
     fixed substreams (0 and 1), so calling this twice with the same rng
-    but different variants reuses identical draws; variant comparisons
-    are then common-random-number coupled.  ValueError when replications
+    but different h reuses identical draws; variant comparisons are then
+    common-random-number coupled.  ValueError when h <= 0, replications
     exceed 2^24 (the draws would not fit in memory), an S^2 draw is not
     finite or a size ceil((h/delta)^2 * S^2) does not fit int64, the rule
     second_stage_size applies.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     nu = _check_nu(nu)
-    _check_probability(p)
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    _check_variant(variant)
     if replications < 1:
         raise ValueError("replications must be >= 1")
     _check_array_limit(replications, "replications")
-    if h is None:
-        h = solve_h(HEquationSpec(k, nu, p, variant))
-    if h.value <= 0:
+    if h <= 0:
         raise ValueError(
-            f"alpha is only defined for h > 0, got h={h.value} (raise p above the symmetry point)"
+            f"alpha is only defined for h > 0, got h={h} (raise p above the symmetry point)"
         )
     n0 = nu + 1
-    r2 = _size_factor(h.value, delta)
+    r2 = _size_factor(h, delta)
     if not (r2 > 0 and math.isfinite((n0 + 1) / r2)):
         raise ValueError(
-            f"(h/delta)^2 = ({h.value}/{delta})^2 underflows: delta is too large to normalize by"
+            f"(h/delta)^2 = ({h}/{delta})^2 underflows: delta is too large to normalize by"
         )
     # an overflowing draw is reported below as a usage error, not a warning
     with np.errstate(over="ignore"):
@@ -192,13 +119,13 @@ def estimate_alpha(
         raise ValueError(
             f"the {prior.describe()} prior gave variance draws whose S^2 is not finite"
         )
-    samples = second_stage_size(s2, h.value, delta, n0) / r2
+    samples = second_stage_size(s2, h, delta, n0) / r2
     alpha = float(samples.mean())
     if replications > 1:
         std_error = float(samples.std(ddof=1) / math.sqrt(replications))
     else:
         std_error = 0.0
-    return AlphaEstimate(k, variant, alpha, std_error, h, nu, replications)
+    return AlphaEstimate(alpha, std_error)
 
 
 def _efficiency_row(
@@ -210,17 +137,15 @@ def _efficiency_row(
     replications: int,
     rng: RandomStream,
 ) -> EfficiencyRow:
-    n0 = schedule.n0(k)
-    nu = n0 - 1
+    nu = schedule.nu_at(k)
+    n0 = nu + 1
     h_dd = solve_h(HEquationSpec(k, nu, p, DD))
     h_rinott = solve_h(HEquationSpec(k, nu, p, RINOTT))
     # keyed by nu, not k: rows sharing nu reuse the same draws, so trends
     # across k are not blurred by fresh Monte Carlo noise per row
     row_rng = rng.substream(nu)
-    alpha_dd = estimate_alpha(k, nu, p, delta, prior, DD, replications, row_rng, h_dd)
-    alpha_rinott = estimate_alpha(
-        k, nu, p, delta, prior, RINOTT, replications, row_rng, h_rinott
-    )
+    alpha_dd = estimate_alpha(h_dd.value, nu, delta, prior, replications, row_rng)
+    alpha_rinott = estimate_alpha(h_rinott.value, nu, delta, prior, replications, row_rng)
     h_ratio = h_rinott.value / h_dd.value
     alpha_ratio = alpha_rinott.alpha / alpha_dd.alpha
     return EfficiencyRow(
@@ -248,30 +173,17 @@ def efficiency_curve(
     prior: VariancePrior,
     replications: int,
     rng: RandomStream,
-) -> EfficiencyReport:
-    """Efficiency table over ascending ks; rows are independent work items.
+) -> tuple[EfficiencyRow, ...]:
+    """Efficiency rows over ascending ks; rows are independent work items.
 
-    The pilot size of row k is schedule.n0(k), so nu = schedule.n0(k) - 1; a
-    constant pilot size N0 is ScheduleSpec("constant", N0).
+    Row k has nu = schedule.nu_at(k) and pilot size n0 = nu + 1.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
     ks = [int(k) for k in ks]
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly ascending")
-
-    rows = tuple(_efficiency_row(k, schedule, p, delta, prior, replications, rng) for k in ks)
-    nus = {r.nu for r in rows}
-    eta = theoretical_eta(rows[0].nu) if len(nus) == 1 else None
-    return EfficiencyReport(
-        rows=rows,
-        theoretical_eta=eta,
-        schedule=schedule.describe(),
-        p=p,
-        delta=delta,
-        prior=prior,
-        replications=replications,
-    )
+    return tuple(_efficiency_row(k, schedule, p, delta, prior, replications, rng) for k in ks)
 
 
 def limit_maxmix(L: float, prior: VariancePrior) -> float:

@@ -19,14 +19,13 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, _check_array_limit, _check_nu, map_blocks
+from ranksel.distributions import RandomStream, ScheduleSpec, _check_array_limit, map_blocks
 
 __all__ = [
     "MAX_OF_T",
     "MAX_OF_T_SUM",
     "TriangularArraySpec",
     "ExtremeFitRow",
-    "ExtremeFitReport",
     "fit_extremes",
     "hill_tail_index",
 ]
@@ -41,14 +40,10 @@ _CHUNK_ELEMENTS = 2**19
 
 @dataclass(frozen=True)
 class TriangularArraySpec:
-    """One maxima experiment: which ks, which nu(k), which base statistic.
-
-    nu_for is one degrees-of-freedom value for every k, or a function giving
-    nu for each k.
-    """
+    """One maxima experiment: which ks, which nu(k), which base statistic."""
 
     ks: tuple[int, ...]
-    nu_for: int | Callable[[int], int]
+    schedule: ScheduleSpec
     statistic: str
     replications: int
 
@@ -79,13 +74,6 @@ class ExtremeFitRow:
     ad_gumbel: float
     ad_frechet: float
     hill_index: float
-
-
-@dataclass(frozen=True)
-class ExtremeFitReport:
-    rows: tuple[ExtremeFitRow, ...]
-    statistic: str
-    replications: int
 
 
 def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic: str) -> np.ndarray:
@@ -149,12 +137,6 @@ def hill_tail_index(sample: np.ndarray, fraction: float = HILL_FRACTION) -> floa
     return 1.0 / gamma
 
 
-def _resolve_nu(nu_for: int | Callable[[int], int], k: int) -> int:
-    if callable(nu_for):
-        return _check_nu(nu_for(k))
-    return _check_nu(nu_for)
-
-
 def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStream) -> ExtremeFitRow:
     maxima = _sample_maxima(k, nu, statistic, replications, rng)
     q25, q50, q75 = np.percentile(maxima, [25, 50, 75])
@@ -173,11 +155,9 @@ def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStre
     )
 
 
-def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> ExtremeFitReport:
+def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> tuple[ExtremeFitRow, ...]:
     """Per-k maxima fits; row k draws from ``rng.substream(k)``."""
-    rows = tuple(
-        _fit_row(k, _resolve_nu(spec.nu_for, k), spec.statistic, spec.replications,
-                 rng.substream(k))
+    return tuple(
+        _fit_row(k, spec.schedule.nu_at(k), spec.statistic, spec.replications, rng.substream(k))
         for k in spec.ks
     )
-    return ExtremeFitReport(rows=rows, statistic=spec.statistic, replications=spec.replications)

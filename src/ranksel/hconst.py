@@ -77,9 +77,11 @@ _MAX_STEP_FACTOR = 1024.0
 # Largest |h| the solver evaluates; beyond it the panel edges overflow
 _H_LIMIT = 1e300
 _ORACLE_CHUNK_ELEMENTS = 4_000_000
-# Integrals kept per process.  A solve's residual re-reads the integral at
-# its last Newton point, and the Rinott integrals do not depend on k, so a
-# bounded cache removes those repeats without changing a bit of any result.
+# Integrals kept per process.  A solve takes its residual from the same
+# evaluation as its last Newton step, so hits come only from a spec solved
+# again by a later call in the same process (a second command on the same
+# k, nu and p); the bounded cache returns those without changing a bit of
+# any result.
 _INTEGRAL_CACHE_SIZE = 4096
 
 

@@ -170,29 +170,6 @@ class VariancePrior:
         with np.errstate(over="ignore"):
             return float(np.exp(mu + 0.5 * sigma * sigma))
 
-    def second_moment(self) -> float:
-        if self.kind == "fixed":
-            return self.params[0] ** 2
-        if self.kind == "inverse-gamma":
-            shape, scale = self.params
-            return scale * scale / ((shape - 1.0) * (shape - 2.0))
-        mu, sigma = self.params
-        with np.errstate(over="ignore"):
-            return float(np.exp(2.0 * mu + 2.0 * sigma * sigma))
-
-    def sf(self, x) -> float | np.ndarray:
-        """P(sigma^2 > x), elementwise; 1 for x <= 0."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "fixed":
-            return np.where(x < self.params[0], 1.0, 0.0)
-        x = np.maximum(x, 0.0)
-        with np.errstate(divide="ignore"):  # x = 0 gives the limit, sf = 1
-            if self.kind == "inverse-gamma":
-                shape, scale = self.params
-                return gammainc(shape, scale / x)
-            mu, sigma = self.params
-            return ndtr((mu - np.log(x)) / sigma)
-
     def expected_max(self, L: float) -> float:
         """E max{L, sigma^2} = L * P(sigma^2 <= L) + E[sigma^2; sigma^2 > L], for L >= 0."""
         if self.kind == "fixed":

@@ -15,9 +15,8 @@ import pytest
 from scipy import stats
 
 import ranksel.cli as cli
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
-    ScheduleSpec,
     efficiency_curve,
     estimate_alpha,
     limit_maxmix,
@@ -150,7 +149,9 @@ def test_criterion_06_alpha_approaches_prior_mean():
     details = []
     for variant in (DD, RINOTT):
         alphas = [
-            estimate_alpha(k, 4, 0.9, 1.0, prior, variant, 10**6, stream).alpha
+            estimate_alpha(
+                solve_h(HEquationSpec(k, 4, 0.9, variant)).value, 4, 1.0, prior, 10**6, stream
+            ).alpha
             for k in (10**2, 10**3, 10**4)
         ]
         gaps = [abs(a - 2.0) for a in alphas]
@@ -169,19 +170,18 @@ def test_criterion_07_efficiency_ratio_trends_to_limit():
     ok = True
     details = []
     for nu in (2, 4):
-        rep = efficiency_curve(
-            [10**2, 10**3, 10**4], ScheduleSpec("constant", nu + 1), 0.9, 1.0, prior,
+        rows = efficiency_curve(
+            [10**2, 10**3, 10**4], ScheduleSpec("constant", nu), 0.9, 1.0, prior,
             2 * 10**5, RandomStream(SEED),
         )
-        eta = rep.theoretical_eta
-        assert eta == theoretical_eta(nu)
-        for series in ([r.h_ratio_sq for r in rep.rows], [r.total_ratio for r in rep.rows]):
+        eta = theoretical_eta(nu)
+        for series in ([r.h_ratio_sq for r in rows], [r.total_ratio for r in rows]):
             gaps = [abs(v - eta) for v in series]
             monotone = gaps[0] > gaps[1] > gaps[2]
             shrink_ok = all(b <= 0.75 * a for a, b in zip(gaps, gaps[1:]))
             ok = ok and monotone and shrink_ok
         details.append(
-            f"nu={nu}: total ratio {rep.rows[-1].total_ratio:.4f} vs limit {eta:.4f}"
+            f"nu={nu}: total ratio {rows[-1].total_ratio:.4f} vs limit {eta:.4f}"
         )
     report(
         7,
@@ -193,20 +193,23 @@ def test_criterion_07_efficiency_ratio_trends_to_limit():
 
 def test_criterion_08_growing_pilot_matches_maxmix_oracle():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    rep = efficiency_curve(
+    rows = efficiency_curve(
         [10**2, 10**3, 10**4],
         ScheduleSpec("log-growth"),
         0.9, 1.0, prior, 10**6, RandomStream(SEED),
     )
-    last = rep.rows[-1]
+    last = rows[-1]
     ok = True
     details = []
-    for est, lhat in ((last.alpha_dd, last.lhat_dd), (last.alpha_rinott, last.lhat_rinott)):
+    for variant, est, h, lhat in (
+        (DD, last.alpha_dd, last.h_dd, last.lhat_dd),
+        (RINOTT, last.alpha_rinott, last.h_rinott, last.lhat_rinott),
+    ):
         oracle = limit_maxmix(lhat, prior)
-        slack = 3.0 * est.std_error + (1.0 / est.h_used.value) ** 2
+        slack = 3.0 * est.std_error + (1.0 / h.value) ** 2
         ok = ok and abs(est.alpha - oracle) < slack
         details.append(
-            f"{est.variant}: alpha={est.alpha:.4f} oracle={oracle:.4f} slack={slack:.4f}"
+            f"{variant}: alpha={est.alpha:.4f} oracle={oracle:.4f} slack={slack:.4f}"
         )
     report(
         8,
@@ -217,8 +220,8 @@ def test_criterion_08_growing_pilot_matches_maxmix_oracle():
 
 
 def test_criterion_09_fixed_nu_maxima_look_heavy_tailed():
-    spec = TriangularArraySpec((10, 100, 1000), 3, MAX_OF_T, 10**4)
-    rows = fit_extremes(spec, RandomStream(SEED)).rows
+    spec = TriangularArraySpec((10, 100, 1000), ScheduleSpec("constant", 3), MAX_OF_T, 10**4)
+    rows = fit_extremes(spec, RandomStream(SEED))
     last = rows[-1]
     ok = last.ad_frechet < last.ad_gumbel
     report(

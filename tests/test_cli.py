@@ -175,6 +175,70 @@ def test_extremes_and_efficiency_schemas(tmp_path):
     ]
 
 
+EFFICIENCY_SMALL = ["efficiency", "--ks", "2,10", "--p", "0.9", "--replications", "200",
+                    "--seed", "2"]
+EXTREMES_SMALL = ["extremes", "--ks", "2,4", "--replications", "150", "--seed", "5"]
+
+
+@pytest.mark.parametrize("argv, config, nus", [
+    (EFFICIENCY_SMALL + ["--nu", "3"],
+     '{"command": "efficiency", "delta": 1.0, "format": "csv", "ks": [2, 10], "nu": 3, '
+     '"p": 0.9, "prior": "inverse-gamma:3,4", "replications": 200, "schedule": "constant", '
+     '"seed": 2}', [3, 3]),
+    (EFFICIENCY_SMALL + ["--schedule", "log-growth"],
+     '{"command": "efficiency", "delta": 1.0, "format": "csv", "ks": [2, 10], "p": 0.9, '
+     '"prior": "inverse-gamma:3,4", "replications": 200, "schedule": "log-growth", '
+     '"seed": 2}', [2, 4]),
+    (EFFICIENCY_SMALL + ["--schedule", "power-growth"],
+     '{"command": "efficiency", "delta": 1.0, "format": "csv", "ks": [2, 10], "p": 0.9, '
+     '"prior": "inverse-gamma:3,4", "replications": 200, "schedule": "power-growth", '
+     '"seed": 2}', [3, 3]),
+    (EXTREMES_SMALL + ["--nu", "3"],
+     '{"command": "extremes", "format": "csv", "ks": [2, 4], "nu": 3, "nu_schedule": "fixed", '
+     '"replications": 150, "seed": 5, "statistic": "max-of-t"}', [3, 3]),
+    (EXTREMES_SMALL + ["--nu-schedule", "log"],
+     '{"command": "extremes", "format": "csv", "ks": [2, 4], "nu_schedule": "log", '
+     '"replications": 150, "seed": 5, "statistic": "max-of-t"}', [2, 3]),
+    (EXTREMES_SMALL + ["--nu-schedule", "linear"],
+     '{"command": "extremes", "format": "csv", "ks": [2, 4], "nu_schedule": "linear", '
+     '"replications": 150, "seed": 5, "statistic": "max-of-t"}', [2, 4]),
+], ids=["efficiency-constant", "efficiency-log-growth", "efficiency-power-growth",
+        "extremes-fixed", "extremes-log", "extremes-linear"])
+def test_schedule_config_line_and_nu_column(tmp_path, argv, config, nus):
+    rc, text = run_to_file(tmp_path, "s.csv", argv)
+    assert rc == 0
+    lines = text.splitlines()
+    assert lines[0] == "# config " + config
+    assert [int(line.split(",")[1]) for line in lines[3:]] == nus
+
+
+@pytest.mark.parametrize("schedule, ks", [
+    ("log-growth", "10"), ("log-growth", "3,5"), ("log-growth", "10,11"),
+    ("power-growth", "20,30"),
+])
+def test_growing_schedule_prints_no_theoretical_eta(tmp_path, schedule, ks):
+    # every row here shares one nu, yet the pilot size still grows with k
+    argv = ["efficiency", "--ks", ks, "--schedule", schedule, "--p", "0.9",
+            "--replications", "100"]
+    rc, text = run_to_file(tmp_path, "e.csv", argv)
+    assert rc == 0
+    lines = text.splitlines()
+    assert lines[2].split(",")[-1] == "theoretical_eta"
+    assert len({line.split(",")[1] for line in lines[3:]}) == 1
+    assert all(line.endswith(",") for line in lines[3:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["efficiency", "--ks", "2,10", "--nu", "0", "--p", "0.9", "--replications", "100"],
+    ["extremes", "--ks", "2,10", "--nu", "0", "--replications", "200"],
+], ids=["efficiency", "extremes"])
+def test_zero_nu_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: degrees of freedom must be >= 1")
+    assert "Traceback" not in err
+
+
 def test_stdout_default(capsys):
     rc = cli.main(["hconst", "--k", "2", "--nu", "4", "--p", "0.9"])
     assert rc == 0
@@ -303,6 +367,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     mismatched = tmp_path / "mismatch.json"
     mismatched.write_text(json.dumps({"command": "pcs"}))
     assert cli.main(["hconst", "--config", str(mismatched)]) == 2
+    # a config may only name the schedules the flags offer
+    schedules = tmp_path / "schedules.json"
+    schedules.write_text(json.dumps({"command": "extremes", "ks": [2], "nu": 3,
+                                     "nu_schedule": "quadratic"}))
+    assert cli.main(["--config", str(schedules)]) == 2
+    schedules.write_text(json.dumps({"command": "efficiency", "ks": [2], "p": 0.9,
+                                     "schedule": "linear"}))
+    assert cli.main(["--config", str(schedules)]) == 2
     capsys.readouterr()
 
 

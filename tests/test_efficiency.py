@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from ranksel.distributions import RandomStream
+from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
     AlphaEstimate,
-    EfficiencyReport,
-    ScheduleSpec,
     efficiency_curve,
     estimate_alpha,
     limit_maxmix,
@@ -31,34 +29,41 @@ def test_theoretical_eta_values():
 
 
 def test_schedule_values():
-    const = ScheduleSpec("constant", 5)
-    assert const.n0(1) == const.n0(10**6) == 5
+    const = ScheduleSpec("constant", 4)
+    assert const.nu_at(1) == const.nu_at(10**6) == 4
     log = ScheduleSpec("log-growth")
-    assert log.n0(1) == 2
-    assert log.n0(3) == 4
-    assert log.n0(100) == 7
+    assert log.nu_at(1) == 1
+    assert log.nu_at(3) == 3
+    assert log.nu_at(100) == 6
     power = ScheduleSpec("power-growth")
-    assert power.n0(16) == 4
-    assert power.n0(81) == 5
+    assert power.nu_at(16) == 3
+    assert power.nu_at(81) == 4
+    linear = ScheduleSpec("linear")
+    assert linear.nu_at(1) == 1
+    assert linear.nu_at(1000) == 1000
     # nondecreasing over a dense range
-    for spec in (log, power):
-        vals = [spec.n0(k) for k in range(1, 2000)]
+    for spec in (log, power, linear):
+        vals = [spec.nu_at(k) for k in range(1, 2000)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
+    # the nu(k) of extremes' --nu-schedule log, and N0(k) - 1 of efficiency's log-growth
+    assert all(log.nu_at(k) == math.ceil(math.log(k)) + 1 for k in range(1, 2001))
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ScheduleSpec("constant")
-    with pytest.raises(ValueError):
-        ScheduleSpec("constant", 1)
+    with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
+        ScheduleSpec("constant", 0)
     with pytest.raises(ValueError):
         ScheduleSpec("log-growth", 5)
     with pytest.raises(ValueError):
+        ScheduleSpec("linear", 5)
+    with pytest.raises(ValueError):
         ScheduleSpec("geometric")
     with pytest.raises(ValueError):
-        ScheduleSpec("log-growth").n0(0)
-    assert ScheduleSpec("constant", 6).describe() == "constant:6"
-    assert ScheduleSpec("power-growth").describe() == "power-growth"
+        ScheduleSpec("log-growth").nu_at(0)
+    with pytest.raises(ValueError):
+        ScheduleSpec("linear").nu_at(0)
 
 
 def test_estimate_alpha_matches_reconstructed_draws():
@@ -67,24 +72,23 @@ def test_estimate_alpha_matches_reconstructed_draws():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
     reps = 10**4
     rng = RandomStream(SEED).substream(0)
-    est = estimate_alpha(k, nu, p, delta, prior, DD, reps, rng)
-    h = solve_h(HEquationSpec(k, nu, p, DD))
+    h = solve_h(HEquationSpec(k, nu, p, DD)).value
+    est = estimate_alpha(h, nu, delta, prior, reps, rng)
     sigma2 = prior.sample(reps, rng.substream(0))
     chi2 = rng.substream(1).generator.chisquare(nu, size=reps)
     s2 = sigma2 * chi2 / nu
-    r2 = (h.value / delta) ** 2
+    r2 = (h / delta) ** 2
     samples = np.maximum(float(nu + 2), np.ceil(s2 * r2)) / r2
-    assert est.alpha == samples.mean()
-    assert est.std_error == samples.std(ddof=1) / math.sqrt(reps)
-    assert est.h_used.value == h.value
+    assert est == AlphaEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(reps))
 
 
 def test_estimate_alpha_floor_regime():
     # variance prior so tiny every replication hits the N0 + 1 floor
     prior = VariancePrior.fixed(1e-12)
     nu = 4
-    est = estimate_alpha(5, nu, 0.9, 1.0, prior, DD, 200, RandomStream(1).substream(0))
-    floor_alpha = (nu + 2) / est.h_used.value ** 2
+    h = solve_h(HEquationSpec(5, nu, 0.9, DD)).value
+    est = estimate_alpha(h, nu, 1.0, prior, 200, RandomStream(1).substream(0))
+    floor_alpha = (nu + 2) / h**2
     assert est.alpha == pytest.approx(floor_alpha, rel=1e-14)
     # all replications are the identical constant; only summation roundoff remains
     assert est.std_error < 1e-12 * est.alpha
@@ -94,8 +98,9 @@ def test_estimate_alpha_ceiling_band():
     # with sigma^2 fixed at 1 and k large, alpha is pinned near E S^2 = 1
     prior = VariancePrior.fixed(1.0)
     reps = 10**5
-    est = estimate_alpha(1000, 5, 0.9, 1.0, prior, RINOTT, reps, RandomStream(2).substream(0))
-    r2 = est.h_used.value ** 2
+    h = solve_h(HEquationSpec(1000, 5, 0.9, RINOTT)).value
+    est = estimate_alpha(h, 5, 1.0, prior, reps, RandomStream(2).substream(0))
+    r2 = h**2
     assert est.alpha >= 1.0 - 3.0 * math.sqrt(2.0 / 5 / reps)
     # ceil adds at most 1/r2; the floor can only push upward, bounded via
     # the probability that chi2_5/5 lands under the floor
@@ -107,14 +112,16 @@ def test_estimate_alpha_variant_draws_are_shared():
     # same rng => identical sigma^2 and chi2 draws for both variants
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
     rng = RandomStream(SEED).substream(3)
-    a = estimate_alpha(10, 4, 0.9, 1.0, prior, DD, 5000, rng)
-    b = estimate_alpha(10, 4, 0.9, 1.0, prior, RINOTT, 5000, rng)
+    h_dd = solve_h(HEquationSpec(10, 4, 0.9, DD)).value
+    h_rinott = solve_h(HEquationSpec(10, 4, 0.9, RINOTT)).value
+    a = estimate_alpha(h_dd, 4, 1.0, prior, 5000, rng)
+    b = estimate_alpha(h_rinott, 4, 1.0, prior, 5000, rng)
     # coupled draws: the alpha gap reflects only the h gap, so the ratio of
     # floors-free products r2*alpha (= mean raw sizes) stays within ceil slack
-    ra = a.h_used.value ** 2 * a.alpha
-    rb = b.h_used.value ** 2 * b.alpha
+    ra = h_dd**2 * a.alpha
+    rb = h_rinott**2 * b.alpha
     assert abs(ra - rb) <= 1.0 + (5 + 1) * 2  # ceil slack + rare floor slack
-    again = estimate_alpha(10, 4, 0.9, 1.0, prior, DD, 5000, rng)
+    again = estimate_alpha(h_dd, 4, 1.0, prior, 5000, rng)
     assert again == a
 
 
@@ -123,8 +130,8 @@ def test_estimate_alpha_exchangeable_across_populations():
     k, nu, p, delta = 5, 6, 0.9, 1.0
     prior = VariancePrior.lognormal(0.0, 0.5)
     reps = 2 * 10**4
-    est = estimate_alpha(k, nu, p, delta, prior, DD, reps, RandomStream(4).substream(0))
-    h = est.h_used.value
+    h = solve_h(HEquationSpec(k, nu, p, DD)).value
+    est = estimate_alpha(h, nu, delta, prior, reps, RandomStream(4).substream(0))
     gen = np.random.Generator(np.random.PCG64(99))
     sigma2 = stats.lognorm(0.5, scale=1.0).rvs(size=(reps, k + 1), random_state=gen)
     s2 = sigma2 * gen.chisquare(nu, size=(reps, k + 1)) / nu
@@ -137,22 +144,23 @@ def test_estimate_alpha_exchangeable_across_populations():
 def test_estimate_alpha_validation():
     prior = VariancePrior.fixed(1.0)
     rng = RandomStream(0)
+    h = solve_h(HEquationSpec(2, 4, 0.9, DD)).value
     with pytest.raises(ValueError):
-        estimate_alpha(0, 4, 0.9, 1.0, prior, DD, 10, rng)
+        estimate_alpha(h, 0, 1.0, prior, 10, rng)
     with pytest.raises(ValueError):
-        estimate_alpha(2, 4, 0.9, 0.0, prior, DD, 10, rng)
+        estimate_alpha(h, 4, 0.0, prior, 10, rng)
     with pytest.raises(ValueError):
-        estimate_alpha(2, 4, 0.9, 1.0, prior, DD, 0, rng)
+        estimate_alpha(h, 4, 1.0, prior, 0, rng)
     with pytest.raises(ValueError):
         # p below the symmetry point solves to h < 0
-        estimate_alpha(1, 3, 0.2, 1.0, prior, DD, 10, rng)
+        estimate_alpha(solve_h(HEquationSpec(1, 3, 0.2, DD)).value, 3, 1.0, prior, 10, rng)
 
 
 def test_efficiency_curve_k1_row():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    report = efficiency_curve([1], ScheduleSpec("constant", 5), 0.9, 1.0, prior, 5000,
-                              RandomStream(5))
-    row = report.rows[0]
+    rows = efficiency_curve([1], ScheduleSpec("constant", 4), 0.9, 1.0, prior, 5000,
+                            RandomStream(5))
+    row = rows[0]
     assert row.h_ratio == pytest.approx(1.0, abs=1e-8)
     assert row.alpha_ratio == pytest.approx(1.0, abs=1e-6)
     assert row.total_ratio == pytest.approx(1.0, abs=1e-6)
@@ -160,11 +168,9 @@ def test_efficiency_curve_k1_row():
 
 def test_efficiency_curve_row_consistency():
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    report = efficiency_curve([2, 10, 50], ScheduleSpec("constant", 5), 0.9, 2.0, prior, 5000,
-                              RandomStream(6))
-    assert report.theoretical_eta == theoretical_eta(4)
-    assert report.schedule == "constant:5"
-    for row in report.rows:
+    rows = efficiency_curve([2, 10, 50], ScheduleSpec("constant", 4), 0.9, 2.0, prior, 5000,
+                            RandomStream(6))
+    for row in rows:
         assert row.nu == 4
         assert row.n0 == 5
         # critical constants obey the convexity ordering for k >= 2
@@ -177,18 +183,16 @@ def test_efficiency_curve_row_consistency():
         assert row.lhat_rinott == pytest.approx(5 / (row.h_rinott.value / 2.0) ** 2, rel=1e-15)
 
 
-def test_efficiency_curve_growing_schedule_has_no_eta():
+def test_efficiency_curve_follows_growing_schedule():
     prior = VariancePrior.fixed(1.0)
     schedule = ScheduleSpec("log-growth")
-    report = efficiency_curve([2, 100], schedule, 0.9, 1.0, prior, 500, RandomStream(7))
-    assert report.theoretical_eta is None
-    assert report.schedule == "log-growth"
-    assert [r.n0 for r in report.rows] == [3, 7]
+    rows = efficiency_curve([2, 100], schedule, 0.9, 1.0, prior, 500, RandomStream(7))
+    assert [(r.nu, r.n0) for r in rows] == [(2, 3), (6, 7)]
 
 
 def test_efficiency_curve_validation():
     prior = VariancePrior.fixed(1.0)
-    schedule = ScheduleSpec("constant", 5)
+    schedule = ScheduleSpec("constant", 4)
     with pytest.raises(ValueError):
         efficiency_curve([], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
     with pytest.raises(ValueError):

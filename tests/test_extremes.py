@@ -9,7 +9,7 @@ from scipy.special import stdtr
 
 import ranksel.distributions as distributions
 import ranksel.extremes as extremes
-from ranksel.distributions import RandomStream, chunks
+from ranksel.distributions import RandomStream, ScheduleSpec, chunks
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
@@ -23,17 +23,20 @@ from ranksel.extremes import (
 SEED = 20260814
 
 
+NU3 = ScheduleSpec("constant", 3)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
-        TriangularArraySpec((), 3, MAX_OF_T, 1000)
+        TriangularArraySpec((), NU3, MAX_OF_T, 1000)
     with pytest.raises(ValueError):
-        TriangularArraySpec((10, 5), 3, MAX_OF_T, 1000)
+        TriangularArraySpec((10, 5), NU3, MAX_OF_T, 1000)
     with pytest.raises(ValueError):
-        TriangularArraySpec((5, 5), 3, MAX_OF_T, 1000)
+        TriangularArraySpec((5, 5), NU3, MAX_OF_T, 1000)
     with pytest.raises(ValueError):
-        TriangularArraySpec((5, 10), 3, "max-of-chi2", 1000)
+        TriangularArraySpec((5, 10), NU3, "max-of-chi2", 1000)
     with pytest.raises(ValueError):
-        TriangularArraySpec((5, 10), 3, MAX_OF_T, 99)
+        TriangularArraySpec((5, 10), NU3, MAX_OF_T, 99)
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
@@ -111,9 +114,8 @@ def test_ad_distance_discriminates_families():
 def test_fixed_nu_maxima_prefer_heavy_tail():
     # polynomial tails: the heavy-tailed family must fit better and the
     # advantage must grow with k
-    spec = TriangularArraySpec((10, 1000), 3, MAX_OF_T, 10**4)
-    report = fit_extremes(spec, RandomStream(SEED))
-    by_k = {row.k: row for row in report.rows}
+    spec = TriangularArraySpec((10, 1000), NU3, MAX_OF_T, 10**4)
+    by_k = {row.k: row for row in fit_extremes(spec, RandomStream(SEED))}
     assert by_k[1000].ad_frechet < by_k[1000].ad_gumbel
     assert by_k[1000].ad_frechet < by_k[10].ad_frechet
     # tail index of the base t_3 variable is 3; maxima inherit it
@@ -123,10 +125,10 @@ def test_fixed_nu_maxima_prefer_heavy_tail():
 
 def test_growing_nu_rows_stay_finite():
     # nu = k growth: no limit claim, diagnostics must still be well-defined
-    spec = TriangularArraySpec((5, 50), lambda k: k, MAX_OF_T_SUM, 500)
-    report = fit_extremes(spec, RandomStream(3))
-    assert [row.nu for row in report.rows] == [5, 50]
-    for row in report.rows:
+    spec = TriangularArraySpec((5, 50), ScheduleSpec("linear"), MAX_OF_T_SUM, 500)
+    rows = fit_extremes(spec, RandomStream(3))
+    assert [row.nu for row in rows] == [5, 50]
+    for row in rows:
         assert math.isfinite(row.median)
         assert math.isfinite(row.iqr) and row.iqr > 0
         assert math.isfinite(row.ad_gumbel)
@@ -134,7 +136,7 @@ def test_growing_nu_rows_stay_finite():
 
 
 def test_fit_extremes_deterministic_and_thread_independent():
-    spec = TriangularArraySpec((5, 20, 80), 4, MAX_OF_T, 400)
+    spec = TriangularArraySpec((5, 20, 80), ScheduleSpec("constant", 4), MAX_OF_T, 400)
     a = fit_extremes(spec, RandomStream(11))
     b = fit_extremes(spec, RandomStream(11))
     assert a == b
@@ -142,8 +144,5 @@ def test_fit_extremes_deterministic_and_thread_independent():
 
 
 def test_fit_extremes_nu_mapping():
-    spec = TriangularArraySpec((2, 8), lambda k: k + 1, MAX_OF_T, 200)
-    report = fit_extremes(spec, RandomStream(4))
-    assert [row.nu for row in report.rows] == [3, 9]
-    assert report.statistic == MAX_OF_T
-    assert report.replications == 200
+    spec = TriangularArraySpec((2, 8), ScheduleSpec("log-growth"), MAX_OF_T, 200)
+    assert [row.nu for row in fit_extremes(spec, RandomStream(4))] == [2, 4]

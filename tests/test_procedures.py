@@ -114,8 +114,6 @@ def test_prior_moments_against_sampling():
     draws = prior.sample(10**6, RandomStream(SEED).substream(0))
     se = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean() - prior.mean()) < 3.0 * se
-    sq_se = np.std(draws**2, ddof=1) / 1000.0
-    assert abs(np.mean(draws**2) - prior.second_moment()) < 3.0 * sq_se
 
 
 @pytest.mark.parametrize("prior, ref", [
@@ -142,17 +140,9 @@ PRIORS_AND_SCIPY = [
 ]
 
 
-def test_prior_sf_matches_scipy():
-    xs = np.array([0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 1e6])
-    for prior, ref in PRIORS_AND_SCIPY:
-        assert prior.sf(xs) == pytest.approx(ref.sf(xs), rel=1e-14)
-        assert prior.sf(-1.0) == 1.0
-
-
 def test_prior_moments_match_scipy():
     for prior, ref in PRIORS_AND_SCIPY:
         assert prior.mean() == pytest.approx(ref.mean(), rel=1e-15)
-        assert prior.second_moment() == pytest.approx(ref.var() + ref.mean() ** 2, rel=1e-14)
 
 
 # ------------------------------------------------------------- instances
