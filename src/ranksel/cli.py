@@ -8,6 +8,10 @@ comes from substreams keyed by stable ids, so the output does not depend on
 the CPU count; --threads is still accepted for old command lines and configs
 and changes nothing.
 
+Each parameter is declared once, in ``PARAMS`` (per command) or ``COMMON``:
+that row builds its flag, and gives its value the same parsing and choices
+whether it comes from the flag or from a config key.
+
 Exit codes: 0 success, 2 argument/usage error, 3 solver failure,
 4 I/O failure.
 """
@@ -29,12 +33,7 @@ from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import efficiency_curve, theoretical_eta
 from ranksel.extremes import MAX_OF_T, STATISTICS, TriangularArraySpec, fit_extremes
 from ranksel.hconst import DD, RINOTT, SolverError, h_table
-from ranksel.procedures import (
-    ProcedureParams,
-    VariancePrior,
-    estimate_pcs,
-    make_slippage_instance,
-)
+from ranksel.procedures import ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance
 
 __all__ = ["main", "entrypoint", "UsageError"]
 
@@ -45,8 +44,6 @@ EXIT_IO = 4
 
 SEED_ENV_VAR = "RANKSEL_SEED"
 FORMATS = ("csv", "jsonl")
-_COMMON_KEYS = ("seed", "format", "out", "threads")
-EFFICIENCY_SCHEDULES = ("constant", "log-growth", "power-growth")
 # extremes' --nu-schedule names for the ScheduleSpec kinds
 NU_SCHEDULES = {"fixed": "constant", "log": "log-growth", "linear": "linear"}
 
@@ -60,79 +57,130 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, str):
-        value = [part for part in value.replace(" ", "").split(",") if part]
-    out = [int(v) for v in value]
-    if not out:
-        raise UsageError("expected a non-empty comma-separated integer list")
-    return out
+# Each parser takes a flag's text or a config file's JSON value.
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _float_list(value) -> list[float]:
-    if isinstance(value, str):
-        value = [part for part in value.replace(" ", "").split(",") if part]
-    return [float(v) for v in value]
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _list_of(parse):
+    def parse_list(value) -> list:
+        items = value
+        if isinstance(value, str):
+            items = [part for part in value.replace(" ", "").split(",") if part]
+        if not isinstance(items, list) or not items:
+            raise ValueError(f"expected a non-empty comma-separated list, got {value!r}")
+        return [parse(item) for item in items]
+
+    return parse_list
+
+
+REQUIRED = object()
+
+# (name, parse, default or REQUIRED, choices, help); the flag is --name with
+# "-" for "_", the config key is name
+COMMON = (
+    ("seed", _integer, None, None, f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)"),
+    ("format", _text, "csv", FORMATS, "output format (default csv)"),
+    ("threads", _integer, 1, None, "accepted for old command lines and ignored (must be >= 1)"),
+)
+PARAMS = {
+    "hconst": (
+        ("ks", _list_of(_integer), None, None, "comma-separated k values, ascending"),
+        ("k", _integer, None, None, "single k (alternative to --ks)"),
+        ("nu", _integer, REQUIRED, None, "degrees of freedom"),
+        ("p", _real, REQUIRED, None, "target confidence in (0,1)"),
+    ),
+    "pcs": (
+        ("k", _integer, REQUIRED, None, "number of competitor populations"),
+        ("n0", _integer, REQUIRED, None, "pilot sample size (nu = n0 - 1)"),
+        ("p", _real, REQUIRED, None, "target confidence in (0,1)"),
+        ("delta", _real, 1.0, None, "indifference parameter (default 1.0)"),
+        ("gap", _real, REQUIRED, None, "actual mean gap; must exceed delta"),
+        ("replications", _integer, 10_000, None, "Monte Carlo replications (default 10000)"),
+        ("variants", _text, "both", ("both", DD, RINOTT), "which procedures (default both)"),
+        ("variances", _list_of(_real), None, None, "comma-separated k+1 variances (default all 1)"),
+        ("method", _text, "chi2", ("chi2", "exact"), "stage sampling path (default chi2)"),
+    ),
+    "efficiency": (
+        ("ks", _list_of(_integer), REQUIRED, None, "comma-separated k values, ascending"),
+        ("nu", _integer, None, None, "degrees of freedom for the constant schedule"),
+        ("schedule", _text, "constant", ("constant", "log-growth", "power-growth"),
+         "nu(k) schedule, pilot size nu + 1 (default constant; needs --nu)"),
+        ("p", _real, REQUIRED, None, "target confidence in (0,1)"),
+        ("delta", _real, 1.0, None, "indifference parameter (default 1.0)"),
+        ("prior", _text, "inverse-gamma:3,4", None,
+         "variance prior, e.g. inverse-gamma:3,4 (default)"),
+        ("replications", _integer, 100_000, None, "Monte Carlo replications (default 100000)"),
+    ),
+    "extremes": (
+        ("ks", _list_of(_integer), REQUIRED, None, "comma-separated k values, ascending"),
+        ("nu", _integer, None, None, "degrees of freedom for the fixed schedule"),
+        ("nu_schedule", _text, "fixed", tuple(NU_SCHEDULES),
+         "nu as a function of k (default fixed; needs --nu)"),
+        ("statistic", _text, MAX_OF_T, STATISTICS, "base statistic (default max-of-t)"),
+        ("replications", _integer, 10_000, None, "maxima replications (default 10000)"),
+    ),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_params(parser: argparse.ArgumentParser, params) -> None:
+    for name, _, _, choices, help_text in params:
+        metavar = None if choices is None else "{" + ",".join(choices) + "}"
+        parser.add_argument(_flag(name), metavar=metavar, help=help_text)
 
 
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file; explicit flags override it")
-    common.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
-    common.add_argument("--format", choices=FORMATS, help="output format (default csv)")
     common.add_argument("--out", help="output path, '-' for stdout (default)")
-    common.add_argument("--threads", type=int,
-                        help="accepted for old command lines and ignored (must be >= 1)")
-
-    parser = _Parser(
-        prog="ranksel",
-        description="two-stage best-population selection toolkit",
-        parents=[common],
-    )
-    parser.set_defaults(**{key: None for key in _COMMON_KEYS}, config=None)
-
+    _add_params(common, COMMON)
+    parser = _Parser(prog="ranksel", description="two-stage best-population selection toolkit",
+                     parents=[common])
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("hconst", parents=[common], argument_default=argparse.SUPPRESS,
-                       help="solve both critical-constant equations over a k grid")
-    p.add_argument("--ks", help="comma-separated k values, ascending")
-    p.add_argument("--k", type=int, help="single k (alternative to --ks)")
-    p.add_argument("--nu", type=int, help="degrees of freedom")
-    p.add_argument("--p", type=float, help="target confidence in (0,1)")
-
-    p = sub.add_parser("pcs", parents=[common], argument_default=argparse.SUPPRESS,
-                       help="estimate probability of correct selection on a slippage instance")
-    p.add_argument("--k", type=int, help="number of competitor populations")
-    p.add_argument("--n0", type=int, help="pilot sample size (nu = n0 - 1)")
-    p.add_argument("--p", type=float, help="target confidence in (0,1)")
-    p.add_argument("--delta", type=float, help="indifference parameter (default 1.0)")
-    p.add_argument("--gap", type=float, help="actual mean gap; must exceed delta")
-    p.add_argument("--replications", type=int, help="Monte Carlo replications (default 10000)")
-    p.add_argument("--variants", choices=("both", DD, RINOTT), help="which procedures (default both)")
-    p.add_argument("--variances", help="comma-separated k+1 variances (default all 1)")
-    p.add_argument("--method", choices=("chi2", "exact"), help="stage sampling path (default chi2)")
-
-    p = sub.add_parser("efficiency", parents=[common], argument_default=argparse.SUPPRESS,
-                       help="tabulate h ratios and normalized expected sample sizes over k")
-    p.add_argument("--ks", help="comma-separated k values, ascending")
-    p.add_argument("--nu", type=int, help="degrees of freedom for the constant schedule")
-    p.add_argument("--schedule", choices=EFFICIENCY_SCHEDULES,
-                   help="nu(k) schedule, pilot size nu + 1 (default constant; needs --nu)")
-    p.add_argument("--p", type=float, help="target confidence in (0,1)")
-    p.add_argument("--delta", type=float, help="indifference parameter (default 1.0)")
-    p.add_argument("--prior", help="variance prior, e.g. inverse-gamma:3,4 (default)")
-    p.add_argument("--replications", type=int, help="Monte Carlo replications (default 100000)")
-
-    p = sub.add_parser("extremes", parents=[common], argument_default=argparse.SUPPRESS,
-                       help="fit diagnostics for triangular-array maxima of t statistics")
-    p.add_argument("--ks", help="comma-separated k values, ascending")
-    p.add_argument("--nu", type=int, help="degrees of freedom for the fixed schedule")
-    p.add_argument("--nu-schedule", choices=tuple(NU_SCHEDULES),
-                   help="nu as a function of k (default fixed; needs --nu)")
-    p.add_argument("--statistic", choices=STATISTICS, help="base statistic (default max-of-t)")
-    p.add_argument("--replications", type=int, help="maxima replications (default 10000)")
-
+    for command, params in PARAMS.items():
+        p = sub.add_parser(command, parents=[common], argument_default=argparse.SUPPRESS,
+                           help=_COMMANDS[command].__doc__)
+        _add_params(p, params)
     return parser
+
+
+def _resolve(args: argparse.Namespace, config: dict, params) -> dict:
+    """Each parameter's value: its flag, else its config key, else its default."""
+    values = {}
+    for name, parse, default, choices, _ in params:
+        value = getattr(args, name, None)
+        value = config.get(name) if value is None else value
+        if value is None:
+            if default is REQUIRED:
+                raise UsageError(f"missing required parameter {_flag(name)}")
+            values[name] = default
+            continue
+        try:
+            value = parse(value)
+        except (OverflowError, ValueError) as err:  # float() of a huge JSON integer overflows
+            raise UsageError(f"{_flag(name)}: {err}") from None
+        if choices is not None and value not in choices:
+            raise UsageError(f"{_flag(name)} must be one of {choices}, got {value!r}")
+        values[name] = value
+    return values
 
 
 def _load_config(path: str) -> dict:
@@ -146,29 +194,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
     return cfg
-
-
-def _effective(args: argparse.Namespace, config: dict, key: str, default=None, required=False):
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        value = default
-    if value is None and required:
-        raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
-    return value
-
-
-def _resolve_seed(args: argparse.Namespace, config: dict) -> int:
-    value = _effective(args, config, "seed")
-    if value is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as err:
-                raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from err
-    return int(value) if value is not None else 0
 
 
 def _canonical(config: dict) -> str:
@@ -226,62 +251,48 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _cmd_hconst(args, config, seed):
-    ks_raw = _effective(args, config, "ks")
-    if ks_raw is None:
-        single = _effective(args, config, "k")
-        if single is None:
+def _schedule(kind: str, nu: int | None) -> ScheduleSpec:
+    if kind == "constant" and nu is None:
+        raise UsageError("missing required parameter --nu for a schedule with fixed nu")
+    return ScheduleSpec(kind, nu)
+
+
+# Each command takes the resolved parameter values and returns its rows.  The
+# values it leaves that are not None are echoed in the # config line.
+def _cmd_hconst(values, seed):
+    """solve both critical-constant equations over a k grid"""
+    k = values.pop("k")
+    if values["ks"] is None:
+        if k is None:
             raise UsageError("hconst needs --ks or --k")
-        ks = [int(single)]
-    else:
-        ks = _int_list(ks_raw)
-    nu = int(_effective(args, config, "nu", required=True))
-    p = float(_effective(args, config, "p", required=True))
-    cfg = {"command": "hconst", "ks": ks, "nu": nu, "p": p}
-    rows = [
+        values["ks"] = [k]
+    return [
         {
-            "k": r.k,
-            "nu": r.nu,
-            "p": r.p,
-            "h_dd": r.dd.value,
-            "h_rinott": r.rinott.value,
+            "k": r.k, "nu": r.nu, "p": r.p, "h_dd": r.dd.value, "h_rinott": r.rinott.value,
             "ratio": r.ratio if not math.isnan(r.ratio) else None,
-            "residual_dd": r.dd.residual,
-            "residual_rinott": r.rinott.residual,
+            "residual_dd": r.dd.residual, "residual_rinott": r.rinott.residual,
         }
-        for r in h_table(ks, nu, p)
+        for r in h_table(values["ks"], values["nu"], values["p"])
     ]
-    return cfg, rows
 
 
-def _cmd_pcs(args, config, seed):
-    k = int(_effective(args, config, "k", required=True))
-    n0 = int(_effective(args, config, "n0", required=True))
-    p = float(_effective(args, config, "p", required=True))
-    delta = float(_effective(args, config, "delta", 1.0))
-    gap = float(_effective(args, config, "gap", required=True))
-    replications = int(_effective(args, config, "replications", 10_000))
-    variants = _effective(args, config, "variants", "both")
-    variances_raw = _effective(args, config, "variances")
-    method = _effective(args, config, "method", "chi2")
-    chosen = [DD, RINOTT] if variants == "both" else [variants]
+def _cmd_pcs(values, seed):
+    """estimate probability of correct selection on a slippage instance"""
+    k, n0, p, delta, gap, replications = (
+        values[name] for name in ("k", "n0", "p", "delta", "gap", "replications")
+    )
+    chosen = [DD, RINOTT] if values["variants"] == "both" else [values["variants"]]
     # validates k (at most 2^24 - 1) before the default variances are built
     all_params = [ProcedureParams(p=p, delta=delta, k=k, n0=n0, variant=v) for v in chosen]
-    variances = (
-        [1.0] * (k + 1) if variances_raw is None else _float_list(variances_raw)
-    )
-    cfg = {
-        "command": "pcs", "k": k, "n0": n0, "p": p, "delta": delta, "gap": gap,
-        "replications": replications, "variants": variants, "variances": variances,
-        "method": method,
-    }
+    if values["variances"] is None:
+        values["variances"] = [1.0] * (k + 1)
     rng = RandomStream(seed)
     rows = []
     for params in all_params:
-        instance = make_slippage_instance(params, gap, variances)
+        instance = make_slippage_instance(params, gap, values["variances"])
         est = estimate_pcs(
             params, instance, replications,
-            rng.substream(0 if params.variant == DD else 1), method=method,
+            rng.substream(0 if params.variant == DD else 1), method=values["method"],
         )
         rows.append({
             "variant": params.variant, "k": k, "n0": n0, "p": p, "delta": delta,
@@ -289,40 +300,19 @@ def _cmd_pcs(args, config, seed):
             "std_error": est.std_error, "mean_total": est.mean_total,
             "h": est.h_used.value, "residual": est.h_used.residual,
         })
-    return cfg, rows
+    return rows
 
 
-def _cmd_efficiency(args, config, seed):
-    ks = _int_list(_effective(args, config, "ks", required=True))
-    schedule_kind = _effective(args, config, "schedule", "constant")
-    nu = _effective(args, config, "nu")
-    if schedule_kind not in EFFICIENCY_SCHEDULES:
-        raise UsageError(
-            f"schedule kind must be one of {EFFICIENCY_SCHEDULES}, got {schedule_kind!r}"
-        )
-    if schedule_kind == "constant":
-        if nu is None:
-            raise UsageError("constant schedule needs --nu")
-        schedule = ScheduleSpec("constant", int(nu))
-    else:
-        schedule = ScheduleSpec(schedule_kind)
-    p = float(_effective(args, config, "p", required=True))
-    delta = float(_effective(args, config, "delta", 1.0))
-    prior_text = _effective(args, config, "prior", "inverse-gamma:3,4")
-    replications = int(_effective(args, config, "replications", 100_000))
-    try:
-        prior = VariancePrior.from_string(prior_text)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    cfg = {
-        "command": "efficiency", "ks": ks, "schedule": schedule_kind,
-        "p": p, "delta": delta, "prior": prior_text, "replications": replications,
-    }
-    eta = None
-    if schedule_kind == "constant":
-        cfg["nu"] = schedule.nu
-        eta = theoretical_eta(schedule.nu)
-    rows = [
+def _cmd_efficiency(values, seed):
+    """tabulate h ratios and normalized expected sample sizes over k"""
+    nu = values["nu"]
+    schedule = _schedule(values["schedule"], nu)
+    prior = VariancePrior.from_string(values["prior"])
+    # a closed-form limit exists only while nu stays constant
+    eta = None if nu is None else theoretical_eta(nu)
+    curve = efficiency_curve(values["ks"], schedule, values["p"], values["delta"], prior,
+                             values["replications"], RandomStream(seed))
+    return [
         {
             "k": r.k, "nu": r.nu, "n0": r.n0,
             "h_dd": r.h_dd.value, "h_rinott": r.h_rinott.value,
@@ -334,36 +324,16 @@ def _cmd_efficiency(args, config, seed):
             "lhat_dd": r.lhat_dd, "lhat_rinott": r.lhat_rinott,
             "theoretical_eta": eta,
         }
-        for r in efficiency_curve(ks, schedule, p, delta, prior, replications, RandomStream(seed))
+        for r in curve
     ]
-    return cfg, rows
 
 
-def _cmd_extremes(args, config, seed):
-    ks = _int_list(_effective(args, config, "ks", required=True))
-    nu_schedule = _effective(args, config, "nu_schedule", "fixed")
-    nu = _effective(args, config, "nu")
-    statistic = _effective(args, config, "statistic", MAX_OF_T)
-    replications = int(_effective(args, config, "replications", 10_000))
-    if nu_schedule not in NU_SCHEDULES:
-        raise UsageError(f"nu schedule must be one of {tuple(NU_SCHEDULES)}, got {nu_schedule!r}")
-    if nu_schedule == "fixed":
-        if nu is None:
-            raise UsageError("fixed nu schedule needs --nu")
-        schedule = ScheduleSpec("constant", int(nu))
-    else:
-        schedule = ScheduleSpec(NU_SCHEDULES[nu_schedule])
-    try:
-        spec = TriangularArraySpec(tuple(ks), schedule, statistic, replications)
-    except ValueError as err:
-        raise UsageError(str(err)) from err
-    cfg = {
-        "command": "extremes", "ks": ks, "nu_schedule": nu_schedule,
-        "statistic": statistic, "replications": replications,
-    }
-    if nu_schedule == "fixed":
-        cfg["nu"] = schedule.nu
-    rows = [
+def _cmd_extremes(values, seed):
+    """fit diagnostics for triangular-array maxima of t statistics"""
+    statistic, replications = values["statistic"], values["replications"]
+    schedule = _schedule(NU_SCHEDULES[values["nu_schedule"]], values["nu"])
+    spec = TriangularArraySpec(tuple(values["ks"]), schedule, statistic, replications)
+    return [
         {
             "k": r.k, "nu": r.nu, "statistic": statistic,
             "replications": replications, "median": r.median, "iqr": r.iqr,
@@ -372,7 +342,6 @@ def _cmd_extremes(args, config, seed):
         }
         for r in fit_extremes(spec, RandomStream(seed))
     ]
-    return cfg, rows
 
 
 _COMMANDS = {
@@ -384,41 +353,37 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(args.config) if args.config else {}
+        args = _build_parser().parse_args(argv)
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
         command = args.command or config.get("command")
         if command is None:
             raise UsageError("no command given (pass a subcommand or a config with one)")
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r} in config")
-        if args.command is not None and "command" in config and config["command"] != args.command:
-            raise UsageError(
-                f"config is for {config['command']!r} but {args.command!r} was requested"
-            )
-        seed = _resolve_seed(args, config)
-        fmt = _effective(args, config, "format", "csv")
-        if fmt not in FORMATS:
-            raise UsageError(f"format must be one of {FORMATS}, got {fmt!r}")
-        out = getattr(args, "out", None)
-        threads = int(_effective(args, config, "threads", 1))
-        if threads < 1:
-            raise UsageError(f"threads must be >= 1, got {threads}")
-        cfg, rows = _COMMANDS[command](args, config, seed)
-        cfg["seed"] = seed
-        cfg["format"] = fmt
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+        if config.get("command", command) != command:
+            raise UsageError(f"config is for {config['command']!r} but {command!r} was requested")
+        common = _resolve(args, config, COMMON)
+        values = _resolve(args, config, PARAMS[command])
+        seed = common["seed"]
+        if seed is None:
+            try:
+                seed = _integer(os.environ.get(SEED_ENV_VAR, "0"))
+            except ValueError as err:
+                raise UsageError(f"${SEED_ENV_VAR}: {err}") from None
+        if common["threads"] < 1:
+            raise UsageError(f"threads must be >= 1, got {common['threads']}")
+        rows = _COMMANDS[command](values, seed)
+        cfg = {"command": command, **{k: v for k, v in values.items() if v is not None},
+               "seed": seed, "format": common["format"]}
+    except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     try:
-        _write(out, _render(fmt, cfg, rows))
+        _write(getattr(args, "out", None), _render(common["format"], cfg, rows))
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)
         return EXIT_IO

@@ -79,6 +79,10 @@ KRONROD_WEIGHTS = np.concatenate((_WK, [_WK_CENTER], _WK[::-1]))
 GAUSS_WEIGHTS = np.zeros(21)
 GAUSS_WEIGHTS[1::2] = np.concatenate((_WG, _WG[::-1]))
 _ERROR_WEIGHTS = KRONROD_WEIGHTS - GAUSS_WEIGHTS
+# panel_quadrature's stopping rule and its cap on halvings of every panel
+ABS_TOL = 1e-13
+REL_TOL = 1e-11
+MAX_REFINEMENTS = 8
 
 
 def geometric_edges(lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndarray:
@@ -101,24 +105,18 @@ def geometric_edges(lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndar
     return edges[keep]
 
 
-def panel_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    abs_tol: float = 1e-13,
-    rel_tol: float = 1e-11,
-    max_refinements: int = 8,
-) -> QuadratureResult:
+def panel_quadrature(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> QuadratureResult:
     """Integrate a vectorized f over the panels defined by ``edges``.
 
     Each pass calls f once on the 21 Kronrod nodes of every panel and stops
     when the sum over panels of |K21 - G10| is within
-    ``max(abs_tol, rel_tol * |K21|)``; otherwise every panel is halved.
+    ``max(ABS_TOL, REL_TOL * |K21|)``; otherwise every panel is halved.
     When f returns a ``(2, n)`` stack, row 0 is that total and row 1 comes
     back as ``companion``.
     """
     edges = np.asarray(edges, dtype=float)
     nodes_used = 0
-    for refinement in range(max_refinements + 1):
+    for refinement in range(MAX_REFINEMENTS + 1):
         mids = 0.5 * (edges[1:] + edges[:-1])
         halfs = 0.5 * (edges[1:] - edges[:-1])
         xs = (mids[:, None] + halfs[:, None] * KRONROD_NODES[None, :]).ravel()
@@ -128,11 +126,11 @@ def panel_quadrature(
         kronrod = (per_panel @ KRONROD_WEIGHTS) * halfs
         value = float(kronrod[0].sum())
         error = float(np.dot(np.abs(per_panel[0] @ _ERROR_WEIGHTS), halfs))
-        if error <= max(abs_tol, rel_tol * abs(value)):
+        if error <= max(ABS_TOL, REL_TOL * abs(value)):
             companion = float(kronrod[1].sum()) if fx.ndim == 2 else None
             return QuadratureResult(value, nodes_used, refinement, error, companion)
         # halve all panels for the next pass
         edges = np.sort(np.concatenate([edges, mids]))
     raise QuadratureError(
-        f"no convergence after {max_refinements} refinements ({edges.size - 1} panels)"
+        f"no convergence after {MAX_REFINEMENTS} refinements ({edges.size - 1} panels)"
     )

@@ -378,6 +378,59 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+HCONST_CONFIG = {"command": "hconst", "ks": [2], "nu": 4, "p": 0.9}
+PCS_CONFIG = {"command": "pcs", "k": 2, "n0": 5, "p": 0.8, "gap": 1.5, "replications": 10}
+
+
+@pytest.mark.parametrize("config", [
+    {**HCONST_CONFIG, "ks": 5},
+    {**HCONST_CONFIG, "nu": [4]},
+    {**HCONST_CONFIG, "nu": 4.7},
+    {**HCONST_CONFIG, "nu": True},
+    {**HCONST_CONFIG, "p": 10**400},
+    {**HCONST_CONFIG, "seed": [1]},
+    {**HCONST_CONFIG, "format": "xml"},
+    {**PCS_CONFIG, "variances": 5},
+    {**PCS_CONFIG, "k": [2]},
+    {**PCS_CONFIG, "gap": True},
+    {**PCS_CONFIG, "method": "gibbs"},
+    {**PCS_CONFIG, "variants": "all"},
+    {"command": "extremes", "ks": [2], "nu": 3, "replications": 150, "statistic": "min-of-t"},
+    {"command": "efficiency", "ks": [2], "nu": 3, "p": 0.9, "prior": 5},
+    {"command": ["hconst"]},
+], ids=["ks-int", "nu-list", "nu-float", "nu-bool", "p-huge-int", "seed-list", "format",
+        "variances-int", "k-list", "gap-bool", "method", "variants", "statistic", "prior-int",
+        "command-list"])
+def test_config_value_outside_its_flag_exits_2(tmp_path, capsys, config):
+    # a config value gets the parsing and choices of its flag
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["efficiency", "--ks", "10", "--schedule", "log-growth", "--nu", "3", "--p", "0.9",
+      "--replications", "100"], "log-growth schedule takes no nu"),
+    (["efficiency", "--ks", "10", "--schedule", "power-growth", "--nu", "3", "--p", "0.9",
+      "--replications", "100"], "power-growth schedule takes no nu"),
+    (["extremes", "--ks", "10", "--nu-schedule", "log", "--nu", "3", "--replications", "100"],
+     "log-growth schedule takes no nu"),
+    (["extremes", "--ks", "10", "--nu-schedule", "linear", "--nu", "3", "--replications", "100"],
+     "linear schedule takes no nu"),
+    (["hconst", "--k", "abc", "--nu", "4", "--p", "0.9"], "--k: "),
+    (["hconst", "--ks", "2,x", "--nu", "4", "--p", "0.9"], "--ks: "),
+    (["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5", "--method", "gibbs"],
+     "--method must be one of"),
+], ids=["efficiency-log", "efficiency-power", "extremes-log", "extremes-linear", "k-text",
+        "ks-text", "method"])
+def test_flag_errors_exit_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message) and "Traceback" not in err
+
+
 def test_solver_failure_exits_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise SolverError("bracket expansion exhausted")
