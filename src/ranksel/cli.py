@@ -371,6 +371,8 @@ def main(argv=None) -> int:
                 seed = _integer(os.environ.get(SEED_ENV_VAR, "0"))
             except ValueError as err:
                 raise UsageError(f"${SEED_ENV_VAR}: {err}") from None
+        if seed < 0:
+            raise UsageError(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {seed}")
         if common["threads"] < 1:
             raise UsageError(f"threads must be >= 1, got {common['threads']}")
         rows = _COMMANDS[command](values, seed)

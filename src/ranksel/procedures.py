@@ -20,6 +20,12 @@ run_stage1 and run_procedure run R replications as one batch of (R, k+1)
 arrays, second_stage_size and dd_weights work elementwise, and
 estimate_pcs runs fixed-size replication blocks, each on its own
 substream.
+
+The exact method draws every observation of both stages.  The chi2 method
+draws stage 1 only, as sufficient statistics, and takes each summary
+statistic from its exact law given S^2 (Rinott N(theta, sigma^2 / N),
+Dudewicz-Dalal N(theta, sigma^2 (delta/h)^2 / S^2)) by rescaling the
+stage-1 mean's error, which is independent of S^2.
 """
 
 from __future__ import annotations
@@ -247,7 +253,12 @@ class Stage1Summary:
 
 @dataclass(frozen=True, eq=False)
 class ProcedureOutcome:
-    """A batch of R runs: (R,) selections, totals and hits; (R, k + 1) sizes and statistics."""
+    """A batch of R runs: (R,) selections, totals and hits; (R, k + 1) sizes and statistics.
+
+    On the exact method the statistics are the weighted (Dudewicz-Dalal) or
+    plain (Rinott) means of the drawn observations; on the chi2 method they
+    are draws from those means' conditional law given S^2.
+    """
 
     selected_index: np.ndarray
     sample_sizes: np.ndarray
@@ -370,6 +381,16 @@ def _check_sizes_fit(raw) -> None:
         )
 
 
+def _variance_target(h: float, delta: float) -> float:
+    """(delta/h)^2, S^2 times the weighted mean's variance over sigma^2; ValueError when infinite."""
+    target = _squared_ratio(delta, h)
+    if not math.isfinite(target):
+        raise ValueError(
+            f"weights need a finite (delta/h)^2, got ({delta}/{h})^2: delta is too large"
+        )
+    return target
+
+
 def dd_weights(n0: int, n, s2, h: float, delta: float):
     """Stage-1 and stage-2 weights (b, c) of the Dudewicz-Dalal weighted mean.
 
@@ -395,12 +416,7 @@ def dd_weights(n0: int, n, s2, h: float, delta: float):
         raise ValueError(f"weights need a positive critical constant, got h={h}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    target = _squared_ratio(delta, h)
-    if not math.isfinite(target):
-        raise ValueError(
-            f"weights need a finite (delta/h)^2, got ({delta}/{h})^2: delta is too large"
-        )
-    q = target / s2
+    q = _variance_target(h, delta) / s2
     n2 = n - n0
     # q * n >= 1 iff n >= (h/delta)^2 S^2, which second_stage_size guarantees;
     # tolerate roundoff at the exact boundary.
@@ -450,14 +466,16 @@ def run_procedure(
 
     The chi2 default simulates sufficient statistics only (needed when k
     runs into the thousands); the exact per-observation path is retained
-    for validation.  Argmax ties break to the lowest index.
+    as its oracle.  Argmax ties break to the lowest index.
 
-    Draw order from rng's one generator: stage 1 as in run_stage1, then
-    stage 2.  On the chi2 path stage 2 is one (R, k + 1) array of normals
-    (mean2 = theta + sigma * z / sqrt(N - n0)); on the exact path it is
-    the N - n0 observations of every (replication, population) in
-    row-major order, one normal sequence whose runs are summed.  The exact
-    path refuses second-stage sizes above _ARRAY_LIMIT (ValueError).
+    Draw order from rng's one generator: stage 1 as in run_stage1, then,
+    on the exact path only, the N - n0 stage-2 observations of every
+    (replication, population) in row-major order, one normal sequence
+    whose runs are summed.  The chi2 path draws nothing after stage 1: each
+    statistic is theta + (mean1 - theta) * scale, with scale sqrt(n0 / N)
+    for Rinott and sqrt(n0) * (delta / h) / S for Dudewicz-Dalal, a draw
+    from the statistic's exact law given S^2.  The exact path refuses
+    second-stage sizes above _ARRAY_LIMIT (ValueError).
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -475,24 +493,32 @@ def run_procedure(
     sizes = second_stage_size(stage1.variances, hval, params.delta, params.n0)
     if np.max(sizes.sum(axis=1, dtype=float)) >= _INT64_LIMIT:
         raise ValueError("the total sample size of a run does not fit a 64-bit integer")
-    if method == EXACT and np.max(sizes) > _ARRAY_LIMIT:
-        raise ValueError(
-            f"second-stage size {np.max(sizes)} exceeds the exact method's limit of "
-            f"{_ARRAY_LIMIT} observations per population; use the chi2 method "
-            "(--method chi2)"
+    if method == CHI2:
+        if params.variant == DD:
+            # delta / h, refused where dd_weights would refuse its square
+            ratio = math.sqrt(_variance_target(hval, params.delta))
+            if not np.all(stage1.variances > 0):
+                raise ValueError(f"S^2 must be positive, got {np.min(stage1.variances)}")
+            scale = math.sqrt(params.n0) * ratio / np.sqrt(stage1.variances)
+        else:
+            scale = np.sqrt(params.n0 / sizes)
+        statistics = instance.means + (stage1.means - instance.means) * scale
+    else:
+        if np.max(sizes) > _ARRAY_LIMIT:
+            raise ValueError(
+                f"second-stage size {np.max(sizes)} exceeds the exact method's limit of "
+                f"{_ARRAY_LIMIT} observations per population; use the chi2 method "
+                "(--method chi2)"
+            )
+        n2 = sizes - params.n0
+        mean2 = instance.means + np.sqrt(instance.variances) * (
+            _normal_sums(rng.generator, n2) / n2
         )
-    n2 = sizes - params.n0
-    gen = rng.generator
-    sd = np.sqrt(instance.variances)
-    if method == EXACT:
-        mean2 = instance.means + sd * (_normal_sums(gen, n2) / n2)
-    else:
-        mean2 = instance.means + sd * gen.standard_normal(n2.shape) / np.sqrt(n2)
-    if params.variant == DD:
-        b, c = dd_weights(params.n0, sizes, stage1.variances, hval, params.delta)
-        statistics = b * params.n0 * stage1.means + c * n2 * mean2
-    else:
-        statistics = (params.n0 * stage1.means + n2 * mean2) / sizes
+        if params.variant == DD:
+            b, c = dd_weights(params.n0, sizes, stage1.variances, hval, params.delta)
+            statistics = b * params.n0 * stage1.means + c * n2 * mean2
+        else:
+            statistics = (params.n0 * stage1.means + n2 * mean2) / sizes
     selected = np.argmax(statistics, axis=1)
     return ProcedureOutcome(
         selected_index=selected,

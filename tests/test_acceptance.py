@@ -25,6 +25,7 @@ from ranksel.efficiency import (
 from ranksel.extremes import MAX_OF_T, TriangularArraySpec, fit_extremes
 from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
 from ranksel.procedures import (
+    EXACT,
     ProcedureParams,
     VariancePrior,
     estimate_pcs,
@@ -130,7 +131,8 @@ def test_criterion_05_weighted_mean_is_pivotal():
     inst = make_slippage_instance(params, 1.5, np.array([2.5, 2.5]))
     h = solve_h(HEquationSpec(1, 4, 0.9, DD))
     reps = 10**5
-    out = run_procedure(inst, params, h, RandomStream(SEED), replications=reps)
+    # the exact path forms the weighted mean from drawn observations
+    out = run_procedure(inst, params, h, RandomStream(SEED), EXACT, reps)
     samples = ((out.statistics - inst.means) * h.value).ravel()
     res = stats.kstest(samples, lambda x: stats.t.cdf(x, 4))
     ok = res.pvalue > 0.001

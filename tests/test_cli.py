@@ -262,6 +262,18 @@ def test_seed_env_fallback_and_override(tmp_path, monkeypatch):
 PCS_ARGS = ["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["hconst", "--k", "2", "--nu", "4", "--p", "0.9"],
+    PCS_ARGS + ["--replications", "10"],
+], ids=["hconst", "pcs"])
+def test_negative_seed_exits_2(capsys, monkeypatch, argv):
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    monkeypatch.setenv("RANKSEL_SEED", "-1")
+    assert cli.main(argv) == 2
+    for err in capsys.readouterr().err.splitlines():
+        assert err.startswith("error: --seed") and "got -1" in err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--variances", "1,inf,1", "finite"),
     ("--variances", "1,1e300,1", "64-bit"),

@@ -51,8 +51,10 @@ def reference_run(instance, params, h, gen, method, replications):
     """Per-replication, per-population loop replaying run_procedure's draw order.
 
     Stage 1 for all replications first ((R, k+1, n0) observations, or (R, k+1)
-    normals then (R, k+1) chi-squares), then stage 2 one population after
-    another in row-major order, each drawn as its own call.
+    normals then (R, k+1) chi-squares).  The exact method then draws stage 2
+    one population after another in row-major order, each as its own call.
+    The chi2 method draws nothing more: it rescales each stage-1 mean's error
+    by sqrt(n0 / N) (Rinott) or sqrt(n0) * (delta / h) / S (Dudewicz-Dalal).
     """
     n0, size = params.n0, instance.size
     sd = np.sqrt(instance.variances)
@@ -68,17 +70,22 @@ def reference_run(instance, params, h, gen, method, replications):
     statistics = np.empty((replications, size))
     for r in range(replications):
         for i in range(size):
+            theta = instance.means[i]
             n = scalar_size(s2s[r, i], h, params.delta, n0)
             n2 = n - n0
-            if method == EXACT:
-                mean2 = (gen.standard_normal(n2) * sd[i] + instance.means[i]).mean()
+            if method == CHI2:
+                if params.variant == DD:
+                    scale = math.sqrt(n0) * (params.delta / h) / math.sqrt(s2s[r, i])
+                else:
+                    scale = math.sqrt(n0 / n)
+                statistics[r, i] = theta + (means1[r, i] - theta) * scale
             else:
-                mean2 = instance.means[i] + sd[i] * gen.standard_normal() / math.sqrt(n2)
-            if params.variant == DD:
-                w = scalar_weights(n0, n, s2s[r, i], h, params.delta)
-                statistics[r, i] = w[0] * n0 * means1[r, i] + w[-1] * n2 * mean2
-            else:
-                statistics[r, i] = (n0 * means1[r, i] + n2 * mean2) / n
+                mean2 = (gen.standard_normal(n2) * sd[i] + theta).mean()
+                if params.variant == DD:
+                    w = scalar_weights(n0, n, s2s[r, i], h, params.delta)
+                    statistics[r, i] = w[0] * n0 * means1[r, i] + w[-1] * n2 * mean2
+                else:
+                    statistics[r, i] = (n0 * means1[r, i] + n2 * mean2) / n
             sizes[r, i] = n
     return np.argmax(statistics, axis=1), sizes, statistics
 
@@ -393,10 +400,11 @@ def test_batch_matches_reference_loop(variant, method):
     assert np.array_equal(out.selected_index, selected)
     assert np.array_equal(out.sample_sizes, sizes)
     assert np.allclose(out.statistics, statistics, rtol=0.0, atol=1e-12)
-    # the batch consumed exactly the reference's draws
+    # the batch consumed exactly the reference's draws: on chi2, the 2 * R * (k + 1)
+    # stage-1 variates and nothing more
     rng = RandomStream(SEED).substream(12)
     run_procedure(inst, params, h, rng, method, reps)
-    assert rng.generator.standard_normal() == gen.standard_normal()
+    assert rng.generator.bit_generator.state == gen.bit_generator.state
 
 
 def test_exact_stage2_bounded_pieces_match_one_draw(monkeypatch):
@@ -439,6 +447,11 @@ def test_run_procedure_validation():
     huge = make_slippage_instance(params_for(10), 1.5, np.full(11, 1e17))
     with pytest.raises(ValueError, match="total"):
         run_procedure(huge, params_for(10), 4.0, RandomStream(0))
+    # S^2 underflows to 0: the weighted mean's law is undefined on either method
+    tiny = make_slippage_instance(params_for(2), 1.5, np.full(3, 5e-324))
+    for method in (CHI2, EXACT):
+        with pytest.raises(ValueError, match="S\\^2 must be positive"):
+            run_procedure(tiny, params_for(2), 2.0, RandomStream(0), method, 10)
 
 
 def test_params_validation():
@@ -459,18 +472,45 @@ def test_params_validation():
 
 
 def test_weighted_statistic_pivotal_distribution():
-    # (W - theta) * h / delta should be exactly t with n0-1 dof
+    # (W - theta) * h / delta of the real two-block weighted mean should be
+    # exactly t with n0-1 dof
     reps = 2 * 10**4
     params = params_for(1)
     inst = make_slippage_instance(params, 1.5, (2.5, 2.5))
     h = solve_h(HEquationSpec(1, params.nu, 0.9, DD))
-    out = run_procedure(inst, params, h, RandomStream(SEED).substream(7), replications=reps)
+    out = run_procedure(inst, params, h, RandomStream(SEED).substream(7), EXACT, reps)
     pivots = (out.statistics - inst.means) * h.value / params.delta
     res = stats.kstest(pivots.ravel(), stats.t(params.nu).cdf)
     assert res.pvalue > 0.001
 
 
 # ----------------------------------------------------------------- PCS
+
+
+@pytest.mark.parametrize("variances, gap", [
+    ((1.0,) * 5, 1.01),
+    ((1.0, 2.0, 3.0, 4.0, 5.0), 1.5),
+], ids=["equal-gap1.01", "unequal-gap1.5"])
+@pytest.mark.parametrize("variant", [DD, RINOTT])
+def test_chi2_pcs_matches_exact_in_law(variant, variances, gap):
+    # chi2 statistics are draws from the conditional law given S^2; the exact
+    # path samples every observation, so this checks that the laws agree
+    params = params_for(4, n0=10, variant=variant)
+    inst = make_slippage_instance(params, gap, variances)
+    h = solve_h(HEquationSpec(4, params.nu, params.p, variant))
+    reps = 10**5
+    chi2, exact = (
+        estimate_pcs(params, inst, reps, RandomStream(SEED).substream(30, i), h=h, method=m)
+        for i, m in enumerate((CHI2, EXACT))
+    )
+    # exact two-sample binomial test (Fisher) on the hit counts
+    hits = [round(est.pcs * reps) for est in (chi2, exact)]
+    table = [[hit, reps - hit] for hit in hits]
+    assert stats.fisher_exact(table).pvalue > 1e-3
+    # the spread of one run's total size, from an independent chi2 batch
+    out = run_procedure(inst, params, h, RandomStream(SEED).substream(31), CHI2, 10**4)
+    se = out.total_samples.std(ddof=1) * math.sqrt(2.0 / reps)
+    assert abs(chi2.mean_total - exact.mean_total) < 4.0 * se
 
 
 def test_estimate_pcs_deterministic():
