@@ -204,7 +204,8 @@ def _cell_csv(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+        value = float(value)
+        return "" if math.isnan(value) else repr(value)
     return str(value)
 
 

@@ -8,6 +8,13 @@ domain); when nu grows with k the limiting law is unresolved, so this
 module only emits per-k fit diagnostics: location/spread summaries,
 Anderson-Darling distances to best-fit Gumbel and Frechet, and a
 Hill-style tail-index estimate.  No limit claim is made.
+
+Both fits are maximum likelihood.  The Gumbel fit is scipy's; the Frechet
+fit profiles the scale out in closed form and climbs the remaining
+(shape, location) likelihood by Newton's method (profile-likelihood
+Newton).  The Frechet family's closure holds the Gumbel family as its
+shape c -> inf, so when no interior maximum beats the Gumbel fit, the
+Frechet fit is that Gumbel limit.
 """
 
 from __future__ import annotations
@@ -36,6 +43,18 @@ STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
 _CHUNK_ELEMENTS = 2**19
+
+# Frechet fit: Newton starts at shape c = 10, moves c or v by at most a
+# factor e^2 a step, and stops once the Newton decrement (twice the
+# likelihood it still expects to gain) is below the tolerance.  Past c = 1e5
+# the shape 1/c is under 1e-5, where a maximum could beat the Gumbel limit by
+# about n * 1e-10 in log-likelihood (the GEV shape's Fisher information at
+# the Gumbel is 2.42 per observation), so the fit is taken as that limit.
+_FRECHET_START_C = 10.0
+_FRECHET_MAX_C = 1e5
+_FRECHET_MAX_LOG_STEP = 2.0
+_FRECHET_TOL = 1e-10
+_FRECHET_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -137,13 +156,117 @@ def hill_tail_index(sample: np.ndarray, fraction: float = HILL_FRACTION) -> floa
     return 1.0 / gamma
 
 
+def _frechet_profile(x: np.ndarray, anchor: float, p: tuple[float, float]):
+    """Frechet log-likelihood with the scale profiled out, and its derivatives.
+
+    p = (log c, log v) puts the location at mu = anchor - d, d = c*v; the
+    scale s solves s^c = n / sum (x - mu)^-c.  With t = log((x - mu)/d),
+    w = softmax(-c*t) and r = 1/(x - mu), the profile is
+    n log(c n / d) - n - n logsumexp(-c*t) - (1 + c) sum t.  Returns it, its
+    gradient and Hessian in p, and (c, mu, s).
+    """
+    n = x.size
+    c = math.exp(p[0])
+    d = math.exp(p[0] + p[1])
+    t = np.log1p((x - anchor) / d)
+    r = 1.0 / (x - (anchor - d))
+    a = -c * t
+    a_max = a.max()
+    e = np.exp(a - a_max)
+    e_sum = e.sum()
+    w = e / e_sum
+    lse = a_max + math.log(e_sum)
+    sum_t, sum_r = t.sum(), r.sum()
+    t_bar, r_bar = w @ t, w @ r
+    var_t = w @ (t * t) - t_bar * t_bar
+    var_r = w @ (r * r) - r_bar * r_bar
+    cov_rt = w @ (r * t) - r_bar * t_bar
+    loglik = n * math.log(c * n / d) - n - n * lse - (1 + c) * sum_t
+    # score and Hessian in (c, mu), then the chain rule to p: dc = c dp0,
+    # dmu = -d (dp0 + dp1)
+    g_c = n / c + n * t_bar - sum_t
+    g_mu = -n * c * r_bar + (1 + c) * sum_r
+    h_cc = -n / c**2 - n * var_t
+    h_mumu = -n * c * (r_bar * r_bar + (1 + c) * var_r) + (1 + c) * (r @ r)
+    h_cmu = -n * r_bar + n * c * cov_rt + sum_r
+    h_11 = d * d * h_mumu - d * g_mu
+    h_01 = h_11 - c * d * h_cmu
+    h_00 = c * c * h_cc + c * g_c - 2 * c * d * h_cmu + h_11
+    scale = math.exp(math.log(d) + (math.log(n) - lse) / c)
+    return loglik, (c * g_c - d * g_mu, -d * g_mu), (h_00, h_01, h_11), (c, anchor - d, scale)
+
+
+def _frechet_fit(maxima: np.ndarray, loc_g: float, scale_g: float) -> tuple[float, float, float]:
+    """Maximum-likelihood Frechet (c, loc, scale), or (inf, loc_g, scale_g).
+
+    Newton's method climbs the profile likelihood of _frechet_profile in
+    (log c, log v), with loc = loc_g - c*v.  As c -> inf at fixed v the
+    Frechet tends to a Gumbel with scale about v, so these coordinates turn
+    the Gumbel limit into a straight ridge that Newton follows geometrically.
+    It starts from the Gumbel fit (loc_g, scale_g) read as a Frechet with
+    c = _FRECHET_START_C, doubled until loc lies below min(x).  A step is
+    halved while it would put loc at or above min(x) or lower the
+    likelihood.  The interior maximum is returned only if it beats the
+    Gumbel likelihood; otherwise c = inf stands for the Gumbel limit.
+    """
+    x = np.asarray(maxima, dtype=float)
+    z = (x - loc_g) / scale_g
+    gumbel_loglik = -(x.size * math.log(scale_g) + z.sum() + np.exp(-z).sum())
+    room = loc_g - x.min()  # loc < min(x) needs d = c*v > room
+    c = _FRECHET_START_C
+    while c * scale_g <= room:
+        c *= 2.0
+    p = (math.log(c), math.log(scale_g))
+    loglik, g, h, params = _frechet_profile(x, loc_g, p)
+    for _ in range(_FRECHET_MAX_ITER):
+        h_00, h_01, h_11 = h
+        det = h_00 * h_11 - h_01 * h_01
+        if h_00 < 0 and det > 0:
+            step = ((h_01 * g[1] - h_11 * g[0]) / det, (h_01 * g[0] - h_00 * g[1]) / det)
+        else:  # not concave here: climb the gradient, scaled by the curvature
+            step = (g[0] / abs(h_00), g[1] / abs(h_11))
+        if step[0] * g[0] + step[1] * g[1] < _FRECHET_TOL:
+            break
+        shrink = min(1.0, _FRECHET_MAX_LOG_STEP / max(abs(step[0]), abs(step[1])))
+        step = (shrink * step[0], shrink * step[1])
+        for _ in range(40):
+            q = (p[0] + step[0], p[1] + step[1])
+            if math.exp(q[0] + q[1]) > room:
+                trial = _frechet_profile(x, loc_g, q)
+                if trial[0] >= loglik:
+                    break
+            step = (0.5 * step[0], 0.5 * step[1])
+        else:  # no fraction of the step down to 2^-40 gains: rounding level
+            break
+        p = q
+        loglik, g, h, params = trial
+        if params[0] > _FRECHET_MAX_C:
+            return math.inf, loc_g, scale_g
+    if loglik <= gumbel_loglik:
+        return math.inf, loc_g, scale_g
+    return params
+
+
+def _frechet_cdf(x: np.ndarray, c: float, loc: float, scale: float) -> np.ndarray:
+    """exp(-((x - loc)/scale)^-c) above loc, 0 at and below it."""
+    y = (np.asarray(x, dtype=float) - loc) / scale
+    out = np.zeros_like(y)
+    above = y > 0
+    with np.errstate(over="ignore"):  # y^-c = inf gives the correct 0
+        out[above] = np.exp(-y[above] ** -c)
+    return out
+
+
 def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStream) -> ExtremeFitRow:
     maxima = _sample_maxima(k, nu, statistic, replications, rng)
     q25, q50, q75 = np.percentile(maxima, [25, 50, 75])
     loc_g, scale_g = stats.gumbel_r.fit(maxima)
     ad_gumbel = ad_distance(maxima, lambda x: stats.gumbel_r.cdf(x, loc_g, scale_g))
-    c_f, loc_f, scale_f = stats.invweibull.fit(maxima)
-    ad_frechet = ad_distance(maxima, lambda x: stats.invweibull.cdf(x, c_f, loc_f, scale_f))
+    c_f, loc_f, scale_f = _frechet_fit(maxima, loc_g, scale_g)
+    if math.isinf(c_f):
+        ad_frechet = ad_gumbel
+    else:
+        ad_frechet = ad_distance(maxima, lambda x: _frechet_cdf(x, c_f, loc_f, scale_f))
     return ExtremeFitRow(
         k=k,
         nu=nu,
@@ -156,7 +279,13 @@ def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStre
 
 
 def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> tuple[ExtremeFitRow, ...]:
-    """Per-k maxima fits; row k draws from ``rng.substream(k)``."""
+    """Per-k maxima fits; row k draws from ``rng.substream(k)``.
+
+    Both fits are maximum likelihood: the Gumbel by ``scipy.stats.gumbel_r``,
+    the Frechet by profile-likelihood Newton (_frechet_fit).  When no interior
+    Frechet maximum beats the Gumbel fit, the Frechet fit is its Gumbel limit
+    and ``ad_frechet`` equals ``ad_gumbel``.
+    """
     return tuple(
         _fit_row(k, spec.schedule.nu_at(k), spec.statistic, spec.replications, rng.substream(k))
         for k in spec.ks

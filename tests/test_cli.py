@@ -146,6 +146,15 @@ def test_jsonl_matches_csv(tmp_path):
         assert cells["variant"] == json_row["variant"]
 
 
+def test_nan_cell_renders_empty_csv_and_null_jsonl():
+    # hill_index is NaN when too few maxima are positive
+    row = {"k": 1, "ad_frechet": 0.5, "hill_index": float("nan")}
+    text_csv = cli._render("csv", {"command": "extremes"}, [row])
+    assert text_csv.splitlines()[2:] == ["k,ad_frechet,hill_index", "1,0.5,"]
+    text_jsonl = cli._render("jsonl", {"command": "extremes"}, [row])
+    assert json.loads(text_jsonl.splitlines()[2])["hill_index"] is None
+
+
 def test_pcs_csv_schema(tmp_path):
     rc, text = run_to_file(tmp_path, "p.csv", PCS_ARGS + ["--replications", "100"])
     assert rc == 0

@@ -14,6 +14,7 @@ from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
     TriangularArraySpec,
+    _frechet_fit,
     _sample_maxima,
     ad_distance,
     fit_extremes,
@@ -121,6 +122,93 @@ def test_fixed_nu_maxima_prefer_heavy_tail():
     # tail index of the base t_3 variable is 3; maxima inherit it
     assert by_k[1000].hill_index == pytest.approx(3.0, rel=0.35)
     assert by_k[10].median < by_k[1000].median
+
+
+def _frechet_nll(x, c, loc, scale):
+    """Negative log-likelihood of a Frechet fit; c = inf is the Gumbel limit.
+
+    Written with log1p around loc + scale: at the c ~ 1e8 fits that scipy
+    returns for Gumbel-domain samples, invweibull.nnlf loses ~1e-5 to
+    rounding, more than the tolerance compared here.
+    """
+    if math.isinf(c):
+        return stats.gumbel_r.nnlf((loc, scale), x)
+    log_z = np.log1p((x - (loc + scale)) / scale)
+    return (x.size * math.log(scale / c) + (1.0 + c) * log_z.sum()
+            + np.exp(-c * log_z).sum())
+
+
+# the bulk-mc extremes rows, fixed nu = 3, and three edge rows of 100 maxima
+FIT_CASES = {
+    "bulk-mc": (TriangularArraySpec((10, 100, 1000), ScheduleSpec("log-growth"),
+                                    MAX_OF_T_SUM, 10**4), 1),
+    "nu3": (TriangularArraySpec((10, 1000), NU3, MAX_OF_T, 10**4), SEED),
+    "cauchy-k1": (TriangularArraySpec((1,), ScheduleSpec("constant", 1), MAX_OF_T, 100), 0),
+    "nu1e6-k1": (TriangularArraySpec((1,), ScheduleSpec("constant", 10**6), MAX_OF_T, 100), 0),
+    "linear-sum-k2": (TriangularArraySpec((2,), ScheduleSpec("linear"), MAX_OF_T_SUM, 100), 0),
+}
+
+
+@pytest.fixture(scope="module")
+def case_rows():
+    """A FIT_CASES entry's rows and each row's maxima, drawn once per module."""
+    done = {}
+
+    def get(case):
+        if case not in done:
+            spec, seed = FIT_CASES[case]
+            rows = fit_extremes(spec, RandomStream(seed))
+            maxima = [_sample_maxima(row.k, row.nu, spec.statistic, spec.replications,
+                                     RandomStream(seed).substream(row.k)) for row in rows]
+            done[case] = rows, maxima
+        return done[case]
+
+    return get
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_frechet_fit_matches_scipy_likelihood(case_rows, case):
+    rows, samples = case_rows(case)
+    for row, maxima in zip(rows, samples):
+        loc_g, scale_g = stats.gumbel_r.fit(maxima)
+        fit = _frechet_fit(maxima, loc_g, scale_g)
+        nll = _frechet_nll(maxima, *fit)
+        assert nll <= _frechet_nll(maxima, *stats.invweibull.fit(maxima)) + 1e-6
+        assert nll <= _frechet_nll(maxima, math.inf, loc_g, scale_g)
+        assert math.isfinite(row.ad_frechet)
+        if math.isinf(fit[0]):
+            assert row.ad_frechet == row.ad_gumbel
+
+
+def test_frechet_fit_takes_gumbel_limit_on_normal_maxima():
+    # normal maxima lie in the Gumbel domain: no finite shape beats the limit
+    gen = np.random.Generator(np.random.PCG64(SEED))
+    maxima = gen.standard_normal((10**4, 100)).max(axis=1)
+    loc_g, scale_g = stats.gumbel_r.fit(maxima)
+    fit = _frechet_fit(maxima, loc_g, scale_g)
+    assert fit == (math.inf, loc_g, scale_g)
+    assert _frechet_nll(maxima, *fit) <= _frechet_nll(maxima, *stats.invweibull.fit(maxima)) + 1e-6
+
+
+def test_frechet_fit_keeps_gumbel_limit_over_a_worse_interior_point(monkeypatch):
+    # three Newton steps leave the search at a finite shape whose likelihood is
+    # still below the Gumbel fit's: the limit must win
+    monkeypatch.setattr(extremes, "_FRECHET_MAX_ITER", 3)
+    gen = np.random.Generator(np.random.PCG64(SEED))
+    maxima = gen.standard_normal((10**3, 100)).max(axis=1)
+    loc_g, scale_g = stats.gumbel_r.fit(maxima)
+    assert _frechet_fit(maxima, loc_g, scale_g) == (math.inf, loc_g, scale_g)
+
+
+def test_fit_columns_other_than_frechet_follow_from_the_maxima(case_rows):
+    rows, samples = case_rows("bulk-mc")
+    for row, maxima in zip(rows, samples):
+        q25, q50, q75 = np.percentile(maxima, [25, 50, 75])
+        loc_g, scale_g = stats.gumbel_r.fit(maxima)
+        assert row.median == float(q50)
+        assert row.iqr == float(q75 - q25)
+        assert row.ad_gumbel == ad_distance(maxima, lambda x: stats.gumbel_r.cdf(x, loc_g, scale_g))
+        assert row.hill_index == hill_tail_index(maxima)
 
 
 def test_growing_nu_rows_stay_finite():
