@@ -10,7 +10,6 @@ diagnostics for maxima of t variables with growing degrees of freedom.
 from ranksel.distributions import (
     RandomStream,
     ScheduleSpec,
-    t_cdf,
     t_logcdf,
     t_pdf,
     t_quantile,
@@ -27,7 +26,6 @@ from ranksel.hconst import (
     dd_prob,
     h_table,
     mc_oracle,
-    pairwise_prob,
     solve_h,
 )
 from ranksel.procedures import (
@@ -49,7 +47,6 @@ from ranksel.efficiency import (
     EfficiencyRow,
     efficiency_curve,
     estimate_alpha,
-    limit_maxmix,
     theoretical_eta,
 )
 from ranksel.extremes import (

@@ -270,10 +270,9 @@ def _cmd_hconst(values, seed):
     return [
         {
             "k": r.k, "nu": r.nu, "p": r.p, "h_dd": r.dd.value, "h_rinott": r.rinott.value,
-            "ratio": r.ratio if not math.isnan(r.ratio) else None,
-            "residual_dd": r.dd.residual, "residual_rinott": r.rinott.residual,
+            "ratio": r.ratio, "residual_dd": r.dd.residual, "residual_rinott": r.rinott.residual,
         }
-        for r in h_table(values["ks"], values["nu"], values["p"])
+        for r in h_table(values["ks"], ScheduleSpec("constant", values["nu"]), values["p"])
     ]
 
 

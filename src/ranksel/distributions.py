@@ -9,10 +9,11 @@ tail by symmetry.  All of them are vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -24,7 +25,6 @@ __all__ = [
     "chunks",
     "map_blocks",
     "t_pdf",
-    "t_cdf",
     "t_logcdf",
     "t_quantile",
 ]
@@ -77,6 +77,18 @@ class ScheduleSpec:
             return math.ceil(k ** 0.25) + 1
         return int(k)
 
+    def grid(self, ks: Iterable[int]) -> list[tuple[int, int]]:
+        """``(k, nu_at(k))`` for each k of a non-empty, strictly ascending list of integers.
+
+        The one check of a k list: every table walks its rows through it.
+        """
+        ks = [operator.index(k) for k in ks]
+        if not ks:
+            raise ValueError("ks must be non-empty")
+        if any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError("ks must be strictly ascending")
+        return [(k, self.nu_at(k)) for k in ks]
+
 
 def _log_gamma_ratio(nu: int) -> float:
     """log Gamma((nu+1)/2) - log Gamma(nu/2), to a few ulps of its size.
@@ -110,19 +122,6 @@ def t_pdf(x, nu: int):
     nu = _check_nu(nu)
     arr, scalar = _as_array(x)
     res = np.exp(_t_logpdf(arr, nu))
-    return float(res) if scalar else res
-
-
-def t_cdf(x, nu: int):
-    """CDF of the t distribution with ``nu`` degrees of freedom.
-
-    Full relative precision in the lower tail (no ``1 - tiny``
-    cancellation).  Accepts a scalar or an ndarray and returns the same
-    shape.
-    """
-    nu = _check_nu(nu)
-    arr, scalar = _as_array(x)
-    res = stdtr(nu, arr)
     return float(res) if scalar else res
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ranksel.distributions import RandomStream, ScheduleSpec, _check_array_limit, _check_nu
-from ranksel.hconst import DD, RINOTT, HConstant, HEquationSpec, solve_h
+from ranksel.hconst import HConstant, HTableRow, h_table
 from ranksel.procedures import VariancePrior, _size_factor, second_stage_size
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "estimate_alpha",
     "theoretical_eta",
     "efficiency_curve",
-    "limit_maxmix",
 ]
 
 
@@ -129,39 +128,34 @@ def estimate_alpha(
 
 
 def _efficiency_row(
-    k: int,
-    schedule: ScheduleSpec,
-    p: float,
+    h: HTableRow,
     delta: float,
     prior: VariancePrior,
     replications: int,
     rng: RandomStream,
 ) -> EfficiencyRow:
-    nu = schedule.nu_at(k)
+    nu = h.nu
     n0 = nu + 1
-    h_dd = solve_h(HEquationSpec(k, nu, p, DD))
-    h_rinott = solve_h(HEquationSpec(k, nu, p, RINOTT))
     # keyed by nu, not k: rows sharing nu reuse the same draws, so trends
     # across k are not blurred by fresh Monte Carlo noise per row
     row_rng = rng.substream(nu)
-    alpha_dd = estimate_alpha(h_dd.value, nu, delta, prior, replications, row_rng)
-    alpha_rinott = estimate_alpha(h_rinott.value, nu, delta, prior, replications, row_rng)
-    h_ratio = h_rinott.value / h_dd.value
+    alpha_dd = estimate_alpha(h.dd.value, nu, delta, prior, replications, row_rng)
+    alpha_rinott = estimate_alpha(h.rinott.value, nu, delta, prior, replications, row_rng)
     alpha_ratio = alpha_rinott.alpha / alpha_dd.alpha
     return EfficiencyRow(
-        k=k,
+        k=h.k,
         nu=nu,
         n0=n0,
-        h_dd=h_dd,
-        h_rinott=h_rinott,
-        h_ratio=h_ratio,
-        h_ratio_sq=h_ratio * h_ratio,
+        h_dd=h.dd,
+        h_rinott=h.rinott,
+        h_ratio=h.ratio,
+        h_ratio_sq=h.ratio * h.ratio,
         alpha_dd=alpha_dd,
         alpha_rinott=alpha_rinott,
         alpha_ratio=alpha_ratio,
-        total_ratio=alpha_ratio * h_ratio * h_ratio,
-        lhat_dd=n0 / (h_dd.value / delta) ** 2,
-        lhat_rinott=n0 / (h_rinott.value / delta) ** 2,
+        total_ratio=alpha_ratio * h.ratio * h.ratio,
+        lhat_dd=n0 / (h.dd.value / delta) ** 2,
+        lhat_rinott=n0 / (h.rinott.value / delta) ** 2,
     )
 
 
@@ -174,20 +168,12 @@ def efficiency_curve(
     replications: int,
     rng: RandomStream,
 ) -> tuple[EfficiencyRow, ...]:
-    """Efficiency rows over ascending ks; rows are independent work items.
+    """Efficiency rows over ascending ks, one on each row of ``h_table(ks, schedule, p)``.
 
-    Row k has nu = schedule.nu_at(k) and pilot size n0 = nu + 1.
+    Row k has nu = schedule.nu_at(k) and pilot size n0 = nu + 1; its
+    h_ratio is the table's ratio (NaN, and so are h_ratio_sq and
+    total_ratio, when h_dd is numerically zero).
     """
-    if not ks:
-        raise ValueError("ks must be non-empty")
-    ks = [int(k) for k in ks]
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly ascending")
-    return tuple(_efficiency_row(k, schedule, p, delta, prior, replications, rng) for k in ks)
-
-
-def limit_maxmix(L: float, prior: VariancePrior) -> float:
-    """E max{L, sigma^2} under the prior, in closed form (VariancePrior.expected_max)."""
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
-    return prior.expected_max(L)
+    return tuple(
+        _efficiency_row(h, delta, prior, replications, rng) for h in h_table(ks, schedule, p)
+    )

@@ -67,11 +67,7 @@ class TriangularArraySpec:
     replications: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError("ks must be a non-empty list of positive integers")
-        if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
-            raise ValueError("ks must be strictly ascending")
+        object.__setattr__(self, "ks", tuple(k for k, _ in self.schedule.grid(self.ks)))
         if self.statistic not in STATISTICS:
             raise ValueError(f"statistic must be one of {STATISTICS}, got {self.statistic!r}")
         if self.replications < 100:
@@ -287,6 +283,6 @@ def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> tuple[ExtremeF
     and ``ad_frechet`` equals ``ad_gumbel``.
     """
     return tuple(
-        _fit_row(k, spec.schedule.nu_at(k), spec.statistic, spec.replications, rng.substream(k))
-        for k in spec.ks
+        _fit_row(k, nu, spec.statistic, spec.replications, rng.substream(k))
+        for k, nu in spec.schedule.grid(spec.ks)
     )

@@ -36,12 +36,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.special import stdtrit
 
-from ranksel.distributions import RandomStream, _t_logpdf, _check_nu, map_blocks, t_logcdf, t_quantile
+from ranksel.distributions import (
+    RandomStream, ScheduleSpec, _check_nu, _t_logpdf, map_blocks, t_logcdf, t_quantile,
+)
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
     "HTableRow",
     "SolverError",
     "BracketExpansionError",
-    "pairwise_prob",
     "dd_prob",
     "solve_h",
     "mc_oracle",
@@ -192,11 +193,6 @@ def dd_prob(h: float, k: int, nu: int) -> float:
     nu = _check_nu(nu)
     value, _, _ = _dd_integral(float(h), int(k), nu)
     return min(max(value, 0.0), 1.0)
-
-
-def pairwise_prob(h: float, nu: int) -> float:
-    """P(T2 - T1 <= h) for independent t_nu variables; equals dd_prob at k=1."""
-    return dd_prob(h, 1, nu)
 
 
 def _first_guess(nu: int, tail: float) -> float:
@@ -350,22 +346,17 @@ def mc_oracle(
     return MCEstimate(value, std_error, replications)
 
 
-def h_table(ks: Sequence[int], nu: int, p: float) -> list[HTableRow]:
-    """Solve both variants over ascending ks at nu dof and tabulate the h ratio.
+def h_table(ks: Iterable[int], schedule: ScheduleSpec, p: float) -> list[HTableRow]:
+    """Solve both variants at each (k, nu) of ``schedule.grid(ks)`` and tabulate the h ratio.
 
     The ratio column is h_rinott / h_dd; it is NaN when the DD constant is
-    numerically zero (p at the symmetry point), since the ratio is then a
-    0/0 form.
+    numerically zero (|h_dd| <= 1e-10, p at the symmetry point), since the
+    ratio is then a 0/0 form.  A SolverError names the k it failed at.
     """
-    ks = list(ks)
-    if not ks:
-        raise ValueError("ks must be non-empty")
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly ascending")
-    nu = _check_nu(nu)
+    grid = schedule.grid(ks)
     _check_probability(p)
 
-    def row(k: int) -> HTableRow:
+    def row(k: int, nu: int) -> HTableRow:
         try:
             dd = solve_h(HEquationSpec(k, nu, p, DD))
             rinott = solve_h(HEquationSpec(k, nu, p, RINOTT))
@@ -374,4 +365,4 @@ def h_table(ks: Sequence[int], nu: int, p: float) -> list[HTableRow]:
         ratio = rinott.value / dd.value if abs(dd.value) > 1e-10 else float("nan")
         return HTableRow(k, nu, p, dd, rinott, ratio)
 
-    return [row(k) for k in ks]
+    return [row(k, nu) for k, nu in grid]

@@ -178,6 +178,8 @@ class VariancePrior:
 
     def expected_max(self, L: float) -> float:
         """E max{L, sigma^2} = L * P(sigma^2 <= L) + E[sigma^2; sigma^2 > L], for L >= 0."""
+        if not L >= 0:  # also refuses NaN
+            raise ValueError(f"L must be nonnegative, got {L}")
         if self.kind == "fixed":
             return max(L, self.params[0])
         if L == 0:
@@ -552,6 +554,7 @@ def estimate_pcs(
     per_rep = instance.size * (params.n0 if method == EXACT else 1)
     hits = 0
     total = 0.0
+    # serial, not map_blocks: the blocks are small and mostly hold the GIL, so threads only slow it
     for block, (_, count) in enumerate(chunks(replications, per_rep, _BLOCK_ELEMENTS)):
         outcome = run_procedure(instance, params, h, rng.substream(block), method, count)
         hits += int(np.count_nonzero(outcome.correct))

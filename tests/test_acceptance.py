@@ -19,7 +19,6 @@ from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
     efficiency_curve,
     estimate_alpha,
-    limit_maxmix,
     theoretical_eta,
 )
 from ranksel.extremes import MAX_OF_T, TriangularArraySpec, fit_extremes
@@ -207,7 +206,7 @@ def test_criterion_08_growing_pilot_matches_maxmix_oracle():
         (DD, last.alpha_dd, last.h_dd, last.lhat_dd),
         (RINOTT, last.alpha_rinott, last.h_rinott, last.lhat_rinott),
     ):
-        oracle = limit_maxmix(lhat, prior)
+        oracle = prior.expected_max(lhat)
         slack = 3.0 * est.std_error + (1.0 / h.value) ** 2
         ok = ok and abs(est.alpha - oracle) < slack
         details.append(

@@ -11,7 +11,6 @@ from ranksel.efficiency import (
     AlphaEstimate,
     efficiency_curve,
     estimate_alpha,
-    limit_maxmix,
     theoretical_eta,
 )
 from ranksel.hconst import DD, RINOTT, HEquationSpec, solve_h
@@ -203,14 +202,14 @@ def test_efficiency_curve_validation():
 
 def test_limit_maxmix_closed_cases():
     prior = VariancePrior.fixed(2.5)
-    assert limit_maxmix(0.0, prior) == 2.5
-    assert limit_maxmix(4.0, prior) == 4.0
+    assert prior.expected_max(0.0) == 2.5
+    assert prior.expected_max(4.0) == 4.0
     ig = VariancePrior.inverse_gamma(3.0, 4.0)
-    assert limit_maxmix(0.0, ig) == ig.mean()
-    big = limit_maxmix(1e6, ig)
+    assert ig.expected_max(0.0) == ig.mean()
+    big = ig.expected_max(1e6)
     assert 1e6 <= big < 1e6 + 1e-3
     with pytest.raises(ValueError):
-        limit_maxmix(-1.0, ig)
+        ig.expected_max(-1.0)
 
 
 @pytest.mark.parametrize("prior, ref", [
@@ -225,7 +224,7 @@ def test_limit_maxmix_matches_tail_integral(prior, ref, L):
     else:
         tail, _ = integrate.quad(ref.sf, L, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
         expected = L + tail
-    assert limit_maxmix(L, prior) == pytest.approx(expected, rel=1e-14)
+    assert prior.expected_max(L) == pytest.approx(expected, rel=1e-14)
 
 
 def test_limit_maxmix_against_mc():
@@ -233,7 +232,7 @@ def test_limit_maxmix_against_mc():
     gen = np.random.Generator(np.random.PCG64(SEED))
     draws = np.maximum(2.0, 4.0 / gen.standard_gamma(3.0, 10**7))
     se = draws.std(ddof=1) / math.sqrt(10**7)
-    assert abs(limit_maxmix(2.0, ig) - draws.mean()) < 3.0 * se
+    assert abs(ig.expected_max(2.0) - draws.mean()) < 3.0 * se
 
 
 def test_limit_maxmix_dominates_plain_max():
@@ -243,4 +242,17 @@ def test_limit_maxmix_dominates_plain_max():
         VariancePrior.lognormal(0.0, 0.7),
     ):
         for L in (0.5, prior.mean(), 3.0 * prior.mean()):
-            assert limit_maxmix(L, prior) >= max(L, prior.mean()) - 1e-12
+            assert prior.expected_max(L) >= max(L, prior.mean()) - 1e-12
+
+
+@pytest.mark.parametrize("prior", [
+    VariancePrior.fixed(2.5),
+    VariancePrior.inverse_gamma(3.0, 4.0),
+    VariancePrior.lognormal(0.5, 0.8),
+], ids=lambda prior: prior.kind)
+@pytest.mark.parametrize("L", [-1.0, math.nan])
+def test_expected_max_rejects_negative_and_nan_L(prior, L):
+    # at L = -1 the inverse-gamma form gave nan, the lognormal a bare math
+    # domain error and the fixed prior max(L, sigma^2)
+    with pytest.raises(ValueError, match="L must be nonnegative"):
+        prior.expected_max(L)

@@ -8,11 +8,13 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.optimize import brentq
+from scipy.special import stdtr
 
 import ranksel.distributions as distributions
 import ranksel.hconst as hconst
-from ranksel.distributions import RandomStream, _t_logpdf, chunks, t_logcdf
+from ranksel.distributions import RandomStream, ScheduleSpec, _t_logpdf, chunks, t_logcdf, t_pdf
 from ranksel.hconst import (
     DD,
     RINOTT,
@@ -21,7 +23,6 @@ from ranksel.hconst import (
     dd_prob,
     h_table,
     mc_oracle,
-    pairwise_prob,
     solve_h,
 )
 from ranksel.quadrature import (
@@ -36,12 +37,12 @@ SEED = 20260814
 
 def test_pairwise_prob_at_zero():
     for nu in (1, 2, 9, 40):
-        assert pairwise_prob(0.0, nu) == pytest.approx(0.5, abs=1e-9)
+        assert dd_prob(0.0, 1, nu) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_pairwise_prob_symmetry():
     for h in (0.5, 2.0, 7.5):
-        total = pairwise_prob(h, 5) + pairwise_prob(-h, 5)
+        total = dd_prob(h, 1, 5) + dd_prob(-h, 1, 5)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -52,9 +53,12 @@ def test_dd_prob_at_zero_is_uniform_best():
 
 
 def test_dd_prob_k1_equals_pairwise():
+    # P(T2 - T1 <= h) = integral of G(t + h) g(t) dt, by scipy's adaptive quad
     for h in (-2.0, 0.3, 4.0):
         for nu in (2, 17):
-            assert dd_prob(h, 1, nu) == pytest.approx(pairwise_prob(h, nu), abs=1e-12)
+            pairwise, _ = integrate.quad(lambda t: stdtr(nu, t + h) * t_pdf(t, nu),
+                                         -np.inf, np.inf, epsabs=1e-13, limit=200)
+            assert dd_prob(h, 1, nu) == pytest.approx(pairwise, abs=1e-10)
 
 
 def test_pairwise_prob_against_mc():
@@ -63,7 +67,7 @@ def test_pairwise_prob_against_mc():
     draws = gen.standard_t(4, size=(10**7, 2))
     hits = np.mean(draws[:, 1] - draws[:, 0] <= 2.0)
     se = math.sqrt(hits * (1 - hits) / 10**7)
-    assert abs(pairwise_prob(2.0, 4) - hits) < 3.0 * se
+    assert abs(dd_prob(2.0, 1, 4) - hits) < 3.0 * se
 
 
 def test_dd_prob_against_mc():
@@ -133,10 +137,10 @@ def test_solve_diagnostics_contract():
 
 
 def test_solve_rinott_matches_restated_equation():
-    # pairwise_prob(h, nu) must equal p^(1/k) at the solution
+    # the pairwise probability dd_prob(h, 1, nu) must equal p^(1/k) at the solution
     spec = HEquationSpec(100, 7, 0.95, RINOTT)
     hc = solve_h(spec)
-    assert pairwise_prob(hc.value, 7) == pytest.approx(0.95 ** (1 / 100), abs=1e-10)
+    assert dd_prob(hc.value, 1, 7) == pytest.approx(0.95 ** (1 / 100), abs=1e-10)
 
 
 def test_solve_very_large_k():
@@ -157,7 +161,7 @@ def test_solve_round_trip_property(k, nu, p, variant):
     if variant == DD:
         assert dd_prob(hc.value, k, nu) == pytest.approx(p, abs=1e-8)
     else:
-        assert pairwise_prob(hc.value, nu) ** k == pytest.approx(p, abs=1e-7)
+        assert dd_prob(hc.value, 1, nu) ** k == pytest.approx(p, abs=1e-7)
 
 
 def test_spec_validation():
@@ -221,12 +225,12 @@ def test_mc_oracle_solver_agreement():
 
 
 def test_h_table_k1_ratio_is_one():
-    rows = h_table([1], 6, 0.9)
+    rows = h_table([1], ScheduleSpec("constant", 6), 0.9)
     assert rows[0].ratio == pytest.approx(1.0, abs=1e-8)
 
 
 def test_h_table_columns_increasing():
-    rows = h_table([2, 5, 20, 100], 4, 0.9)
+    rows = h_table([2, 5, 20, 100], ScheduleSpec("constant", 4), 0.9)
     dd_col = [r.dd.value for r in rows]
     rin_col = [r.rinott.value for r in rows]
     assert all(a < b for a, b in zip(dd_col, dd_col[1:]))
@@ -234,7 +238,7 @@ def test_h_table_columns_increasing():
 
 
 def test_h_table_ratio_drifts_toward_limit():
-    rows = h_table([10, 100, 1000], 4, 0.9)
+    rows = h_table([10, 100, 1000], ScheduleSpec("constant", 4), 0.9)
     target = 2.0 ** (2.0 / 4.0)
     gaps = [abs(r.ratio**2 - target) for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -242,11 +246,11 @@ def test_h_table_ratio_drifts_toward_limit():
 
 def test_h_table_validation():
     with pytest.raises(ValueError):
-        h_table([], 4, 0.9)
+        h_table([], ScheduleSpec("constant", 4), 0.9)
     with pytest.raises(ValueError):
-        h_table([5, 5], 4, 0.9)
+        h_table([5, 5], ScheduleSpec("constant", 4), 0.9)
     with pytest.raises(ValueError):
-        h_table([5, 2], 4, 0.9)
+        h_table([5, 2], ScheduleSpec("constant", 4), 0.9)
 
 
 def clear_integral_caches():
@@ -281,7 +285,7 @@ def test_h_table_skips_repeated_integrals(monkeypatch):
 
     monkeypatch.setattr(hconst, "panel_quadrature", counting)
     clear_integral_caches()
-    rows = h_table([1, 10, 100, 1000, 10000, 100000], 9, 0.99)
+    rows = h_table([1, 10, 100, 1000, 10000, 100000], ScheduleSpec("constant", 9), 0.99)
     solves = [hc for r in rows for hc in (r.dd, r.rinott)]
     # iterations counts every integral a solve asks for; the residual
     # re-reads the last one from the cache and costs none
