@@ -8,9 +8,11 @@ tail by symmetry.  All of them are vectorized over numpy arrays.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import operator
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
@@ -24,11 +26,13 @@ __all__ = [
     "ScheduleSpec",
     "chunks",
     "map_blocks",
+    "map_threads",
     "t_pdf",
     "t_logcdf",
     "t_quantile",
 ]
 
+U = TypeVar("U")
 T = TypeVar("T")
 
 # Longest array a command may hold in memory (replications, populations or
@@ -215,6 +219,43 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def map_threads(fn: Callable[[U], T], items: Iterable[U]) -> list[T]:
+    """``fn(item)`` for each item, results in item order.
+
+    The one pool policy of the package: one thread per CPU this process may
+    use (at most one per item), or serial when that is one.  The caller's
+    thread is one of them: it and the pool threads claim items one at a time
+    until none are left, so no item waits for a pool thread that is slow to
+    start.  numpy's samplers and large ufunc loops release the interpreter
+    lock, so large draws run in parallel.  Pool threads run under a copy of
+    the caller's ``contextvars`` context, so settings kept there, such as
+    ``np.errstate``, apply on them too.
+    """
+    items = list(items)
+    workers = min(_worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    claims: queue.SimpleQueue[int] = queue.SimpleQueue()
+    for i in range(len(items)):
+        claims.put(i)
+
+    def drain() -> None:
+        while True:
+            try:
+                i = claims.get_nowait()
+            except queue.Empty:
+                return
+            results[i] = fn(items[i])
+
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        helpers = [pool.submit(contextvars.copy_context().run, drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 def map_blocks(
     fn: Callable[[RandomStream, int], T],
     total: int,
@@ -224,23 +265,13 @@ def map_blocks(
 ) -> list[T]:
     """``fn(rng.substream(b), count)`` for each block b of ``chunks(total, per_item, budget)``.
 
-    Results come back in block order.  The blocks run on a thread pool with
-    one worker per CPU this process may use (at most one per block), or
-    serially when that is one; numpy's samplers release the interpreter lock,
-    so large blocks draw in parallel.  Block b draws only from substream b,
-    so the results depend on the inputs and the budget, never on the CPU
-    count or the order in which blocks finish.
+    Results come back in block order; the blocks run through map_threads.
+    Block b draws only from substream b, so the results depend on the inputs
+    and the budget, never on the CPU count or the order in which blocks
+    finish.
     """
     counts = [n for _, n in chunks(total, per_item, budget)]
-
-    def block(b: int) -> T:
-        return fn(rng.substream(b), counts[b])
-
-    workers = min(_worker_count(), len(counts))
-    if workers <= 1:
-        return [block(b) for b in range(len(counts))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, range(len(counts))))
+    return map_threads(lambda b: fn(rng.substream(b), counts[b]), range(len(counts)))
 
 
 def _check_array_limit(length: int, what: str) -> None:

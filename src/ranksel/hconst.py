@@ -34,6 +34,7 @@ or bisects.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -117,6 +118,8 @@ class HEquationSpec:
     variant: str
 
     def __post_init__(self):
+        # an integer, as dd_prob reads it: k = 2.5 would solve G^2.5 here
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         _check_nu(self.nu)

@@ -6,6 +6,7 @@ everything else against internal round-trip identities.
 """
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from ranksel.distributions import (
     RandomStream,
     chunks,
     map_blocks,
+    map_threads,
     t_logcdf,
     t_pdf,
     t_quantile,
@@ -228,6 +230,37 @@ def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
         assert [path for path, _ in got] == [path for path, _ in want]
         assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
         assert map_blocks(fn, 0, 3, 7, rng) == []
+
+
+def test_map_threads_runs_workers_under_callers_errstate(monkeypatch):
+    # numpy keeps np.errstate in a context variable, which a pool thread does
+    # not inherit on its own; the barrier makes two threads take one item each
+    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
+    both = threading.Barrier(2, timeout=30)
+
+    def fn(item):
+        if item < 2:
+            both.wait()
+        return item, np.geterr()["over"], threading.get_ident()
+
+    with np.errstate(over="raise"):
+        got = map_threads(fn, range(6))
+    assert [(i, over) for i, over, _ in got] == [(i, "raise") for i in range(6)]
+    assert len({ident for _, _, ident in got[:2]}) == 2
+    assert np.geterr()["over"] != "raise"
+
+
+def test_map_threads_reraises_a_task_error(monkeypatch):
+    # whichever thread claims the failing item, its error reaches the caller
+    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
+
+    def fn(item):
+        if item == 3:
+            raise ValueError("item 3")
+        return item
+
+    with pytest.raises(ValueError, match="item 3"):
+        map_threads(fn, range(6))
 
 
 def test_substream_id_validation():

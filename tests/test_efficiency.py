@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import ranksel.distributions as distributions
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
     AlphaEstimate,
@@ -187,6 +188,21 @@ def test_efficiency_curve_follows_growing_schedule():
     schedule = ScheduleSpec("log-growth")
     rows = efficiency_curve([2, 100], schedule, 0.9, 1.0, prior, 500, RandomStream(7))
     assert [(r.nu, r.n0) for r in rows] == [(2, 3), (6, 7)]
+
+
+@pytest.mark.parametrize("prior", [
+    VariancePrior.inverse_gamma(3.0, 4.0), VariancePrior.lognormal(0.0, 0.5), VariancePrior.fixed(2.0),
+])
+def test_efficiency_curve_rows_independent_of_worker_count(monkeypatch, prior):
+    # each alpha draws its prior and chi-square side by side on the worker pool
+    # when there is more than one CPU; the rows must not depend on that
+    printed = []
+    for workers in (1, 2):
+        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
+        rows = efficiency_curve([10, 100], ScheduleSpec("log-growth"), 0.9, 1.0, prior, 3000,
+                                RandomStream(9))
+        printed.append(repr(rows))
+    assert printed[0] == printed[1]
 
 
 def test_efficiency_curve_validation():

@@ -20,6 +20,7 @@ from ranksel.extremes import (
     fit_extremes,
     hill_tail_index,
 )
+from ranksel.hconst import dd_prob
 
 SEED = 20260814
 
@@ -63,10 +64,21 @@ def test_max_of_t_maxima_follow_exact_law():
     assert stats.kstest(maxima, lambda x: stdtr(nu, x) ** k).pvalue > 0.001
 
 
-def test_draw_base_t_sum_matches_axis_sum():
-    draws = extremes._draw_base(RandomStream(5).substream(4).generator, 300, 7, 3, MAX_OF_T_SUM)
-    gen = RandomStream(5).substream(4).generator
-    assert np.array_equal(draws, gen.standard_t(3, (300, 7, 2)).sum(axis=2))
+@pytest.mark.parametrize("nu", [1, 3, 8])
+def test_draw_base_t_sum_follows_exact_law(nu):
+    # P(T1 + T2 <= x) = P(T2 - T1 <= x) = dd_prob(x, 1, nu), and a row maximum
+    # of k sums has CDF dd_prob(x, 1, nu)^k; each count of draws at or below x
+    # must lie in its exact binomial interval (level 1e-6 per point)
+    k, rows = 5, 20_000
+    draws = extremes._draw_base(RandomStream(5).substream(4, nu).generator, rows, k, nu,
+                                MAX_OF_T_SUM)
+    assert draws.shape == (rows, k)
+    maxima = draws.max(axis=1)
+    for x in (-8.0, -3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 3.0, 8.0):
+        prob = dd_prob(x, 1, nu)
+        for sample, law in ((draws, prob), (maxima, prob**k)):
+            lo, hi = stats.binom.interval(1 - 1e-6, sample.size, law)
+            assert lo <= np.count_nonzero(sample <= x) <= hi, (x, law)
 
 
 def test_sample_max_monotone_in_k_under_shared_stream():
@@ -80,7 +92,7 @@ def test_sample_max_monotone_in_k_under_shared_stream():
 def test_sum_statistic_is_symmetric():
     # summand is symmetric around zero: the per-draw median is zero
     gen = RandomStream(SEED).substream(1).generator
-    draws = gen.standard_t(3, size=(10**5, 2)).sum(axis=1)
+    draws = extremes._draw_base(gen, 1000, 100, 3, MAX_OF_T_SUM).ravel()
     # median se ~ 1/(2 f(0) sqrt(n)); f(0) for a sum of two t_3 is below 0.37
     assert abs(np.median(draws)) < 3.0 * 0.022
     assert abs(np.mean(draws < 0) - 0.5) < 3.0 * math.sqrt(0.25 / 10**5)

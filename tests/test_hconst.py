@@ -173,6 +173,14 @@ def test_spec_validation():
         HEquationSpec(2, 4, 0.9, "median")
     with pytest.raises(ValueError):
         HEquationSpec(2, 0, 0.9, RINOTT)
+    with pytest.raises(TypeError):  # dd_prob would read it as k = 2
+        HEquationSpec(2.5, 4, 0.9, DD)
+
+
+def test_spec_accepts_numpy_integer_k():
+    spec = HEquationSpec(np.int64(3), 4, 0.9, DD)
+    assert type(spec.k) is int
+    assert solve_h(spec) == solve_h(HEquationSpec(3, 4, 0.9, DD))
 
 
 def test_mc_oracle_trivial_cases():
