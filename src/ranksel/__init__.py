@@ -17,7 +17,6 @@ from ranksel.distributions import (
 from ranksel.hconst import (
     DD,
     RINOTT,
-    BracketExpansionError,
     HConstant,
     HEquationSpec,
     HTableRow,
@@ -53,7 +52,6 @@ from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
     ExtremeFitRow,
-    TriangularArraySpec,
     fit_extremes,
     hill_tail_index,
 )

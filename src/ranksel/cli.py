@@ -31,7 +31,7 @@ import numpy as np
 
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import efficiency_curve, theoretical_eta
-from ranksel.extremes import MAX_OF_T, STATISTICS, TriangularArraySpec, fit_extremes
+from ranksel.extremes import MAX_OF_T, STATISTICS, fit_extremes
 from ranksel.hconst import DD, RINOTT, SolverError, h_table
 from ranksel.procedures import ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance
 
@@ -200,24 +200,11 @@ def _canonical(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(", ", ": "))
 
 
-def _cell_csv(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
-def _cell_json(value):
-    if value is None:
-        return None
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return None if math.isnan(value) else value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
+def _cell(value):
+    """A row value as printed: None for NaN (empty CSV cell, JSON null), numpy scalars as Python."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _render(fmt: str, config: dict, rows: list[dict]) -> str:
@@ -231,7 +218,7 @@ def _render(fmt: str, config: dict, rows: list[dict]) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell_csv(row[c]) for c in columns])
+            writer.writerow([_cell(row[c]) for c in columns])  # None writes as ""
         return buf.getvalue()
     lines = [
         json.dumps({"record": "config", "config": config}, sort_keys=True),
@@ -239,7 +226,7 @@ def _render(fmt: str, config: dict, rows: list[dict]) -> str:
     ]
     for row in rows:
         obj = {"record": "row"}
-        obj.update({c: _cell_json(row[c]) for c in columns})
+        obj.update({c: _cell(row[c]) for c in columns})
         lines.append(json.dumps(obj, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -252,20 +239,14 @@ def _write(out: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _schedule(kind: str, nu: int | None) -> ScheduleSpec:
-    if kind == "constant" and nu is None:
-        raise UsageError("missing required parameter --nu for a schedule with fixed nu")
-    return ScheduleSpec(kind, nu)
-
-
 # Each command takes the resolved parameter values and returns its rows.  The
 # values it leaves that are not None are echoed in the # config line.
 def _cmd_hconst(values, seed):
     """solve both critical-constant equations over a k grid"""
     k = values.pop("k")
-    if values["ks"] is None:
-        if k is None:
-            raise UsageError("hconst needs --ks or --k")
+    if (k is None) == (values["ks"] is None):
+        raise UsageError("hconst needs exactly one of --ks and --k")
+    if k is not None:
         values["ks"] = [k]
     return [
         {
@@ -306,7 +287,7 @@ def _cmd_pcs(values, seed):
 def _cmd_efficiency(values, seed):
     """tabulate h ratios and normalized expected sample sizes over k"""
     nu = values["nu"]
-    schedule = _schedule(values["schedule"], nu)
+    schedule = ScheduleSpec(values["schedule"], nu)
     prior = VariancePrior.from_string(values["prior"])
     # a closed-form limit exists only while nu stays constant
     eta = None if nu is None else theoretical_eta(nu)
@@ -331,8 +312,7 @@ def _cmd_efficiency(values, seed):
 def _cmd_extremes(values, seed):
     """fit diagnostics for triangular-array maxima of t statistics"""
     statistic, replications = values["statistic"], values["replications"]
-    schedule = _schedule(NU_SCHEDULES[values["nu_schedule"]], values["nu"])
-    spec = TriangularArraySpec(tuple(values["ks"]), schedule, statistic, replications)
+    schedule = ScheduleSpec(NU_SCHEDULES[values["nu_schedule"]], values["nu"])
     return [
         {
             "k": r.k, "nu": r.nu, "statistic": statistic,
@@ -340,7 +320,7 @@ def _cmd_extremes(values, seed):
             "ad_gumbel": r.ad_gumbel, "ad_frechet": r.ad_frechet,
             "hill_index": r.hill_index,
         }
-        for r in fit_extremes(spec, RandomStream(seed))
+        for r in fit_extremes(values["ks"], schedule, statistic, replications, RandomStream(seed))
     ]
 
 

@@ -48,6 +48,14 @@ def _check_nu(nu) -> int:
     return int(nu)
 
 
+def _check_k(k) -> int:
+    """The one check of a population count k: an integer (TypeError) of at least 1."""
+    k = operator.index(k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 SCHEDULE_KINDS = ("constant", "log-growth", "power-growth", "linear")
 
 
@@ -66,27 +74,28 @@ class ScheduleSpec:
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
         if self.kind == "constant":
+            if self.nu is None:
+                raise ValueError("constant schedule needs nu (--nu)")
             object.__setattr__(self, "nu", _check_nu(self.nu))
         elif self.nu is not None:
             raise ValueError(f"{self.kind} schedule takes no nu")
 
     def nu_at(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        k = _check_k(k)
         if self.kind == "constant":
             return self.nu
         if self.kind == "log-growth":
             return math.ceil(math.log(k)) + 1
         if self.kind == "power-growth":
             return math.ceil(k ** 0.25) + 1
-        return int(k)
+        return k
 
     def grid(self, ks: Iterable[int]) -> list[tuple[int, int]]:
         """``(k, nu_at(k))`` for each k of a non-empty, strictly ascending list of integers.
 
         The one check of a k list: every table walks its rows through it.
         """
-        ks = [operator.index(k) for k in ks]
+        ks = [_check_k(k) for k in ks]
         if not ks:
             raise ValueError("ks must be non-empty")
         if any(b <= a for a, b in zip(ks, ks[1:])):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy import stats
@@ -31,7 +31,6 @@ from ranksel.distributions import RandomStream, ScheduleSpec, _check_array_limit
 __all__ = [
     "MAX_OF_T",
     "MAX_OF_T_SUM",
-    "TriangularArraySpec",
     "ExtremeFitRow",
     "fit_extremes",
     "hill_tail_index",
@@ -55,29 +54,6 @@ _FRECHET_MAX_C = 1e5
 _FRECHET_MAX_LOG_STEP = 2.0
 _FRECHET_TOL = 1e-10
 _FRECHET_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class TriangularArraySpec:
-    """One maxima experiment: which ks, which nu(k), which base statistic."""
-
-    ks: tuple[int, ...]
-    schedule: ScheduleSpec
-    statistic: str
-    replications: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "ks", tuple(k for k, _ in self.schedule.grid(self.ks)))
-        if self.statistic not in STATISTICS:
-            raise ValueError(f"statistic must be one of {STATISTICS}, got {self.statistic!r}")
-        if self.replications < 100:
-            raise ValueError(
-                f"need at least 100 replications for stable fits, got {self.replications}"
-            )
-        _check_array_limit(self.replications, "replications")
-        # one replication of the largest k is drawn as a single row
-        width = 1 if self.statistic == MAX_OF_T else 2
-        _check_array_limit(width * self.ks[-1], "the draws per maximum (k, or 2k for the sum)")
 
 
 @dataclass(frozen=True)
@@ -145,19 +121,17 @@ def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     return float(-n - s.mean())
 
 
-def hill_tail_index(sample: np.ndarray, fraction: float = HILL_FRACTION) -> float:
-    """Hill estimate of the tail index from the top `fraction` order stats.
+def hill_tail_index(sample: np.ndarray) -> float:
+    """Hill estimate of the tail index from the top HILL_FRACTION of the order stats.
 
     Returns NaN when fewer than 20 positive observations are available
     (the estimate would be meaningless).
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"fraction must be in (0, 1), got {fraction}")
     pos = np.sort(np.asarray(sample, dtype=float))
     pos = pos[pos > 0]
     if pos.size < 20:
         return float("nan")
-    m = max(2, int(math.floor(fraction * pos.size)))
+    m = max(2, int(math.floor(HILL_FRACTION * pos.size)))
     if m + 1 > pos.size:
         m = pos.size - 1
     threshold = pos[-(m + 1)]
@@ -287,15 +261,28 @@ def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStre
     )
 
 
-def fit_extremes(spec: TriangularArraySpec, rng: RandomStream) -> tuple[ExtremeFitRow, ...]:
-    """Per-k maxima fits; row k draws from ``rng.substream(k)``.
+def fit_extremes(
+    ks: Iterable[int],
+    schedule: ScheduleSpec,
+    statistic: str,
+    replications: int,
+    rng: RandomStream,
+) -> tuple[ExtremeFitRow, ...]:
+    """Maxima fits at each (k, nu) of ``schedule.grid(ks)``; row k draws from ``rng.substream(k)``.
 
-    Both fits are maximum likelihood: the Gumbel by ``scipy.stats.gumbel_r``,
-    the Frechet by profile-likelihood Newton (_frechet_fit).  When no interior
-    Frechet maximum beats the Gumbel fit, the Frechet fit is its Gumbel limit
-    and ``ad_frechet`` equals ``ad_gumbel``.
+    Every argument is checked before the first draw.  Both fits are maximum
+    likelihood: the Gumbel by ``scipy.stats.gumbel_r``, the Frechet by
+    profile-likelihood Newton (_frechet_fit).  When no interior Frechet
+    maximum beats the Gumbel fit, the Frechet fit is its Gumbel limit and
+    ``ad_frechet`` equals ``ad_gumbel``.
     """
-    return tuple(
-        _fit_row(k, nu, spec.statistic, spec.replications, rng.substream(k))
-        for k, nu in spec.schedule.grid(spec.ks)
-    )
+    grid = schedule.grid(ks)
+    if statistic not in STATISTICS:
+        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
+    if replications < 100:
+        raise ValueError(f"need at least 100 replications for stable fits, got {replications}")
+    _check_array_limit(replications, "replications")
+    # one replication of the largest k is drawn as a single row
+    width = 1 if statistic == MAX_OF_T else 2
+    _check_array_limit(width * grid[-1][0], "the draws per maximum (k, or 2k for the sum)")
+    return tuple(_fit_row(k, nu, statistic, replications, rng.substream(k)) for k, nu in grid)

@@ -34,7 +34,6 @@ or bisects.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -43,7 +42,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from ranksel.distributions import (
-    RandomStream, ScheduleSpec, _check_nu, _t_logpdf, map_blocks, t_logcdf, t_quantile,
+    RandomStream, ScheduleSpec, _check_k, _check_nu, _t_logpdf, map_blocks, t_logcdf, t_quantile,
 )
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
@@ -55,7 +54,6 @@ __all__ = [
     "MCEstimate",
     "HTableRow",
     "SolverError",
-    "BracketExpansionError",
     "dd_prob",
     "solve_h",
     "mc_oracle",
@@ -91,10 +89,6 @@ class SolverError(RuntimeError):
     """The critical-constant solver could not meet its residual contract."""
 
 
-class BracketExpansionError(SolverError):
-    """The root iteration hit its step limit (pathological spec)."""
-
-
 def _check_probability(p: float) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -119,9 +113,7 @@ class HEquationSpec:
 
     def __post_init__(self):
         # an integer, as dd_prob reads it: k = 2.5 would solve G^2.5 here
-        object.__setattr__(self, "k", operator.index(self.k))
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _check_k(self.k))
         _check_nu(self.nu)
         _check_probability(self.p)
         _check_variant(self.variant)
@@ -191,10 +183,9 @@ def dd_prob(h: float, k: int, nu: int) -> float:
     accumulated as k*log(G) per node, so k up to 1e5 and beyond stays in
     range.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _check_k(k)
     nu = _check_nu(nu)
-    value, _, _ = _dd_integral(float(h), int(k), nu)
+    value, _, _ = _dd_integral(float(h), k, nu)
     return min(max(value, 0.0), 1.0)
 
 
@@ -264,7 +255,7 @@ def solve_h(spec: HEquationSpec) -> HConstant:
     try:
         for iterations in range(1, _MAX_SOLVER_STEPS + 1):
             if not u <= _H_LIMIT:
-                raise BracketExpansionError(f"no root below |h| = {_H_LIMIT:g} for {spec}")
+                raise SolverError(f"no root below |h| = {_H_LIMIT:g} for {spec}")
             tail, gap, slope, nodes, residual = evaluate(u)
             nodes_max = max(nodes_max, nodes)
             if sign == 0:
@@ -285,9 +276,7 @@ def solve_h(spec: HEquationSpec) -> HConstant:
             step_before, last_step = last_step, abs(new - u)
             u = new
         else:
-            raise BracketExpansionError(
-                f"no convergence after {_MAX_SOLVER_STEPS} steps for {spec}"
-            )
+            raise SolverError(f"no convergence after {_MAX_SOLVER_STEPS} steps for {spec}")
     except QuadratureError as err:
         raise SolverError(f"quadrature failed for {spec}: {err}") from err
     if not residual < P_RESIDUAL_TOL:

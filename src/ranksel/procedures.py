@@ -31,13 +31,14 @@ stage-1 mean's error, which is independent of S^2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
-from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_array_limit, chunks
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_array_limit, _check_k, chunks
 from ranksel.hconst import (
     DD,
     HConstant,
@@ -78,6 +79,14 @@ _INT64_LIMIT = 2.0**63
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _check_n0(n0) -> int:
+    """The one check of a pilot size N0: an integer (TypeError) of at least 2."""
+    n0 = operator.index(n0)
+    if n0 < 2:
+        raise ValueError(f"N0 must be >= 2, got {n0}")
+    return n0
+
+
 @dataclass(frozen=True)
 class ProcedureParams:
     """Shared knobs of one selection run: confidence p, gap delta, k, N0."""
@@ -92,12 +101,10 @@ class ProcedureParams:
         _check_probability(self.p)
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _check_k(self.k))
         # every run holds arrays with one entry per population
         _check_array_limit(self.k + 1, "the population count k + 1")
-        if self.n0 < 2:
-            raise ValueError(f"N0 must be >= 2, got {self.n0}")
+        object.__setattr__(self, "n0", _check_n0(self.n0))
         _check_variant(self.variant)
 
     @property
@@ -319,8 +326,7 @@ def run_stage1(
     distributionally indistinguishable and the latter is O(k) instead of
     O(k * n0) per run.
     """
-    if n0 < 2:
-        raise ValueError(f"N0 must be >= 2, got {n0}")
+    n0 = _check_n0(n0)
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     if replications < 1:
@@ -350,8 +356,7 @@ def second_stage_size(s2, h: float, delta: float, n0: int):
         raise ValueError(f"S^2 must be nonnegative, got {np.min(s2)}")
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if n0 < 2:
-        raise ValueError(f"N0 must be >= 2, got {n0}")
+    n0 = _check_n0(n0)
     raw = np.ceil(_size_factor(h, delta) * s2)
     _check_sizes_fit(raw)
     return np.maximum(raw.astype(np.int64), n0 + 1)
@@ -408,8 +413,7 @@ def dd_weights(n0: int, n, s2, h: float, delta: float):
     """
     n = np.asarray(n)
     s2 = np.asarray(s2, dtype=float)
-    if n0 < 2:
-        raise ValueError(f"N0 must be >= 2, got {n0}")
+    n0 = _check_n0(n0)
     if not np.all(n >= n0 + 1):
         raise ValueError(f"need N >= N0 + 1, got N={np.min(n)}, N0={n0}")
     if not np.all(s2 > 0):

@@ -21,7 +21,7 @@ from ranksel.efficiency import (
     estimate_alpha,
     theoretical_eta,
 )
-from ranksel.extremes import MAX_OF_T, TriangularArraySpec, fit_extremes
+from ranksel.extremes import MAX_OF_T, fit_extremes
 from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
 from ranksel.procedures import (
     EXACT,
@@ -221,8 +221,8 @@ def test_criterion_08_growing_pilot_matches_maxmix_oracle():
 
 
 def test_criterion_09_fixed_nu_maxima_look_heavy_tailed():
-    spec = TriangularArraySpec((10, 100, 1000), ScheduleSpec("constant", 3), MAX_OF_T, 10**4)
-    rows = fit_extremes(spec, RandomStream(SEED))
+    rows = fit_extremes((10, 100, 1000), ScheduleSpec("constant", 3), MAX_OF_T, 10**4,
+                        RandomStream(SEED))
     last = rows[-1]
     ok = last.ad_frechet < last.ad_gumbel
     report(

@@ -440,16 +440,33 @@ def test_config_value_outside_its_flag_exits_2(tmp_path, capsys, config):
      "log-growth schedule takes no nu"),
     (["extremes", "--ks", "10", "--nu-schedule", "linear", "--nu", "3", "--replications", "100"],
      "linear schedule takes no nu"),
+    (["efficiency", "--ks", "10", "--p", "0.9", "--replications", "100"],
+     "constant schedule needs nu (--nu)"),
+    (["extremes", "--ks", "10", "--replications", "100"], "constant schedule needs nu (--nu)"),
     (["hconst", "--k", "abc", "--nu", "4", "--p", "0.9"], "--k: "),
     (["hconst", "--ks", "2,x", "--nu", "4", "--p", "0.9"], "--ks: "),
     (["pcs", "--k", "2", "--n0", "5", "--p", "0.8", "--gap", "1.5", "--method", "gibbs"],
      "--method must be one of"),
-], ids=["efficiency-log", "efficiency-power", "extremes-log", "extremes-linear", "k-text",
-        "ks-text", "method"])
+], ids=["efficiency-log", "efficiency-power", "extremes-log", "extremes-linear",
+        "efficiency-no-nu", "extremes-no-nu", "k-text", "ks-text", "method"])
 def test_flag_errors_exit_2(capsys, argv, message):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: " + message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--k", "10", "--ks", "5"], {}),
+    ([], {"k": 10, "ks": [5]}),
+    (["--k", "10"], {"ks": [5]}),
+], ids=["flags", "config", "mixed"])
+def test_hconst_refuses_k_beside_ks(tmp_path, capsys, flags, config):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": "hconst", "nu": 4, "p": 0.9, **config}))
+    assert cli.main(["hconst", "--config", str(path)] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hconst needs exactly one of --ks and --k\n"
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

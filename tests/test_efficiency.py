@@ -50,7 +50,7 @@ def test_schedule_values():
 
 
 def test_schedule_validation():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"constant schedule needs nu \(--nu\)"):
         ScheduleSpec("constant")
     with pytest.raises(ValueError, match="degrees of freedom must be >= 1"):
         ScheduleSpec("constant", 0)

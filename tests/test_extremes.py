@@ -13,7 +13,6 @@ from ranksel.distributions import RandomStream, ScheduleSpec, chunks
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
-    TriangularArraySpec,
     _frechet_fit,
     _sample_maxima,
     ad_distance,
@@ -28,17 +27,39 @@ SEED = 20260814
 NU3 = ScheduleSpec("constant", 3)
 
 
-def test_spec_validation():
+# each refused before any draw: (ks, schedule, statistic, replications)
+REFUSED = {
+    "empty": ((), NU3, MAX_OF_T, 1000),
+    "descending": ((10, 5), NU3, MAX_OF_T, 1000),
+    "repeated": ((5, 5), NU3, MAX_OF_T, 1000),
+    "k0": ((0, 5), NU3, MAX_OF_T, 1000),
+    "statistic": ((5, 10), NU3, "max-of-chi2", 1000),
+    "replications": ((5, 10), NU3, MAX_OF_T, 99),
+    "replications-limit": ((5, 10), NU3, MAX_OF_T, 2**24 + 1),
+    "k-limit": ((5, 2**24 + 1), NU3, MAX_OF_T, 100),
+    "2k-limit": ((5, 2**23 + 1), NU3, MAX_OF_T_SUM, 100),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_fit_extremes_refuses_before_any_draw(monkeypatch, case):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(extremes, "_draw_base", no_draw)
     with pytest.raises(ValueError):
-        TriangularArraySpec((), NU3, MAX_OF_T, 1000)
-    with pytest.raises(ValueError):
-        TriangularArraySpec((10, 5), NU3, MAX_OF_T, 1000)
-    with pytest.raises(ValueError):
-        TriangularArraySpec((5, 5), NU3, MAX_OF_T, 1000)
-    with pytest.raises(ValueError):
-        TriangularArraySpec((5, 10), NU3, "max-of-chi2", 1000)
-    with pytest.raises(ValueError):
-        TriangularArraySpec((5, 10), NU3, MAX_OF_T, 99)
+        fit_extremes(*REFUSED[case], RandomStream(0))
+
+
+def test_fit_extremes_limits_admit_their_bound(monkeypatch):
+    # k = 2^24 (2^23 for the sum) passes the checks and reaches the draws
+    def stop(*args):
+        raise RuntimeError("drawing")
+
+    monkeypatch.setattr(extremes, "_draw_base", stop)
+    for ks, statistic in (((5, 2**24), MAX_OF_T), ((5, 2**23), MAX_OF_T_SUM)):
+        with pytest.raises(RuntimeError, match="drawing"):
+            fit_extremes(ks, NU3, statistic, 100, RandomStream(0))
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
@@ -108,8 +129,6 @@ def test_hill_recovers_pareto_index():
 def test_hill_insufficient_positives():
     assert math.isnan(hill_tail_index(np.full(100, -1.0)))
     assert math.isnan(hill_tail_index(np.arange(1, 15, dtype=float)))
-    with pytest.raises(ValueError):
-        hill_tail_index(np.arange(1.0, 100.0), fraction=1.5)
 
 
 def test_ad_distance_discriminates_families():
@@ -127,8 +146,8 @@ def test_ad_distance_discriminates_families():
 def test_fixed_nu_maxima_prefer_heavy_tail():
     # polynomial tails: the heavy-tailed family must fit better and the
     # advantage must grow with k
-    spec = TriangularArraySpec((10, 1000), NU3, MAX_OF_T, 10**4)
-    by_k = {row.k: row for row in fit_extremes(spec, RandomStream(SEED))}
+    rows = fit_extremes((10, 1000), NU3, MAX_OF_T, 10**4, RandomStream(SEED))
+    by_k = {row.k: row for row in rows}
     assert by_k[1000].ad_frechet < by_k[1000].ad_gumbel
     assert by_k[1000].ad_frechet < by_k[10].ad_frechet
     # tail index of the base t_3 variable is 3; maxima inherit it
@@ -151,13 +170,13 @@ def _frechet_nll(x, c, loc, scale):
 
 
 # the bulk-mc extremes rows, fixed nu = 3, and three edge rows of 100 maxima
+# (ks, schedule, statistic, replications), seed
 FIT_CASES = {
-    "bulk-mc": (TriangularArraySpec((10, 100, 1000), ScheduleSpec("log-growth"),
-                                    MAX_OF_T_SUM, 10**4), 1),
-    "nu3": (TriangularArraySpec((10, 1000), NU3, MAX_OF_T, 10**4), SEED),
-    "cauchy-k1": (TriangularArraySpec((1,), ScheduleSpec("constant", 1), MAX_OF_T, 100), 0),
-    "nu1e6-k1": (TriangularArraySpec((1,), ScheduleSpec("constant", 10**6), MAX_OF_T, 100), 0),
-    "linear-sum-k2": (TriangularArraySpec((2,), ScheduleSpec("linear"), MAX_OF_T_SUM, 100), 0),
+    "bulk-mc": (((10, 100, 1000), ScheduleSpec("log-growth"), MAX_OF_T_SUM, 10**4), 1),
+    "nu3": (((10, 1000), NU3, MAX_OF_T, 10**4), SEED),
+    "cauchy-k1": (((1,), ScheduleSpec("constant", 1), MAX_OF_T, 100), 0),
+    "nu1e6-k1": (((1,), ScheduleSpec("constant", 10**6), MAX_OF_T, 100), 0),
+    "linear-sum-k2": (((2,), ScheduleSpec("linear"), MAX_OF_T_SUM, 100), 0),
 }
 
 
@@ -168,9 +187,10 @@ def case_rows():
 
     def get(case):
         if case not in done:
-            spec, seed = FIT_CASES[case]
-            rows = fit_extremes(spec, RandomStream(seed))
-            maxima = [_sample_maxima(row.k, row.nu, spec.statistic, spec.replications,
+            args, seed = FIT_CASES[case]
+            _, _, statistic, replications = args
+            rows = fit_extremes(*args, RandomStream(seed))
+            maxima = [_sample_maxima(row.k, row.nu, statistic, replications,
                                      RandomStream(seed).substream(row.k)) for row in rows]
             done[case] = rows, maxima
         return done[case]
@@ -225,8 +245,7 @@ def test_fit_columns_other_than_frechet_follow_from_the_maxima(case_rows):
 
 def test_growing_nu_rows_stay_finite():
     # nu = k growth: no limit claim, diagnostics must still be well-defined
-    spec = TriangularArraySpec((5, 50), ScheduleSpec("linear"), MAX_OF_T_SUM, 500)
-    rows = fit_extremes(spec, RandomStream(3))
+    rows = fit_extremes((5, 50), ScheduleSpec("linear"), MAX_OF_T_SUM, 500, RandomStream(3))
     assert [row.nu for row in rows] == [5, 50]
     for row in rows:
         assert math.isfinite(row.median)
@@ -236,13 +255,13 @@ def test_growing_nu_rows_stay_finite():
 
 
 def test_fit_extremes_deterministic_and_thread_independent():
-    spec = TriangularArraySpec((5, 20, 80), ScheduleSpec("constant", 4), MAX_OF_T, 400)
-    a = fit_extremes(spec, RandomStream(11))
-    b = fit_extremes(spec, RandomStream(11))
+    args = ((5, 20, 80), ScheduleSpec("constant", 4), MAX_OF_T, 400)
+    a = fit_extremes(*args, RandomStream(11))
+    b = fit_extremes(*args, RandomStream(11))
     assert a == b
-    assert fit_extremes(spec, RandomStream(12)) != a
+    assert fit_extremes(*args, RandomStream(12)) != a
 
 
 def test_fit_extremes_nu_mapping():
-    spec = TriangularArraySpec((2, 8), ScheduleSpec("log-growth"), MAX_OF_T, 200)
-    assert [row.nu for row in fit_extremes(spec, RandomStream(4))] == [2, 4]
+    rows = fit_extremes((2, 8), ScheduleSpec("log-growth"), MAX_OF_T, 200, RandomStream(4))
+    assert [row.nu for row in rows] == [2, 4]

@@ -1,10 +1,13 @@
-"""Every top-level import of a ranksel module is used.
+"""Every top-level import of a ranksel module is used, and every ``__all__`` name exists.
 
 A deletion can leave behind an import that nothing reads any more; this scan
 finds it.  ``__init__.py`` is exempt: its imports are the package's exports.
+The scan counts ``__all__`` names as used, so a stale ``__all__`` entry would
+hide itself and its import; the second check finds that.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,11 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(ranksel.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_module_all_names_exist(path):
+    name = "ranksel" if path.stem == "__init__" else f"ranksel.{path.stem}"
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

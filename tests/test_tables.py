@@ -2,21 +2,30 @@
 
 ``hconst.h_table`` solves the constant pair at each (k, nu(k)) of
 ``ScheduleSpec.grid``; ``efficiency_curve`` builds its rows on those rows and
-``TriangularArraySpec`` checks its ks through the same grid.
+``fit_extremes`` walks the same grid.  Every k and every pilot size N0 that
+the package takes passes one check each.
 """
 
 import csv
 import io
 
+import numpy as np
 import pytest
 
 import ranksel.cli as cli
 import ranksel.hconst as hconst
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import efficiency_curve
-from ranksel.extremes import MAX_OF_T, TriangularArraySpec
-from ranksel.hconst import SolverError, h_table
-from ranksel.procedures import VariancePrior
+from ranksel.extremes import MAX_OF_T, fit_extremes
+from ranksel.hconst import DD, HEquationSpec, SolverError, dd_prob, h_table
+from ranksel.procedures import (
+    ProblemInstance,
+    ProcedureParams,
+    VariancePrior,
+    dd_weights,
+    run_stage1,
+    second_stage_size,
+)
 
 BAD_KS = {"empty": [], "repeated": [5, 5], "descending": [5, 2], "k0": [0, 5]}
 
@@ -66,7 +75,7 @@ def test_bad_k_lists_raise_in_every_table(ks):
     with pytest.raises(ValueError):
         efficiency_curve(ks, ScheduleSpec("log-growth"), 0.9, 1.0, prior, 10, RandomStream(0))
     with pytest.raises(ValueError):
-        TriangularArraySpec(tuple(ks), ScheduleSpec("constant", 3), MAX_OF_T, 100)
+        fit_extremes(ks, ScheduleSpec("constant", 3), MAX_OF_T, 100, RandomStream(0))
 
 
 @pytest.mark.parametrize("ks", [",".join(map(str, ks)) for ks in BAD_KS.values()],
@@ -84,7 +93,7 @@ def test_bad_k_lists_exit_2_from_every_command(capsys, command, ks):
 
 def test_k0_gets_nu_at_message_from_extremes():
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        TriangularArraySpec((0, 5), ScheduleSpec("constant", 3), MAX_OF_T, 100)
+        fit_extremes((0, 5), ScheduleSpec("constant", 3), MAX_OF_T, 100, RandomStream(0))
 
 
 @pytest.mark.parametrize("command", [
@@ -99,3 +108,31 @@ def test_solver_failure_names_its_k_in_both_commands(monkeypatch, capsys, comman
     assert cli.main(command) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure: k=10: ") and "Traceback" not in err
+
+
+_PAIR = ProblemInstance(np.zeros(2), np.ones(2))
+
+# name: (smallest allowed value, call taking the k or N0 and returning what it keeps)
+INTEGER_ARGS = {
+    "dd_prob": (1, lambda v: dd_prob(1.0, v, 4)),
+    "HEquationSpec": (1, lambda v: HEquationSpec(v, 4, 0.9, DD).k),
+    "ProcedureParams.k": (1, lambda v: ProcedureParams(0.9, 1.0, v, 5, DD).k),
+    "ProcedureParams.n0": (2, lambda v: ProcedureParams(0.9, 1.0, 2, v, DD).n0),
+    "run_stage1": (2, lambda v: run_stage1(_PAIR, v, RandomStream(0)).n0),
+    "second_stage_size": (2, lambda v: second_stage_size([1.0], 2.0, 1.0, v)),
+    "dd_weights": (2, lambda v: dd_weights(v, [10], [1.0], 2.0, 1.0)),
+    "ScheduleSpec.grid": (1, lambda v: ScheduleSpec("linear").grid([v])),
+    "ScheduleSpec.nu_at": (1, lambda v: ScheduleSpec("linear").nu_at(v)),
+}
+
+
+@pytest.mark.parametrize("name", INTEGER_ARGS)
+def test_k_and_n0_are_integers_from_their_floor(name):
+    floor, call = INTEGER_ARGS[name]
+    with pytest.raises(TypeError):
+        call(2.5)
+    for below in range(floor):
+        with pytest.raises(ValueError):
+            call(below)
+    # a numpy integer is taken, and kept as a Python int: the reprs match
+    assert repr(call(np.int64(floor + 1))) == repr(call(floor + 1))
