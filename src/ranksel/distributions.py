@@ -40,20 +40,21 @@ T = TypeVar("T")
 _ARRAY_LIMIT = 2**24
 
 
-def _check_nu(nu) -> int:
-    if not isinstance(nu, (int, np.integer)):
-        raise TypeError(f"degrees of freedom must be an integer, got {nu!r}")
-    if nu < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {nu}")
-    return int(nu)
+def _check_count(value, name: str, least: int = 1, most: int | None = None) -> int:
+    """The one check of a count (k, N0, nu, replications, draws): a Python int in [least, most].
 
-
-def _check_k(k) -> int:
-    """The one check of a population count k: an integer (TypeError) of at least 1."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k
+    A non-integer raises TypeError and a value out of range ValueError; both
+    name the argument.  numpy integers are accepted.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 SCHEDULE_KINDS = ("constant", "log-growth", "power-growth", "linear")
@@ -76,12 +77,12 @@ class ScheduleSpec:
         if self.kind == "constant":
             if self.nu is None:
                 raise ValueError("constant schedule needs nu (--nu)")
-            object.__setattr__(self, "nu", _check_nu(self.nu))
+            object.__setattr__(self, "nu", _check_count(self.nu, "degrees of freedom"))
         elif self.nu is not None:
             raise ValueError(f"{self.kind} schedule takes no nu")
 
     def nu_at(self, k: int) -> int:
-        k = _check_k(k)
+        k = _check_count(k, "k")
         if self.kind == "constant":
             return self.nu
         if self.kind == "log-growth":
@@ -95,7 +96,7 @@ class ScheduleSpec:
 
         The one check of a k list: every table walks its rows through it.
         """
-        ks = [_check_k(k) for k in ks]
+        ks = [_check_count(k, "k") for k in ks]
         if not ks:
             raise ValueError("ks must be non-empty")
         if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -132,7 +133,7 @@ def t_pdf(x, nu: int):
 
     Accepts a scalar or an ndarray and returns the same shape.
     """
-    nu = _check_nu(nu)
+    nu = _check_count(nu, "degrees of freedom")
     arr, scalar = _as_array(x)
     res = np.exp(_t_logpdf(arr, nu))
     return float(res) if scalar else res
@@ -145,7 +146,7 @@ def t_logcdf(x, nu: int):
     x <= 0 it is the CDF itself, well-scaled, so the log is direct; for
     x > 0 it is the (exactly computed) upper tail, taken through log1p.
     """
-    nu = _check_nu(nu)
+    nu = _check_count(nu, "degrees of freedom")
     arr, scalar = _as_array(x)
     lower = stdtr(nu, -np.abs(arr))
     with np.errstate(divide="ignore"):  # a CDF that underflows to 0 has log -inf
@@ -160,7 +161,7 @@ def t_quantile(q: float, nu: int) -> float:
     straddles.  It stays a root search because the solver's integration
     cutoff is this quantile and the printed constants depend on its bits.
     """
-    nu = _check_nu(nu)
+    nu = _check_count(nu, "degrees of freedom")
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must lie in (0, 1), got {q}")
     if q == 0.5:
@@ -282,7 +283,3 @@ def map_blocks(
     counts = [n for _, n in chunks(total, per_item, budget)]
     return map_threads(lambda b: fn(rng.substream(b), counts[b]), range(len(counts)))
 
-
-def _check_array_limit(length: int, what: str) -> None:
-    if length > _ARRAY_LIMIT:
-        raise ValueError(f"{what} must be at most {_ARRAY_LIMIT}, got {length}")

@@ -24,14 +24,12 @@ from typing import Sequence
 import numpy as np
 
 from ranksel.distributions import (
-    RandomStream,
-    ScheduleSpec,
-    _check_array_limit,
-    _check_nu,
-    map_threads,
+    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, map_threads,
 )
 from ranksel.hconst import HConstant, HTableRow, h_table
-from ranksel.procedures import VariancePrior, _size_factor, second_stage_size
+from ranksel.procedures import (
+    _SIZE_TOO_LARGE, VariancePrior, _check_delta, _finite_square, second_stage_size,
+)
 
 __all__ = [
     "AlphaEstimate",
@@ -76,7 +74,7 @@ class EfficiencyRow:
 
 def theoretical_eta(nu: int) -> float:
     """Limit of the total-sample ratio for constant pilot size: 2^(2/nu)."""
-    _check_nu(nu)
+    nu = _check_count(nu, "degrees of freedom")
     return 2.0 ** (2.0 / nu)
 
 
@@ -100,18 +98,15 @@ def estimate_alpha(
     ceil((h/delta)^2 * S^2) does not fit int64, the rule second_stage_size
     applies.
     """
-    nu = _check_nu(nu)
-    if not (delta > 0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
-    _check_array_limit(replications, "replications")
+    nu = _check_count(nu, "degrees of freedom")
+    _check_delta(delta)
+    replications = _check_count(replications, "replications", most=_ARRAY_LIMIT)
     if h <= 0:
         raise ValueError(
             f"alpha is only defined for h > 0, got h={h} (raise p above the symmetry point)"
         )
     n0 = nu + 1
-    r2 = _size_factor(h, delta)
+    r2 = _finite_square(h, delta, _SIZE_TOO_LARGE)
     if not (r2 > 0 and math.isfinite((n0 + 1) / r2)):
         raise ValueError(
             f"(h/delta)^2 = ({h}/{delta})^2 underflows: delta is too large to normalize by"

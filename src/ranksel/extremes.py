@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 from scipy import stats
 
-from ranksel.distributions import RandomStream, ScheduleSpec, _check_array_limit, map_blocks
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, map_blocks
 
 __all__ = [
     "MAX_OF_T",
@@ -131,9 +131,7 @@ def hill_tail_index(sample: np.ndarray) -> float:
     pos = pos[pos > 0]
     if pos.size < 20:
         return float("nan")
-    m = max(2, int(math.floor(HILL_FRACTION * pos.size)))
-    if m + 1 > pos.size:
-        m = pos.size - 1
+    m = max(2, int(math.floor(HILL_FRACTION * pos.size)))  # <= pos.size - 1 as pos.size >= 20
     threshold = pos[-(m + 1)]
     gamma = float(np.mean(np.log(pos[-m:] / threshold)))
     return 1.0 / gamma
@@ -279,10 +277,10 @@ def fit_extremes(
     grid = schedule.grid(ks)
     if statistic not in STATISTICS:
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
-    if replications < 100:
-        raise ValueError(f"need at least 100 replications for stable fits, got {replications}")
-    _check_array_limit(replications, "replications")
+    # at least 100 maxima for stable fits
+    replications = _check_count(replications, "replications", least=100, most=_ARRAY_LIMIT)
     # one replication of the largest k is drawn as a single row
     width = 1 if statistic == MAX_OF_T else 2
-    _check_array_limit(width * grid[-1][0], "the draws per maximum (k, or 2k for the sum)")
+    _check_count(width * grid[-1][0], "the draws per maximum (k, or 2k for the sum)",
+                 most=_ARRAY_LIMIT)
     return tuple(_fit_row(k, nu, statistic, replications, rng.substream(k)) for k, nu in grid)

@@ -42,7 +42,8 @@ import numpy as np
 from scipy.special import stdtrit
 
 from ranksel.distributions import (
-    RandomStream, ScheduleSpec, _check_k, _check_nu, _t_logpdf, map_blocks, t_logcdf, t_quantile,
+    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, _t_logpdf, map_blocks, t_logcdf,
+    t_quantile,
 )
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
@@ -113,8 +114,8 @@ class HEquationSpec:
 
     def __post_init__(self):
         # an integer, as dd_prob reads it: k = 2.5 would solve G^2.5 here
-        object.__setattr__(self, "k", _check_k(self.k))
-        _check_nu(self.nu)
+        object.__setattr__(self, "k", _check_count(self.k, "k"))
+        object.__setattr__(self, "nu", _check_count(self.nu, "degrees of freedom"))
         _check_probability(self.p)
         _check_variant(self.variant)
 
@@ -183,8 +184,8 @@ def dd_prob(h: float, k: int, nu: int) -> float:
     accumulated as k*log(G) per node, so k up to 1e5 and beyond stays in
     range.
     """
-    k = _check_k(k)
-    nu = _check_nu(nu)
+    k = _check_count(k, "k")
+    nu = _check_count(nu, "degrees of freedom")
     value, _, _ = _dd_integral(float(h), k, nu)
     return min(max(value, 0.0), 1.0)
 
@@ -316,12 +317,13 @@ def mc_oracle(
     draws k independent pairs and requires every difference under h.
     Replications run in blocks of about _ORACLE_CHUNK_ELEMENTS variates,
     block b from ``rng.substream(b)`` (see map_blocks), so the estimate does
-    not depend on the CPU count.
+    not depend on the CPU count.  One replication draws k + 1 (DD) or 2k
+    (Rinott) variates as one row, at most 2^24 (ValueError).
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    replications = _check_count(replications, "replications")
     k, nu = spec.k, spec.nu
-    per_rep = (k + 1) if spec.variant == DD else 2 * k
+    per_rep = _check_count((k + 1) if spec.variant == DD else 2 * k,
+                           "the draws per replication (k + 1, or 2k for rinott)", most=_ARRAY_LIMIT)
 
     def block(stream: RandomStream, n: int) -> int:
         gen = stream.generator

@@ -31,14 +31,13 @@ stage-1 mean's error, which is independent of S^2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, ndtr
 
-from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_array_limit, _check_k, chunks
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_count, chunks
 from ranksel.hconst import (
     DD,
     HConstant,
@@ -77,14 +76,28 @@ _BLOCK_ELEMENTS = 2**14
 _INT64_LIMIT = 2.0**63
 # |mu| below this keeps a lognormal prior's scale exp(mu) finite and nonzero.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# The exact method's stage-1 draws of one replication are one array
+_EXACT_STAGE1 = "the exact method's stage-1 draws per replication (k + 1) * N0 (use --method chi2)"
+# Refusals of an overflowing (h/delta)^2 and (delta/h)^2, for _finite_square
+_SIZE_TOO_LARGE = "second-stage size factor (h/delta)^2 = ({a}/{b})^2 does not fit a 64-bit integer"
+_WEIGHTS_TOO_LARGE = "weights need a finite (delta/h)^2, got ({a}/{b})^2: delta is too large"
 
 
-def _check_n0(n0) -> int:
-    """The one check of a pilot size N0: an integer (TypeError) of at least 2."""
-    n0 = operator.index(n0)
-    if n0 < 2:
-        raise ValueError(f"N0 must be >= 2, got {n0}")
-    return n0
+def _check_delta(delta: float) -> None:
+    """The one check of the indifference gap delta: positive and finite."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _finite_square(a: float, b: float, message: str) -> float:
+    """(a / b)^2, or ValueError(message.format(a=a, b=b)) when that is not a finite float."""
+    try:
+        square = (a / b) ** 2
+    except OverflowError:
+        square = math.inf
+    if not math.isfinite(square):
+        raise ValueError(message.format(a=a, b=b))
+    return square
 
 
 @dataclass(frozen=True)
@@ -99,12 +112,11 @@ class ProcedureParams:
 
     def __post_init__(self):
         _check_probability(self.p)
-        if not (self.delta > 0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        object.__setattr__(self, "k", _check_k(self.k))
+        _check_delta(self.delta)
+        object.__setattr__(self, "k", _check_count(self.k, "k"))
         # every run holds arrays with one entry per population
-        _check_array_limit(self.k + 1, "the population count k + 1")
-        object.__setattr__(self, "n0", _check_n0(self.n0))
+        _check_count(self.k + 1, "the population count k + 1", most=_ARRAY_LIMIT)
+        object.__setattr__(self, "n0", _check_count(self.n0, "N0", least=2))
         _check_variant(self.variant)
 
     @property
@@ -206,8 +218,7 @@ class VariancePrior:
         exp(sigma * Z) * exp(mu), the same bits as scipy's lognorm.rvs on
         the same generator; fixed consumes no randomness.
         """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        count = _check_count(count, "count")
         if self.kind == "fixed":
             return np.full(count, self.params[0])
         gen = rng.generator
@@ -324,13 +335,15 @@ def run_stage1(
     normals for the means (mean ~ N(theta, sigma^2/n0)), then as many
     chi-squares for S^2 ~ sigma^2 * chi2_{n0-1} / (n0-1).  The two are
     distributionally indistinguishable and the latter is O(k) instead of
-    O(k * n0) per run.
+    O(k * n0) per run; the exact path refuses more than 2^24 draws per
+    replication (ValueError).
     """
-    n0 = _check_n0(n0)
+    n0 = _check_count(n0, "N0", least=2)
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
+    replications = _check_count(replications, "replications")
+    if method == EXACT:
+        _check_count(instance.size * n0, _EXACT_STAGE1, most=_ARRAY_LIMIT)
     gen = rng.generator
     shape = (replications, instance.size)
     sd = np.sqrt(instance.variances)
@@ -354,48 +367,14 @@ def second_stage_size(s2, h: float, delta: float, n0: int):
     s2 = np.asarray(s2, dtype=float)
     if not np.all(s2 >= 0):
         raise ValueError(f"S^2 must be nonnegative, got {np.min(s2)}")
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n0 = _check_n0(n0)
-    raw = np.ceil(_size_factor(h, delta) * s2)
-    _check_sizes_fit(raw)
-    return np.maximum(raw.astype(np.int64), n0 + 1)
-
-
-def _squared_ratio(a: float, b: float) -> float:
-    """(a / b)^2, inf where Python's power would raise OverflowError."""
-    try:
-        return (a / b) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _size_factor(h: float, delta: float) -> float:
-    """(h/delta)^2, the factor of S^2 in the sample-size rule; ValueError when infinite."""
-    factor = _squared_ratio(h, delta)
-    if not math.isfinite(factor):
-        raise ValueError(
-            f"second-stage size factor (h/delta)^2 = ({h}/{delta})^2 does not fit a 64-bit integer"
-        )
-    return factor
-
-
-def _check_sizes_fit(raw) -> None:
-    """ValueError unless every raw size ceil((h/delta)^2 * S^2) fits int64."""
+    _check_delta(delta)
+    n0 = _check_count(n0, "N0", least=2)
+    raw = np.ceil(_finite_square(h, delta, _SIZE_TOO_LARGE) * s2)
     if not np.all(raw < _INT64_LIMIT):
         raise ValueError(
             f"second-stage size (h/delta)^2*S^2 = {np.max(raw)} does not fit a 64-bit integer"
         )
-
-
-def _variance_target(h: float, delta: float) -> float:
-    """(delta/h)^2, S^2 times the weighted mean's variance over sigma^2; ValueError when infinite."""
-    target = _squared_ratio(delta, h)
-    if not math.isfinite(target):
-        raise ValueError(
-            f"weights need a finite (delta/h)^2, got ({delta}/{h})^2: delta is too large"
-        )
-    return target
+    return np.maximum(raw.astype(np.int64), n0 + 1)
 
 
 def dd_weights(n0: int, n, s2, h: float, delta: float):
@@ -413,16 +392,15 @@ def dd_weights(n0: int, n, s2, h: float, delta: float):
     """
     n = np.asarray(n)
     s2 = np.asarray(s2, dtype=float)
-    n0 = _check_n0(n0)
+    n0 = _check_count(n0, "N0", least=2)
     if not np.all(n >= n0 + 1):
         raise ValueError(f"need N >= N0 + 1, got N={np.min(n)}, N0={n0}")
     if not np.all(s2 > 0):
         raise ValueError(f"S^2 must be positive, got {np.min(s2)}")
     if h <= 0:
         raise ValueError(f"weights need a positive critical constant, got h={h}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    q = _variance_target(h, delta) / s2
+    _check_delta(delta)
+    q = _finite_square(delta, h, _WEIGHTS_TOO_LARGE) / s2
     n2 = n - n0
     # q * n >= 1 iff n >= (h/delta)^2 S^2, which second_stage_size guarantees;
     # tolerate roundoff at the exact boundary.
@@ -487,8 +465,6 @@ def run_procedure(
         raise ValueError(
             f"instance has {instance.size} populations, params expect {params.k + 1}"
         )
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     hval = _h_value(h)
     if params.variant == DD and hval <= 0:
         raise ValueError(
@@ -502,7 +478,7 @@ def run_procedure(
     if method == CHI2:
         if params.variant == DD:
             # delta / h, refused where dd_weights would refuse its square
-            ratio = math.sqrt(_variance_target(hval, params.delta))
+            ratio = math.sqrt(_finite_square(params.delta, hval, _WEIGHTS_TOO_LARGE))
             if not np.all(stage1.variances > 0):
                 raise ValueError(f"S^2 must be positive, got {np.min(stage1.variances)}")
             scale = math.sqrt(params.n0) * ratio / np.sqrt(stage1.variances)
@@ -549,13 +525,16 @@ def estimate_pcs(
     (k + 1 per replication, times n0 on the exact path); block b runs as
     one run_procedure batch on rng.substream(b).  The block size follows
     from the inputs alone, so the estimate does not depend on execution
-    order or thread count.  h is solved from params when not supplied.
+    order or thread count.  h is solved from params when not supplied, after
+    the replication count and the exact method's stage-1 draws per
+    replication are checked.
     """
-    if replications < 1:
-        raise ValueError("replications must be >= 1")
+    replications = _check_count(replications, "replications")
+    per_rep = instance.size * (params.n0 if method == EXACT else 1)
+    if method == EXACT:
+        _check_count(per_rep, _EXACT_STAGE1, most=_ARRAY_LIMIT)
     if h is None:
         h = solve_h(HEquationSpec(params.k, params.nu, params.p, params.variant))
-    per_rep = instance.size * (params.n0 if method == EXACT else 1)
     hits = 0
     total = 0.0
     # serial, not map_blocks: the blocks are small and mostly hold the GIL, so threads only slow it

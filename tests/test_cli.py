@@ -354,7 +354,11 @@ def test_efficiency_bad_delta_exits_2(capsys, delta, message):
     # k = 1e7 fits one row of single t draws, but the sum needs 2k = 2e7
     (["extremes", "--ks", "10000000", "--nu", "3", "--statistic", "max-of-t-sum",
       "--replications", "100"], "draws per maximum"),
-], ids=["extremes", "efficiency", "pcs-k", "extremes-k", "extremes-sum-2k"])
+    # one exact replication draws (k + 1) * N0 = 2.002e7 stage-1 observations;
+    # refused before h is solved
+    (["pcs", "--k", "1000", "--n0", "20000", "--p", "0.9", "--gap", "1.01",
+      "--replications", "1", "--method", "exact"], "--method chi2"),
+], ids=["extremes", "efficiency", "pcs-k", "extremes-k", "extremes-sum-2k", "pcs-exact-n0"])
 def test_replications_beyond_memory_exit_2(capsys, argv, message):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err

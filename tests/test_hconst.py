@@ -191,6 +191,17 @@ def test_mc_oracle_trivial_cases():
     assert est.value == 1.0
 
 
+@pytest.mark.parametrize("k, variant", [(10**9, DD), (2**24, DD), (2**23 + 1, RINOTT)])
+def test_mc_oracle_refuses_rows_beyond_memory(monkeypatch, k, variant):
+    # one replication is one row of k + 1 (DD) or 2k (Rinott) draws, at most 2^24
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(hconst, "map_blocks", no_draws)
+    with pytest.raises(ValueError, match="draws per replication .* must be at most 16777216"):
+        mc_oracle(HEquationSpec(k, 4, 0.9, variant), 2.0, 1, RandomStream(0))
+
+
 def test_mc_oracle_determinism():
     spec = HEquationSpec(4, 5, 0.9, DD)
     a = mc_oracle(spec, 2.5, 10**4, RandomStream(3).substream(8))

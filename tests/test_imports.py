@@ -1,9 +1,12 @@
-"""Every top-level import of a ranksel module is used, and every ``__all__`` name exists.
+"""Every top-level import of a ranksel module is used, every ``__all__`` name exists,
+and every private module-level name is referenced somewhere in the package.
 
 A deletion can leave behind an import that nothing reads any more; this scan
 finds it.  ``__init__.py`` is exempt: its imports are the package's exports.
 The scan counts ``__all__`` names as used, so a stale ``__all__`` entry would
-hide itself and its import; the second check finds that.
+hide itself and its import; the second check finds that.  A consolidation can
+leave behind a private helper or constant that nothing calls any more; the
+third scan finds that.
 """
 
 import ast
@@ -14,7 +17,8 @@ import pytest
 
 import ranksel
 
-MODULES = sorted(p for p in Path(ranksel.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(ranksel.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,3 +60,57 @@ def test_module_all_names_exist(path):
     name = "ranksel" if path.stem == "__init__" else f"ranksel.{path.stem}"
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names loaded (``_f(...)``, ``x = _C``) or taken as attributes (``module._f``) under node."""
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            reads.add(sub.attr)
+    return reads
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    """Private (single-underscore) names a top-level definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level name that no other statement reads.
+
+    Binding a name by its definition or an import does not count as reading
+    it, nor does a read inside its own definition (a recursive call).
+    """
+    statements = [(module, node, _reads(node))
+                  for module, source in sources.items() for node in ast.parse(source).body]
+    return [
+        f"{module}.{name}"
+        for module, node, _ in statements
+        for name in _private_names(node)
+        if not any(name in reads for _, other, reads in statements if other is not node)
+    ]
+
+
+def test_scan_finds_an_unreferenced_private_name():
+    sources = {
+        "a": "_LIMIT = 4\n_OLD: int = 5\ndef _used(x):\n    return x\n"
+             "def _left_behind():\n    return _left_behind()\n__all__ = []\n",
+        "b": "from a import _used, _OLD\nimport a\nprint(_used(a._LIMIT))\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._OLD", "a._left_behind"]
+
+
+def test_package_has_no_unreferenced_private_name():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_private_names(sources) == []

@@ -251,6 +251,8 @@ def test_second_stage_size_validation():
         second_stage_size(-1.0, h=2.0, delta=1.0, n0=4)
     with pytest.raises(ValueError):
         second_stage_size(1.0, h=2.0, delta=0.0, n0=4)
+    with pytest.raises(ValueError, match="finite"):
+        second_stage_size(1.0, h=2.0, delta=math.inf, n0=4)
     with pytest.raises(ValueError):
         second_stage_size(1.0, h=2.0, delta=1.0, n0=1)
     with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 ``hconst.h_table`` solves the constant pair at each (k, nu(k)) of
 ``ScheduleSpec.grid``; ``efficiency_curve`` builds its rows on those rows and
-``fit_extremes`` walks the same grid.  Every k and every pilot size N0 that
-the package takes passes one check each.
+``fit_extremes`` walks the same grid.  Every count the package takes (k, the
+pilot size N0, nu and each replication count) passes one check.
 """
 
 import csv
@@ -14,15 +14,16 @@ import pytest
 
 import ranksel.cli as cli
 import ranksel.hconst as hconst
-from ranksel.distributions import RandomStream, ScheduleSpec
-from ranksel.efficiency import efficiency_curve
+from ranksel.distributions import RandomStream, ScheduleSpec, t_logcdf
+from ranksel.efficiency import efficiency_curve, estimate_alpha
 from ranksel.extremes import MAX_OF_T, fit_extremes
-from ranksel.hconst import DD, HEquationSpec, SolverError, dd_prob, h_table
+from ranksel.hconst import DD, HEquationSpec, SolverError, dd_prob, h_table, mc_oracle
 from ranksel.procedures import (
     ProblemInstance,
     ProcedureParams,
     VariancePrior,
     dd_weights,
+    estimate_pcs,
     run_stage1,
     second_stage_size,
 )
@@ -112,27 +113,53 @@ def test_solver_failure_names_its_k_in_both_commands(monkeypatch, capsys, comman
 
 _PAIR = ProblemInstance(np.zeros(2), np.ones(2))
 
-# name: (smallest allowed value, call taking the k or N0 and returning what it keeps)
+_PAIR_PARAMS = ProcedureParams(0.9, 1.0, 1, 5, DD)
+_PRIOR = VariancePrior.inverse_gamma(3.0, 4.0)
+_NU = "degrees of freedom"
+
+# entry point: (the argument's name in messages, smallest allowed value, call
+# taking the count and returning what it keeps)
 INTEGER_ARGS = {
-    "dd_prob": (1, lambda v: dd_prob(1.0, v, 4)),
-    "HEquationSpec": (1, lambda v: HEquationSpec(v, 4, 0.9, DD).k),
-    "ProcedureParams.k": (1, lambda v: ProcedureParams(0.9, 1.0, v, 5, DD).k),
-    "ProcedureParams.n0": (2, lambda v: ProcedureParams(0.9, 1.0, 2, v, DD).n0),
-    "run_stage1": (2, lambda v: run_stage1(_PAIR, v, RandomStream(0)).n0),
-    "second_stage_size": (2, lambda v: second_stage_size([1.0], 2.0, 1.0, v)),
-    "dd_weights": (2, lambda v: dd_weights(v, [10], [1.0], 2.0, 1.0)),
-    "ScheduleSpec.grid": (1, lambda v: ScheduleSpec("linear").grid([v])),
-    "ScheduleSpec.nu_at": (1, lambda v: ScheduleSpec("linear").nu_at(v)),
+    # k and N0
+    "dd_prob": ("k", 1, lambda v: dd_prob(1.0, v, 4)),
+    "HEquationSpec": ("k", 1, lambda v: HEquationSpec(v, 4, 0.9, DD).k),
+    "ProcedureParams.k": ("k", 1, lambda v: ProcedureParams(0.9, 1.0, v, 5, DD).k),
+    "ProcedureParams.n0": ("N0", 2, lambda v: ProcedureParams(0.9, 1.0, 2, v, DD).n0),
+    "run_stage1": ("N0", 2, lambda v: run_stage1(_PAIR, v, RandomStream(0)).n0),
+    "second_stage_size": ("N0", 2, lambda v: second_stage_size([1.0], 2.0, 1.0, v)),
+    "dd_weights": ("N0", 2, lambda v: dd_weights(v, [10], [1.0], 2.0, 1.0)),
+    "ScheduleSpec.grid": ("k", 1, lambda v: ScheduleSpec("linear").grid([v])),
+    "ScheduleSpec.nu_at": ("k", 1, lambda v: ScheduleSpec("linear").nu_at(v)),
+    # nu
+    "HEquationSpec.nu": (_NU, 1, lambda v: HEquationSpec(2, v, 0.9, DD).nu),
+    "ScheduleSpec.nu": (_NU, 1, lambda v: ScheduleSpec("constant", v).nu),
+    "t_logcdf": (_NU, 1, lambda v: t_logcdf(1.0, v)),
+    "estimate_alpha.nu": (_NU, 1, lambda v: estimate_alpha(2.0, v, 1.0, _PRIOR, 10,
+                                                           RandomStream(0))),
+    # replication counts
+    "run_stage1.replications": (
+        "replications", 1,
+        lambda v: run_stage1(_PAIR, 5, RandomStream(0), replications=v).means.tolist()),
+    "estimate_pcs": ("replications", 1,
+                     lambda v: estimate_pcs(_PAIR_PARAMS, _PAIR, v, RandomStream(0), h=2.0)),
+    "estimate_alpha.replications": (
+        "replications", 1, lambda v: estimate_alpha(2.0, 4, 1.0, _PRIOR, v, RandomStream(0))),
+    "mc_oracle": ("replications", 1,
+                  lambda v: mc_oracle(HEquationSpec(2, 4, 0.9, DD), 2.0, v, RandomStream(0))),
+    "fit_extremes": ("replications", 100, lambda v: fit_extremes(
+        [2], ScheduleSpec("constant", 3), MAX_OF_T, v, RandomStream(0))),
+    "VariancePrior.sample": ("count", 1,
+                             lambda v: _PRIOR.sample(v, RandomStream(0)).tolist()),
 }
 
 
 @pytest.mark.parametrize("name", INTEGER_ARGS)
 def test_k_and_n0_are_integers_from_their_floor(name):
-    floor, call = INTEGER_ARGS[name]
-    with pytest.raises(TypeError):
+    argument, floor, call = INTEGER_ARGS[name]
+    with pytest.raises(TypeError, match=f"^{argument} must be an integer, got 2.5$"):
         call(2.5)
-    for below in range(floor):
-        with pytest.raises(ValueError):
+    for below in {0, floor - 1}:
+        with pytest.raises(ValueError, match=f"^{argument} must be >= {floor}, got {below}$"):
             call(below)
     # a numpy integer is taken, and kept as a Python int: the reprs match
     assert repr(call(np.int64(floor + 1))) == repr(call(floor + 1))
