@@ -2,12 +2,15 @@
 
 For each k the array draws k i.i.d. copies of a base statistic (a single
 t variable, or a sum of two independent t variables) whose degrees of
-freedom may themselves depend on k, and records the sample maximum.  With
-nu fixed the classical theory applies (regularly varying tails, Frechet
-domain); when nu grows with k the limiting law is unresolved, so this
-module only emits per-k fit diagnostics: location/spread summaries,
-Anderson-Darling distances to best-fit Gumbel and Frechet, and a
-Hill-style tail-index estimate.  No limit claim is made.
+freedom may themselves depend on k, and records the sample maximum.  The
+sampler draws only the positive statistics of each row, about k/2 of them,
+after their Binomial(k, 1/2) count; by the base statistic's symmetry each
+maximum then has exactly the law of the maximum of k full draws (see
+_draw_base).  With nu fixed the classical theory applies (regularly varying
+tails, Frechet domain); when nu grows with k the limiting law is
+unresolved, so this module only emits per-k fit diagnostics:
+location/spread summaries, Anderson-Darling distances to best-fit Gumbel
+and Frechet, and a Hill-style tail-index estimate.  No limit claim is made.
 
 Both fits are maximum likelihood.  The Gumbel fit is scipy's; the Frechet
 fit profiles the scale out in closed form and climbs the remaining
@@ -67,25 +70,44 @@ class ExtremeFitRow:
     hill_index: float
 
 
-def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic: str) -> np.ndarray:
-    """A (count, k) array of independent base statistics.
+def _draw_half(gen: np.random.Generator, n: int, nu: int, statistic: str) -> np.ndarray:
+    """n independent copies of |X|, X the base statistic.
 
     A t variable is the normal variance mixture Z*sqrt(nu/V), V ~ chi2_nu, so
-    given the two chi-squares T1 + T2 is N(0, nu/V1 + nu/V2).  The sum is
-    drawn as two standard gammas G = V/2 and one normal,
-    Z*sqrt(nu/2 * (1/G1 + 1/G2)): one normal fewer than two t draws.
+    given the two chi-squares T1 + T2 is N(0, nu/V1 + nu/V2).  With standard
+    gammas G = V/2, |X| is |Z|*S: S = sqrt(nu/(2G)) for t and
+    sqrt(nu/2 * (1/G1 + 1/G2)) for the sum, one normal per copy either way.
     """
-    if statistic == MAX_OF_T:
-        return gen.standard_t(nu, size=(count, k))
-    g = gen.standard_gamma(nu / 2.0, size=(2, count, k))
+    g = gen.standard_gamma(nu / 2.0, size=(1 if statistic == MAX_OF_T else 2, n))
     np.reciprocal(g, out=g)
-    total, z = g[0], g[1]
-    total += z  # 1/G1 + 1/G2
-    gen.standard_normal(out=z)  # the second half is free once summed
-    total *= nu / 2.0
-    np.sqrt(total, out=total)
-    total *= z
-    return total
+    scale = g.sum(axis=0)  # 1/G, or 1/G1 + 1/G2
+    scale *= nu / 2.0
+    np.sqrt(scale, out=scale)
+    z = gen.standard_normal(n)
+    np.abs(z, out=z)
+    z *= scale
+    return z
+
+
+def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic: str) -> np.ndarray:
+    """Maxima of `count` independent rows of k base statistics.
+
+    Only a row's positive statistics can be its maximum, so only those are
+    drawn.  The base statistic X is continuous and symmetric about 0, so its
+    sign is a fair coin independent of |X|: among k i.i.d. copies the number
+    of positive ones is m ~ Binomial(k, 1/2), and given m they are m i.i.d.
+    copies of |X| (_draw_half).  A row with m >= 1 has the maximum of its m
+    draws; a row with m = 0 (probability 2^-k) has k negative draws, whose
+    maximum is minus the minimum of k copies of |X|.  The law of every
+    maximum is exactly that of k full draws, from about half the variates.
+    """
+    m = gen.binomial(k, 0.5, size=count)
+    negative = m == 0
+    m[negative] = k
+    x = _draw_half(gen, int(m.sum()), nu, statistic)
+    if negative.any():
+        np.negative(x, out=x, where=np.repeat(negative, m))
+    return np.maximum.reduceat(x, np.cumsum(m) - m)
 
 
 def _sample_maxima(
@@ -93,14 +115,15 @@ def _sample_maxima(
 ) -> np.ndarray:
     """Maxima of `replications` independent rows of k base draws.
 
-    Rows are drawn in blocks of about _CHUNK_ELEMENTS variates, block b
-    from ``rng.substream(b)`` (see map_blocks), so the maxima depend on the
-    inputs alone, not on the CPU count.
+    Rows are drawn in blocks of about _CHUNK_ELEMENTS t variables (k, or 2k
+    for the sum, per row), block b from ``rng.substream(b)`` by one
+    _draw_base call (see map_blocks), so the maxima depend on the inputs
+    alone, not on the CPU count.
     """
     per_rep = k if statistic == MAX_OF_T else 2 * k
 
     def block(stream: RandomStream, n: int) -> np.ndarray:
-        return _draw_base(stream.generator, n, k, nu, statistic).max(axis=1)
+        return _draw_base(stream.generator, n, k, nu, statistic)
 
     return np.concatenate(map_blocks(block, replications, per_rep, _CHUNK_ELEMENTS, rng))
 

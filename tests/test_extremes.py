@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import stdtr
+from scipy.optimize import brentq
+from scipy.special import stdtr, stdtrit
 
 import ranksel.distributions as distributions
 import ranksel.extremes as extremes
@@ -70,12 +71,36 @@ def test_sample_maxima_independent_of_worker_count(monkeypatch, statistic):
     rng = RandomStream(5).substream(3)
     per_rep = 12 if statistic == MAX_OF_T else 24
     reference = np.concatenate([
-        extremes._draw_base(rng.substream(b).generator, n, 12, 3, statistic).max(axis=1)
+        extremes._draw_base(rng.substream(b).generator, n, 12, 3, statistic)
         for b, (_, n) in enumerate(chunks(2001, per_rep, 1000))
     ])
     for workers in (1, 2, 3):
         monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
         assert np.array_equal(_sample_maxima(12, 3, statistic, 2001, rng), reference)
+
+
+def test_sample_maxima_call_draw_base_once_per_block(monkeypatch):
+    # the benchmark tallies extremes draws as count * k * width from each
+    # _draw_base(gen, count, k, nu, statistic) call: one call per block, all
+    # arguments positional, counts summing to the replications, so bulk-mc's
+    # extremes command tallies k * replications * 2 = 22 200 000 draws
+    draw, calls = extremes._draw_base, []
+
+    def record(*args, **kwargs):
+        assert not kwargs and len(args) == 5
+        calls.append(args[1:])
+        return draw(*args)
+
+    monkeypatch.setattr(extremes, "_draw_base", record)
+    tally = 0
+    for k, nu in ScheduleSpec("log-growth").grid((10, 100, 1000)):
+        del calls[:]
+        maxima = _sample_maxima(k, nu, MAX_OF_T_SUM, 10**4, RandomStream(1).substream(k))
+        blocks = [n for _, n in chunks(10**4, 2 * k, extremes._CHUNK_ELEMENTS)]
+        assert maxima.shape == (10**4,)
+        assert sorted(calls) == sorted((n, k, nu, MAX_OF_T_SUM) for n in blocks)
+        tally += sum(n * k * 2 for n, *_ in calls)
+    assert tally == 22_200_000
 
 
 def test_max_of_t_maxima_follow_exact_law():
@@ -85,38 +110,76 @@ def test_max_of_t_maxima_follow_exact_law():
     assert stats.kstest(maxima, lambda x: stdtr(nu, x) ** k).pvalue > 0.001
 
 
+# CDFs of the two base statistics: P(T1 + T2 <= x) = P(T2 - T1 <= x) = dd_prob(x, 1, nu)
+BASE_CDF = {MAX_OF_T: lambda x, nu: stdtr(nu, x), MAX_OF_T_SUM: lambda x, nu: dd_prob(x, 1, nu)}
+# both sides of 0: at k = 1 and 2 a half and a quarter of the rows have no
+# positive statistic, and their maxima are negative
+LAW_POINTS = (-8.0, -3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 3.0, 8.0, 30.0, 200.0)
+
+
+def _assert_counts_follow(sample, cdf):
+    # each count of draws at or below x must lie in its exact binomial
+    # interval (level 1e-6 per point)
+    for x in LAW_POINTS:
+        law = cdf(x)
+        lo, hi = stats.binom.interval(1 - 1e-6, sample.size, law)
+        assert lo <= np.count_nonzero(sample <= x) <= hi, (x, law)
+
+
 @pytest.mark.parametrize("nu", [1, 3, 8])
 def test_draw_base_t_sum_follows_exact_law(nu):
-    # P(T1 + T2 <= x) = P(T2 - T1 <= x) = dd_prob(x, 1, nu), and a row maximum
-    # of k sums has CDF dd_prob(x, 1, nu)^k; each count of draws at or below x
-    # must lie in its exact binomial interval (level 1e-6 per point)
-    k, rows = 5, 20_000
-    draws = extremes._draw_base(RandomStream(5).substream(4, nu).generator, rows, k, nu,
-                                MAX_OF_T_SUM)
-    assert draws.shape == (rows, k)
-    maxima = draws.max(axis=1)
-    for x in (-8.0, -3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 3.0, 8.0):
-        prob = dd_prob(x, 1, nu)
-        for sample, law in ((draws, prob), (maxima, prob**k)):
-            lo, hi = stats.binom.interval(1 - 1e-6, sample.size, law)
-            assert lo <= np.count_nonzero(sample <= x) <= hi, (x, law)
+    # a row maximum of k sums has CDF dd_prob(x, 1, nu)^k
+    for k in (1, 2, 100):
+        gen = RandomStream(5).substream(4, nu, k).generator
+        maxima = extremes._draw_base(gen, 20_000, k, nu, MAX_OF_T_SUM)
+        assert maxima.shape == (20_000,)
+        _assert_counts_follow(maxima, lambda x: dd_prob(x, 1, nu) ** k)
 
 
-def test_sample_max_monotone_in_k_under_shared_stream():
-    # the generator hands out t draws as a prefix sequence, so the max over
-    # a larger k from a fresh identical stream dominates the smaller one
-    vals = [extremes._draw_base(RandomStream(77).substream(0).generator, 1, k, 3, MAX_OF_T).max()
-            for k in (10, 100, 1000)]
-    assert vals[0] <= vals[1] <= vals[2]
+@pytest.mark.parametrize("nu", [1, 3, 8])
+def test_draw_base_t_follows_exact_law(nu):
+    # a row maximum of k t draws has CDF stdtr(nu, x)^k
+    for k in (1, 2):
+        maxima = extremes._draw_base(RandomStream(6).substream(nu, k).generator, 20_000, k, nu,
+                                     MAX_OF_T)
+        _assert_counts_follow(maxima, lambda x: stdtr(nu, x) ** k)
+
+
+@pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
+@pytest.mark.parametrize("nu", [1, 3, 8])
+def test_draw_half_follows_half_law(statistic, nu):
+    # |X| of a symmetric X has CDF 2 F(x) - 1 for x >= 0, and no mass below 0
+    cdf = BASE_CDF[statistic]
+    draws = extremes._draw_half(RandomStream(7).substream(nu).generator, 10**5, nu, statistic)
+    _assert_counts_follow(draws, lambda x: max(0.0, 2.0 * cdf(x, nu) - 1.0))
+
+
+def test_sample_max_medians_rise_with_k_at_exact_law():
+    # the median of a row maximum of k t_3 draws is stdtrit(3, 2^(-1/k)):
+    # increasing in k, and each sample median must lie within its exact
+    # binomial interval (level 1e-6)
+    n, medians = 4001, []
+    for k in (10, 100, 1000):
+        maxima = _sample_maxima(k, 3, MAX_OF_T, n, RandomStream(77).substream(k))
+        exact = stdtrit(3, 0.5 ** (1.0 / k))
+        lo, hi = stats.binom.interval(1 - 1e-6, n, 0.5)
+        assert lo <= np.count_nonzero(maxima <= exact) <= hi, (k, exact)
+        medians.append(np.median(maxima))
+    assert medians[0] < medians[1] < medians[2]
 
 
 def test_sum_statistic_is_symmetric():
-    # summand is symmetric around zero: the per-draw median is zero
+    # at k = 1 a row maximum is one sum, symmetric around zero: its median is zero
     gen = RandomStream(SEED).substream(1).generator
-    draws = extremes._draw_base(gen, 1000, 100, 3, MAX_OF_T_SUM).ravel()
-    # median se ~ 1/(2 f(0) sqrt(n)); f(0) for a sum of two t_3 is below 0.37
-    assert abs(np.median(draws)) < 3.0 * 0.022
+    draws = extremes._draw_base(gen, 10**5, 1, 3, MAX_OF_T_SUM)
+    # median se ~ 1/(2 f(0) sqrt(n)) = 0.0069, f(0) = 0.2297 for a sum of two t_3
+    assert abs(np.median(draws)) < 3.0 * 0.0069
     assert abs(np.mean(draws < 0) - 0.5) < 3.0 * math.sqrt(0.25 / 10**5)
+    # the half-law helper: |T1 + T2| has median x with dd_prob(x, 1, 3) = 3/4,
+    # about 1.209, and density 2 f(x) = 0.333 there: median se 0.0047
+    half = extremes._draw_half(gen, 10**5, 3, MAX_OF_T_SUM)
+    x = brentq(lambda x: dd_prob(x, 1, 3) - 0.75, 0.0, 5.0)
+    assert abs(np.median(half) - x) < 3.0 * 0.0047
 
 
 def test_hill_recovers_pareto_index():
