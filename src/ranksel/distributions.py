@@ -15,7 +15,7 @@ import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -38,6 +38,8 @@ T = TypeVar("T")
 # Longest array a command may hold in memory (replications, populations or
 # draws in one row): one float array of this length is 128 MiB.
 _ARRAY_LIMIT = 2**24
+# Variates per block of map_blocks: the one block size of the pooled Monte Carlo loops
+_POOLED_BLOCK_ELEMENTS = 2**19
 
 
 def _check_count(value, name: str, least: int = 1, most: int | None = None) -> int:
@@ -120,7 +122,8 @@ def _log_gamma_ratio(nu: int) -> float:
 
 def _t_logpdf(x: np.ndarray, nu: int) -> np.ndarray:
     lognorm = _log_gamma_ratio(nu) - 0.5 * math.log(nu * math.pi)
-    return lognorm - ((nu + 1) / 2.0) * np.log1p(x * x / nu)
+    with np.errstate(over="ignore"):  # x * x overflows past |x| = 1.3e154, where g < 2e-309
+        return lognorm - ((nu + 1) / 2.0) * np.log1p(x * x / nu)
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -208,17 +211,15 @@ class RandomStream:
         return self._gen
 
 
-def chunks(total: int, per_item: int, budget: int) -> Iterator[tuple[int, int]]:
-    """``(start, count)`` runs covering ``range(total)`` in order.
+def chunks(total: int, per_item: int, budget: int) -> list[int]:
+    """Item counts of the blocks that cover ``total`` items in order.
 
-    Each run holds ``budget // per_item`` items (at least one), so a run of
-    items costing ``per_item`` elements each stays within ``budget``
-    elements.  A caller that draws every run from one generator in this
-    order gets results that do not depend on ``budget``.
+    Each block holds ``budget // per_item`` items (at least one), the last
+    what is left, so a block of items costing ``per_item`` elements each
+    stays within ``budget`` elements.
     """
     size = max(1, budget // per_item)
-    for start in range(0, total, size):
-        yield start, min(size, total - start)
+    return [min(size, total - start) for start in range(0, total, size)]
 
 
 def _worker_count() -> int:
@@ -267,19 +268,15 @@ def map_threads(fn: Callable[[U], T], items: Iterable[U]) -> list[T]:
 
 
 def map_blocks(
-    fn: Callable[[RandomStream, int], T],
-    total: int,
-    per_item: int,
-    budget: int,
-    rng: RandomStream,
+    fn: Callable[[RandomStream, int], T], total: int, per_item: int, rng: RandomStream
 ) -> list[T]:
-    """``fn(rng.substream(b), count)`` for each block b of ``chunks(total, per_item, budget)``.
+    """``fn(rng.substream(b), count)`` for each block b of ``total`` items.
 
-    Results come back in block order; the blocks run through map_threads.
-    Block b draws only from substream b, so the results depend on the inputs
-    and the budget, never on the CPU count or the order in which blocks
-    finish.
+    The blocks are ``chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)``: about
+    2^19 variates each for items of ``per_item`` variates.  Results come back
+    in block order; the blocks run through map_threads.  Block b draws only
+    from substream b, so the results depend on the inputs alone, never on
+    the CPU count or the order in which blocks finish.
     """
-    counts = [n for _, n in chunks(total, per_item, budget)]
+    counts = chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)
     return map_threads(lambda b: fn(rng.substream(b), counts[b]), range(len(counts)))
-

@@ -44,7 +44,6 @@ MAX_OF_T_SUM = "max-of-t-sum"
 STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
-_CHUNK_ELEMENTS = 2**19
 
 # Frechet fit: Newton starts at shape c = 10, moves c or v by at most a
 # factor e^2 a step, and stops once the Newton decrement (twice the
@@ -115,17 +114,17 @@ def _sample_maxima(
 ) -> np.ndarray:
     """Maxima of `replications` independent rows of k base draws.
 
-    Rows are drawn in blocks of about _CHUNK_ELEMENTS t variables (k, or 2k
-    for the sum, per row), block b from ``rng.substream(b)`` by one
-    _draw_base call (see map_blocks), so the maxima depend on the inputs
-    alone, not on the CPU count.
+    Rows are drawn in map_blocks' blocks of about 2^19 t variables (k, or
+    2k for the sum, per row), block b from ``rng.substream(b)`` by one
+    _draw_base call, so the maxima depend on the inputs alone, not on the
+    CPU count.
     """
     per_rep = k if statistic == MAX_OF_T else 2 * k
 
     def block(stream: RandomStream, n: int) -> np.ndarray:
         return _draw_base(stream.generator, n, k, nu, statistic)
 
-    return np.concatenate(map_blocks(block, replications, per_rep, _CHUNK_ELEMENTS, rng))
+    return np.concatenate(map_blocks(block, replications, per_rep, rng))
 
 
 def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:

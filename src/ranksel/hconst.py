@@ -77,7 +77,6 @@ _LOG_STEP_RATIO = 1.01
 _MAX_STEP_FACTOR = 1024.0
 # Largest |h| the solver evaluates; beyond it the panel edges overflow
 _H_LIMIT = 1e300
-_ORACLE_CHUNK_ELEMENTS = 4_000_000
 # Integrals kept per process.  A solve takes its residual from the same
 # evaluation as its last Newton step, so hits come only from a spec solved
 # again by a later call in the same process (a second command on the same
@@ -315,10 +314,10 @@ def mc_oracle(
     Kept independent of the quadrature/CDF path: the DD event draws k
     competitors plus a reference and compares the max, the Rinott event
     draws k independent pairs and requires every difference under h.
-    Replications run in blocks of about _ORACLE_CHUNK_ELEMENTS variates,
-    block b from ``rng.substream(b)`` (see map_blocks), so the estimate does
-    not depend on the CPU count.  One replication draws k + 1 (DD) or 2k
-    (Rinott) variates as one row, at most 2^24 (ValueError).
+    Replications run in map_blocks' blocks of about 2^19 variates, block b
+    from ``rng.substream(b)``, so the estimate does not depend on the CPU
+    count.  One replication draws k + 1 (DD) or 2k (Rinott) variates as one
+    row, at most 2^24 (ValueError).
     """
     replications = _check_count(replications, "replications")
     k, nu = spec.k, spec.nu
@@ -334,7 +333,7 @@ def mc_oracle(
         diffs = draws[:, :, 0] - draws[:, :, 1]
         return int(np.count_nonzero(diffs.max(axis=1) <= h))
 
-    hits = sum(map_blocks(block, replications, per_rep, _ORACLE_CHUNK_ELEMENTS, rng))
+    hits = sum(map_blocks(block, replications, per_rep, rng))
     value = hits / replications
     std_error = math.sqrt(value * (1.0 - value) / replications)
     return MCEstimate(value, std_error, replications)

@@ -1,6 +1,7 @@
 """Command-line behavior: schemas, determinism, config round-trips, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -29,6 +30,7 @@ def parse_header(text):
     return json.loads(first[len("# config "):])
 
 
+PCS_PROBE = ["pcs", "--k", "2", "--n0", "3", "--p", "0.9", "--gap", "2", "--replications", "10"]
 HCONST_ARGS = ["hconst", "--ks", "1,4,16", "--nu", "4", "--p", "0.9", "--seed", "3"]
 
 
@@ -471,6 +473,29 @@ def test_hconst_refuses_k_beside_ks(tmp_path, capsys, flags, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: hconst needs exactly one of --ks and --k\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the nu = 1 root lies where t^2 overflows in the log-density
+    (["hconst", "--ks", "1,2", "--nu", "1", "--p", "1e-200"], 3),
+    # S^2 overflows on both methods and is refused as a second-stage size
+    (PCS_PROBE + ["--variances", "1e308,1,1"], 2),
+    (PCS_PROBE + ["--variances", "1e308,1,1", "--method", "exact"], 2),
+    # the exact weights (delta/h)^2/S^2 overflow; NaN statistics are never ranked
+    (PCS_PROBE + ["--variances", "1e-320,1,1", "--method", "exact"], 2),
+    # efficiency's sizes (h/delta)^2 S^2 overflow from a finite S^2
+    (["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9", "--replications", "100",
+      "--prior", "fixed:1e307"], 2),
+], ids=["hconst-nu1", "pcs-huge-var", "pcs-exact-huge-var", "pcs-exact-tiny-var",
+        "efficiency-huge-size"])
+def test_overflow_probes_print_one_error_line(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("solver failure: " if code == 3 else "error: ")
 
 
 def test_solver_failure_exits_3(monkeypatch, capsys):

@@ -210,10 +210,11 @@ def test_substream_nesting_matches_flat_path():
 
 
 def test_chunks_cover_range_in_order():
-    assert list(chunks(10, 3, 7)) == [(0, 2), (2, 2), (4, 2), (6, 2), (8, 2)]
-    assert list(chunks(5, 100, 7)) == [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)]
-    assert list(chunks(5, 1, 1000)) == [(0, 5)]
-    assert list(chunks(0, 1, 10)) == []
+    assert chunks(10, 3, 7) == [2, 2, 2, 2, 2]
+    assert chunks(11, 3, 7) == [2, 2, 2, 2, 2, 1]
+    assert chunks(5, 100, 7) == [1, 1, 1, 1, 1]
+    assert chunks(5, 1, 1000) == [5]
+    assert chunks(0, 1, 10) == []
 
 
 def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
@@ -223,13 +224,14 @@ def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
         return stream.path, stream.generator.standard_normal(n)
 
     want = [(rng.substream(b).path, rng.substream(b).generator.standard_normal(n))
-            for b, (_, n) in enumerate(chunks(10, 3, 7))]
+            for b, n in enumerate(chunks(10, 3, 7))]
+    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 7)
     for workers in (1, 2, 3):
         monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
-        got = map_blocks(fn, 10, 3, 7, rng)
+        got = map_blocks(fn, 10, 3, rng)
         assert [path for path, _ in got] == [path for path, _ in want]
         assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
-        assert map_blocks(fn, 0, 3, 7, rng) == []
+        assert map_blocks(fn, 0, 3, rng) == []
 
 
 def test_map_threads_runs_workers_under_callers_errstate(monkeypatch):

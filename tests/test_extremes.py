@@ -67,12 +67,12 @@ def test_fit_extremes_limits_admit_their_bound(monkeypatch):
 def test_sample_maxima_independent_of_worker_count(monkeypatch, statistic):
     # 2001 rows of 12 draws (24 for the sum) in blocks of 1000 elements: 25 or
     # 49 blocks, each of which must equal _draw_base on its own substream
-    monkeypatch.setattr(extremes, "_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1000)
     rng = RandomStream(5).substream(3)
     per_rep = 12 if statistic == MAX_OF_T else 24
     reference = np.concatenate([
         extremes._draw_base(rng.substream(b).generator, n, 12, 3, statistic)
-        for b, (_, n) in enumerate(chunks(2001, per_rep, 1000))
+        for b, n in enumerate(chunks(2001, per_rep, 1000))
     ])
     for workers in (1, 2, 3):
         monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
@@ -96,7 +96,7 @@ def test_sample_maxima_call_draw_base_once_per_block(monkeypatch):
     for k, nu in ScheduleSpec("log-growth").grid((10, 100, 1000)):
         del calls[:]
         maxima = _sample_maxima(k, nu, MAX_OF_T_SUM, 10**4, RandomStream(1).substream(k))
-        blocks = [n for _, n in chunks(10**4, 2 * k, extremes._CHUNK_ELEMENTS)]
+        blocks = chunks(10**4, 2 * k, distributions._POOLED_BLOCK_ELEMENTS)
         assert maxima.shape == (10**4,)
         assert sorted(calls) == sorted((n, k, nu, MAX_OF_T_SUM) for n in blocks)
         tally += sum(n * k * 2 for n, *_ in calls)

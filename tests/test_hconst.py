@@ -223,13 +223,13 @@ def _oracle_hits(spec, h, gen, n):
 def test_mc_oracle_independent_of_worker_count(monkeypatch, variant):
     # 3001 replications in blocks of 1000 elements: block b must equal the
     # same draws made serially from rng.substream(b)
-    monkeypatch.setattr(hconst, "_ORACLE_CHUNK_ELEMENTS", 1000)
+    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1000)
     spec = HEquationSpec(6, 4, 0.9, variant)
     rng = RandomStream(5).substream(1)
     per_rep = 7 if variant == DD else 12
     hits = sum(
         _oracle_hits(spec, 2.5, rng.substream(b).generator, n)
-        for b, (_, n) in enumerate(chunks(3001, per_rep, 1000))
+        for b, n in enumerate(chunks(3001, per_rep, 1000))
     )
     for workers in (1, 2, 3):
         monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
@@ -504,6 +504,18 @@ def test_solver_converges_from_poor_first_guesses(monkeypatch, guess):
         (1, 10**3, 10**9), (1, 9, 10**6), (1e-6, 0.5, 0.9), (DD, RINOTT)
     ):
         assert solve_h(HEquationSpec(k, nu, p, variant)).residual < 1e-8
+
+
+def test_root_where_the_square_overflows_fails_cleanly():
+    # at nu = 1 and p = 1e-200 the negative root lies beyond |t| = 1.3e154,
+    # where t^2 overflows in the log-density: the solver still fails only
+    # with SolverError, not with numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(_t_logpdf(np.array([1e155, -1e200, math.inf]), 1),
+                              np.full(3, -math.inf))
+        with pytest.raises(SolverError):
+            solve_h(HEquationSpec(1, 1, 1e-200, DD))
 
 
 def test_root_beyond_float_range_fails_cleanly():

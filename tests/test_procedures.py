@@ -3,6 +3,7 @@ two-block weights, selection invariants, the batch against a
 per-population reference loop, and PCS estimation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,43 @@ def test_dd_weights_validation():
         dd_weights(5, np.array([200, 6]), np.array([100.0, 100.0]), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_stage1_variance_beyond_float_range_is_refused_as_size(method):
+    # sigma^2 = 1e308 times a chi-square above 1 (or the exact path's squared
+    # deviations) overflows: S^2 reads inf without a warning, and the size
+    # check refuses it
+    params = params_for(2, n0=3)
+    inst = make_slippage_instance(params, 2.0, (1e308, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stage1 = run_stage1(inst, 3, RandomStream(SEED), method, 10)
+        assert np.isinf(stage1.variances[:, 0]).any()
+        assert np.isfinite(stage1.variances[:, 1:]).all()
+        with pytest.raises(ValueError, match="64-bit"):
+            estimate_pcs(params, inst, 10, RandomStream(SEED), h=2.0, method=method)
+        # a finite S^2 whose size (h/delta)^2 S^2 overflows
+        with pytest.raises(ValueError, match="64-bit"):
+            second_stage_size(1e308, h=4.0, delta=1.0, n0=3)
+
+
+def test_dd_weights_refuse_overflowing_weight_factor():
+    # (delta/h)^2 / S^2 beyond the float range: the weights would be inf and
+    # the weighted means NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="S\\^2 must be positive with"):
+            dd_weights(3, np.array([4, 4]), np.array([1e-320, 1.0]), 2.0, 1.0)
+        # q finite, q * N not
+        with pytest.raises(ValueError, match="S\\^2 must be positive with"):
+            dd_weights(3, 4, 1e-308, 1.0, 1.0)
+        params = params_for(2, n0=3)
+        inst = make_slippage_instance(params, 2.0, (1e-320, 1.0, 1.0))
+        with pytest.raises(ValueError, match="S\\^2 must be positive with"):
+            estimate_pcs(params, inst, 10, RandomStream(0), h=4.0, method=EXACT)
+        # the chi2 path draws the weighted mean from its law without weights
+        assert estimate_pcs(params, inst, 10, RandomStream(0), h=4.0).pcs >= 0.0
+
+
 # ----------------------------------------------------------- full procedure
 
 
@@ -564,8 +602,7 @@ def test_estimate_pcs_sums_its_blocks(monkeypatch, method):
     h = solve_h(HEquationSpec(4, params.nu, 0.75, DD))
     reps = 30
     est = estimate_pcs(params, inst, reps, RandomStream(17), h=h, method=method)
-    blocks = [count for _, count in chunks(reps, 5 * (5 if method == EXACT else 1),
-                                           procedures._BLOCK_ELEMENTS)]
+    blocks = chunks(reps, 5 * (5 if method == EXACT else 1), procedures._BLOCK_ELEMENTS)
     assert blocks == [7, 7, 7, 7, 2]
     hits = total = 0
     for b, count in enumerate(blocks):
