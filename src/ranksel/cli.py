@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,7 +148,9 @@ def _add_params(parser: argparse.ArgumentParser, params) -> None:
         parser.add_argument(_flag(name), metavar=metavar, help=help_text)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The one parser of the process: argparse keeps no state between parse_args calls."""
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", help="JSON config file; explicit flags override it")
     common.add_argument("--out", help="output path, '-' for stdout (default)")

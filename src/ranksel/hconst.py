@@ -164,12 +164,19 @@ def _dd_integral(h: float, k: int, nu: int) -> tuple[float, int, float]:
     T = _tail_cutoff(nu)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        log_cdf = t_logcdf(t + h, nu)
-        log_pdf = _t_logpdf(t, nu)
-        log_slope = _t_logpdf(t + h, nu) + log_pdf
+        n = t.size
+        shifted = t + h
+        log_cdf = t_logcdf(shifted, nu)
+        # log g(t) in the first half, log g(t + h) in the second
+        log_pdf = _t_logpdf(np.concatenate((t, shifted)), nu)
+        log_slope = log_pdf[n:] + log_pdf[:n]
         if k > 1:  # at k = 1, G^0 = 1 also where log G is -inf
             log_slope += (k - 1) * log_cdf
-        return np.stack((np.exp(k * log_cdf + log_pdf), k * np.exp(log_slope)))
+        out = np.empty((2, n))
+        np.exp(k * log_cdf + log_pdf[:n], out=out[0])
+        np.exp(log_slope, out=out[1])
+        out[1] *= k
+        return out
 
     edges = geometric_edges(min(-T, -T + h), max(T, T + h), (0.0, -h))
     res = panel_quadrature(integrand, edges)

@@ -350,12 +350,14 @@ def run_stage1(
     shape = (replications, instance.size)
     sd = np.sqrt(instance.variances)
     if method == EXACT:
-        obs = gen.standard_normal(shape + (n0,)) * sd[:, None] + instance.means[:, None]
-        means = obs.mean(axis=2)
+        # the observations' deviations from theta: S^2 from theta + z * sigma
+        # would read 0 where sigma is below theta's ulp
+        deviations = gen.standard_normal(shape + (n0,)) * sd[:, None]
+        means = instance.means + deviations.mean(axis=2)
     else:
         means = instance.means + sd * gen.standard_normal(shape) / math.sqrt(n0)
     with np.errstate(over="ignore"):  # an S^2 beyond the float range reads inf, refused as a size
-        variances = (obs.var(axis=2, ddof=1) if method == EXACT
+        variances = (deviations.var(axis=2, ddof=1) if method == EXACT
                      else instance.variances * gen.chisquare(n0 - 1, size=shape) / (n0 - 1))
     return Stage1Summary(means, variances, n0)
 
@@ -463,8 +465,13 @@ def run_procedure(
     whose runs are summed.  The chi2 path draws nothing after stage 1: each
     statistic is theta + (mean1 - theta) * scale, with scale sqrt(n0 / N)
     for Rinott and sqrt(n0) * (delta / h) / S for Dudewicz-Dalal, a draw
-    from the statistic's exact law given S^2.  The exact path refuses
-    second-stage sizes above _ARRAY_LIMIT (ValueError).
+    from the statistic's exact law given S^2.  The exact path weights the
+    stage means' deviations from theta, theta + (b * n0 * (mean1 - theta) +
+    c * n2 * (mean2 - theta)) for Dudewicz-Dalal and the plain mean likewise
+    for Rinott.  The DD weights have opposite signs and grow as S shrinks
+    (|b|, |c| about 1e150 at variances 1e-300), so weighting the means
+    themselves would let the rounding of theta swamp the deviations.  It
+    refuses second-stage sizes above _ARRAY_LIMIT (ValueError).
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -498,14 +505,13 @@ def run_procedure(
                 "(--method chi2)"
             )
         n2 = sizes - params.n0
-        mean2 = instance.means + np.sqrt(instance.variances) * (
-            _normal_sums(rng.generator, n2) / n2
-        )
+        dev1 = stage1.means - instance.means
+        dev2 = np.sqrt(instance.variances) * (_normal_sums(rng.generator, n2) / n2)
         if params.variant == DD:
             b, c = dd_weights(params.n0, sizes, stage1.variances, hval, params.delta)
-            statistics = b * params.n0 * stage1.means + c * n2 * mean2
+            statistics = instance.means + (b * params.n0 * dev1 + c * n2 * dev2)
         else:
-            statistics = (params.n0 * stage1.means + n2 * mean2) / sizes
+            statistics = instance.means + (params.n0 * dev1 + n2 * dev2) / sizes
     selected = np.argmax(statistics, axis=1)
     return ProcedureOutcome(
         selected_index=selected,

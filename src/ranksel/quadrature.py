@@ -4,7 +4,11 @@ The critical-constant integrands mix a heavy-tailed density (support out to
 t-quantiles near 1e-12 tail mass, i.e. |t| up to ~1e6 for two degrees of
 freedom) with a sigmoid whose transition zone scales roughly like |t|.
 Uniform panels are hopeless on such domains, so panels are laid out
-geometrically around caller-supplied anchor points.  Each pass applies
+geometrically around caller-supplied anchor points: each anchor spaces edges
+in octaves (1, 2, 4, ... away) up to the next anchor on each side, or to the
+domain end where there is none.  Octaves that ran on past a neighbouring
+anchor would fall |a - b| beside the neighbour's own and cut the far field
+into slivers of that width.  Each pass applies
 QUADPACK's 21-point Kronrod rule to every panel (Piessens et al. 1983,
 qk21) and takes the sum over panels of |K21 - G10| as its error estimate,
 from the same integrand values; while that estimate is above tolerance,
@@ -86,19 +90,30 @@ MAX_REFINEMENTS = 8
 
 
 def geometric_edges(lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndarray:
-    """Panel edges on [lo, hi] spaced in octaves away from each anchor."""
+    """Panel edges on [lo, hi] spaced in octaves away from each anchor.
+
+    An anchor a lays edges at a - 1, a - 2, a - 4, ... while they stay above
+    the next anchor below it (or lo), and at a + 1, a + 2, ... while they stay
+    below the next anchor above it (or hi); the anchors themselves, clamped to
+    [lo, hi], are edges too.  Outside the anchors' hull every panel but the
+    one at the domain end is an octave of the nearer anchor, s to 2s from it.
+    """
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
     span = hi - lo
+    anchors = sorted(anchors)
     edges = [lo, hi]
-    for a in anchors:
+    for i, a in enumerate(anchors):
         edges.append(min(max(a, lo), hi))
-        step = 1.0
-        while step < span:
-            for e in (a - step, a + step):
+        left = max(lo, anchors[i - 1]) if i else lo
+        right = min(hi, anchors[i + 1]) if i + 1 < len(anchors) else hi
+        for direction, limit in ((-1.0, left), (1.0, right)):
+            step = 1.0
+            while step < span and direction * (limit - a) > step:
+                e = a + direction * step
                 if lo < e < hi:
                     edges.append(e)
-            step *= 2.0
+                step *= 2.0
     edges = np.unique(np.asarray(edges, dtype=float))
     # collapse panels that are negligibly thin relative to the domain
     keep = np.concatenate(([True], np.diff(edges) > 1e-12 * span))

@@ -1,9 +1,14 @@
 """Command-line behavior: schemas, determinism, config round-trips, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
+from scipy import stats
 
 import ranksel.cli as cli
 import ranksel.hconst as hconst
@@ -377,6 +382,50 @@ def test_pcs_exact_huge_second_stage_exits_2(capsys):
     assert "Traceback" not in err
     argv[argv.index("exact")] = "chi2"
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("options", [
+    # every variance 1 and means 1e300 apart: theta + z * sigma rounds to theta
+    ["--gap", "1e300", "--replications", "10"],
+    # sigma = 1e-150 below the ulp of theta = -2, -4; the DD weights reach 1e150
+    ["--gap", "2", "--variances", "1e-300,1e-300,1e-300", "--replications", "4000"],
+], ids=["gap-1e300", "variances-1e-300"])
+def test_pcs_exact_on_deviations_meets_p(capsys, options):
+    # the exact path takes S^2 and the weighted statistic from the deviations
+    # from theta, so neither reads 0 nor cancels; every row passes the exact
+    # one-sided binomial bound at p, P(Bin(n, p) <= hits) >= 1e-6
+    argv = ["pcs", "--k", "2", "--n0", "3", "--p", "0.9", "--method", "exact", "--seed", "3"]
+    assert cli.main(argv + options) == 0
+    lines = [line.split(",") for line in capsys.readouterr().out.splitlines()
+             if not line.startswith("#")]
+    rows = [dict(zip(lines[0], line)) for line in lines[1:]]
+    assert [row["variant"] for row in rows] == ["dd", "rinott"]
+    for row in rows:
+        n = int(row["replications"])
+        assert stats.binom.cdf(round(float(row["pcs"]) * n), n, 0.9) >= 1e-6, row
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    # one parser per process; commands after it, a parse error among them,
+    # print what each prints in a fresh process
+    assert cli._build_parser() is cli._build_parser()
+    config = tmp_path / "h.json"
+    config.write_text(json.dumps({"command": "hconst", "ks": [2, 8], "nu": 5, "p": 0.95}))
+    runs = [HCONST_ARGS, ["hconst", "--nu", "4", "--no-such-flag", "1"],
+            PCS_PROBE + ["--seed", "4"], ["--config", str(config)]]
+    in_process = []
+    for argv in runs:
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        in_process.append((rc, strip_timestamp(captured.out), captured.err))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, (rc, out, err) in zip(runs, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "ranksel.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (fresh.returncode, strip_timestamp(fresh.stdout), fresh.stderr) == (rc, out, err)
+    assert [rc for rc, _, _ in in_process] == [0, 2, 0, 0]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

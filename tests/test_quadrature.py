@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import ranksel.hconst as hconst
 from ranksel.quadrature import (
+    ABS_TOL,
     GAUSS_WEIGHTS,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
@@ -123,3 +125,98 @@ def test_stacked_integrand_row0_matches_scalar_bits():
         alone.nodes, alone.refinements, alone.error_estimate)
     assert alone.companion is None
     assert stacked.companion == pytest.approx(0.3 * alone.value, rel=1e-12)
+
+
+def _all_domain_edges(lo, hi, anchors):
+    """The layout before octaves stopped at the neighbouring anchor: every
+    anchor laid octaves across the whole domain (kept as the reference)."""
+    span = hi - lo
+    edges = [lo, hi]
+    for a in anchors:
+        edges.append(min(max(a, lo), hi))
+        step = 1.0
+        while step < span:
+            for e in (a - step, a + step):
+                if lo < e < hi:
+                    edges.append(e)
+            step *= 2.0
+    edges = np.unique(np.asarray(edges, dtype=float))
+    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * span))
+    return edges[keep]
+
+
+def _dd_domain(nu, h):
+    """_dd_integral's interval and anchors at (h, nu)."""
+    T = hconst._tail_cutoff(nu)
+    return min(-T, -T + h), max(T, T + h), (0.0, -h)
+
+
+def _is_octave(distance):
+    # a power of two, up to the rounding of anchor + step
+    return distance > 0 and distance == pytest.approx(2.0 ** round(math.log2(distance)), rel=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi, anchors", [
+    _dd_domain(2, 30.0),
+    _dd_domain(2, -30.0),
+    (-1000.0, 1000.0, (100.0, -5.5)),
+    (-50.0, 60.0, (0.0, 0.3)),
+])
+def test_octaves_stop_at_the_neighbouring_anchor(lo, hi, anchors):
+    # left of the lower anchor only its own octaves, right of the upper one
+    # only its own, between them one of the two
+    a, b = sorted(anchors)
+    edges = geometric_edges(lo, hi, anchors)
+    assert a in edges and b in edges
+    for e in edges[(edges > lo) & (edges < hi)]:
+        if e < a:
+            assert _is_octave(a - e), e
+        elif e > b:
+            assert _is_octave(e - b), e
+        elif a < e < b:
+            assert _is_octave(e - a) or _is_octave(b - e), e
+
+
+@pytest.mark.parametrize("nu", [1, 2, 9, 500])
+@pytest.mark.parametrize("h", [0.5, -0.5, 5.0, -5.0, 30.0, -30.0, 1000.0])
+def test_panels_outside_the_anchor_hull_are_not_slivers(nu, h):
+    # every panel outside the anchors' hull, but the remainder at the domain
+    # end, is at least half as wide as its distance to the nearer anchor
+    lo, hi, anchors = _dd_domain(nu, h)
+    a, b = sorted(anchors)
+    edges = geometric_edges(lo, hi, anchors)
+    for left, right in zip(edges[:-1], edges[1:]):
+        if left == lo or right == hi:
+            continue
+        if right <= a:
+            assert right - left >= 0.5 * (a - right), (left, right)
+        elif left >= b:
+            assert right - left >= 0.5 * (left - b), (left, right)
+
+
+def test_two_anchor_layout_drops_the_far_field_slivers():
+    # nu = 2, h = 30: the all-domain layout pairs every far octave of 0 with
+    # one of -30, 28 panels 30 wide; octaves that stop at the
+    # neighbouring anchor leave 53 panels
+    lo, hi, anchors = _dd_domain(2, 30.0)
+    old = _all_domain_edges(lo, hi, anchors)
+    assert old.size - 1 == 81
+    assert np.count_nonzero(np.diff(old) == 30.0) == 28
+    assert geometric_edges(lo, hi, anchors).size - 1 == 53
+
+
+@pytest.mark.parametrize("nu", [1, 2, 9, 500])
+@pytest.mark.parametrize("k", [1, 10, 100_000])
+@pytest.mark.parametrize("h_of_T", [
+    lambda T: 0.5, lambda T: -0.5, lambda T: 5.0, lambda T: -5.0,
+    lambda T: 0.5 * T, lambda T: -0.5 * T, lambda T: 2.0 * T, lambda T: -2.0 * T,
+], ids=["0.5", "-0.5", "5", "-5", "T/2", "-T/2", "2T", "-2T"])
+def test_dd_integral_matches_the_all_domain_layout(monkeypatch, nu, k, h_of_T):
+    # the same integral to 1e-13 relative.  Where REL_TOL * |value| is below
+    # ABS_TOL the stopping rule is absolute, and there the layouts may differ
+    # by 1e-8 ABS_TOL (nu = 9, k = 1e5, h = -T/2: a value of 3.7e-11, 3.1e-22 apart)
+    h = h_of_T(hconst._tail_cutoff(nu))
+    value = hconst._dd_integral.__wrapped__(h, k, nu)[0]
+    monkeypatch.setattr(hconst, "geometric_edges", _all_domain_edges)
+    reference = hconst._dd_integral.__wrapped__(h, k, nu)[0]
+    assert abs(value - reference) <= 1e-13 * abs(reference) + 1e-8 * ABS_TOL
