@@ -22,10 +22,11 @@ estimate_pcs runs fixed-size replication blocks, each on its own
 substream.
 
 The exact method draws every observation of both stages.  The chi2 method
-draws stage 1 only, as sufficient statistics, and takes each summary
-statistic from its exact law given S^2 (Rinott N(theta, sigma^2 / N),
-Dudewicz-Dalal N(theta, sigma^2 (delta/h)^2 / S^2)) by rescaling the
-stage-1 mean's error, which is independent of S^2.
+draws stage 1 only, as sufficient statistics, and rescales the stage-1
+error X1 - theta, which is independent of S^2, to the statistic's exact
+error law given S^2 (Rinott N(0, sigma^2 / N), Dudewicz-Dalal
+N(0, sigma^2 (delta/h)^2 / S^2)).  Both carry errors, never means, and add
+theta once, at the end, so an error below theta's ulp is not rounded away.
 """
 
 from __future__ import annotations
@@ -266,20 +267,19 @@ class ProblemInstance:
 
 @dataclass(frozen=True, eq=False)
 class Stage1Summary:
-    """Stage-1 means and S^2, each of shape (replications, k + 1)."""
+    """Stage-1 errors X1 - theta of the means, and S^2; each of shape (replications, k + 1)."""
 
-    means: np.ndarray
+    errors: np.ndarray
     variances: np.ndarray
-    n0: int
 
 
 @dataclass(frozen=True, eq=False)
 class ProcedureOutcome:
     """A batch of R runs: (R,) selections, totals and hits; (R, k + 1) sizes and statistics.
 
-    On the exact method the statistics are the weighted (Dudewicz-Dalal) or
-    plain (Rinott) means of the drawn observations; on the chi2 method they
-    are draws from those means' conditional law given S^2.
+    Each statistic is theta plus its error: on the exact method the error of
+    the weighted (Dudewicz-Dalal) or plain (Rinott) mean of the drawn
+    observations, on the chi2 method a draw from that error's law given S^2.
     """
 
     selected_index: np.ndarray
@@ -329,37 +329,33 @@ def run_stage1(
     method: str = EXACT,
     replications: int = 1,
 ) -> Stage1Summary:
-    """Pilot stage of `replications` runs: per-population mean and S^2.
+    """Pilot stage of `replications` runs: per-population error X1 - theta and S^2.
 
-    Both fields have shape (replications, k + 1).  The exact path draws
-    all (replications, k + 1, n0) observations in one call.  The chi2 path
-    draws the sufficient statistics directly: (replications, k + 1)
-    normals for the means (mean ~ N(theta, sigma^2/n0)), then as many
-    chi-squares for S^2 ~ sigma^2 * chi2_{n0-1} / (n0-1).  The two are
-    distributionally indistinguishable and the latter is O(k) instead of
-    O(k * n0) per run; the exact path refuses more than 2^24 draws per
-    replication (ValueError).
+    Both fields have shape (replications, k + 1) and are free of theta.
+    The exact path draws all (replications, k + 1, n0) deviations
+    z * sigma from theta in one call.  The chi2 path draws the sufficient
+    statistics directly: (replications, k + 1) normals for the errors
+    (~ N(0, sigma^2/n0)), then as many chi-squares for
+    S^2 ~ sigma^2 * chi2_{n0-1} / (n0-1).  The two are distributionally
+    indistinguishable and the latter is O(k) instead of O(k * n0) per run;
+    the exact path refuses more than 2^24 draws per replication (ValueError).
     """
     n0 = _check_count(n0, "N0", least=2)
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
     replications = _check_count(replications, "replications")
-    if method == EXACT:
-        _check_count(instance.size * n0, _EXACT_STAGE1, most=_ARRAY_LIMIT)
     gen = rng.generator
     shape = (replications, instance.size)
     sd = np.sqrt(instance.variances)
-    if method == EXACT:
-        # the observations' deviations from theta: S^2 from theta + z * sigma
-        # would read 0 where sigma is below theta's ulp
-        deviations = gen.standard_normal(shape + (n0,)) * sd[:, None]
-        means = instance.means + deviations.mean(axis=2)
-    else:
-        means = instance.means + sd * gen.standard_normal(shape) / math.sqrt(n0)
     with np.errstate(over="ignore"):  # an S^2 beyond the float range reads inf, refused as a size
-        variances = (deviations.var(axis=2, ddof=1) if method == EXACT
-                     else instance.variances * gen.chisquare(n0 - 1, size=shape) / (n0 - 1))
-    return Stage1Summary(means, variances, n0)
+        if method == EXACT:
+            _check_count(instance.size * n0, _EXACT_STAGE1, most=_ARRAY_LIMIT)
+            deviations = gen.standard_normal(shape + (n0,)) * sd[:, None]
+            errors, variances = deviations.mean(axis=2), deviations.var(axis=2, ddof=1)
+        else:
+            errors = sd * gen.standard_normal(shape) / math.sqrt(n0)
+            variances = instance.variances * gen.chisquare(n0 - 1, size=shape) / (n0 - 1)
+    return Stage1Summary(errors, variances)
 
 
 def second_stage_size(s2, h: float, delta: float, n0: int):
@@ -462,16 +458,15 @@ def run_procedure(
     Draw order from rng's one generator: stage 1 as in run_stage1, then,
     on the exact path only, the N - n0 stage-2 observations of every
     (replication, population) in row-major order, one normal sequence
-    whose runs are summed.  The chi2 path draws nothing after stage 1: each
-    statistic is theta + (mean1 - theta) * scale, with scale sqrt(n0 / N)
-    for Rinott and sqrt(n0) * (delta / h) / S for Dudewicz-Dalal, a draw
-    from the statistic's exact law given S^2.  The exact path weights the
-    stage means' deviations from theta, theta + (b * n0 * (mean1 - theta) +
-    c * n2 * (mean2 - theta)) for Dudewicz-Dalal and the plain mean likewise
-    for Rinott.  The DD weights have opposite signs and grow as S shrinks
-    (|b|, |c| about 1e150 at variances 1e-300), so weighting the means
-    themselves would let the rounding of theta swamp the deviations.  It
-    refuses second-stage sizes above _ARRAY_LIMIT (ValueError).
+    whose runs are summed.  Each statistic is theta + error, with theta
+    added once, after the error is formed from stage 1's errors e1.  The
+    chi2 path draws nothing after stage 1: the error is e1 * scale, with
+    scale sqrt(n0 / N) for Rinott and sqrt(n0) * (delta / h) / S for
+    Dudewicz-Dalal, a draw from the error's exact law given S^2.  The exact
+    path weights the two stages, b * n0 * e1 + c * sigma * (sum of the
+    stage-2 normals), with the Dudewicz-Dalal weights (b, c) or Rinott's
+    b = c = 1 / N.  It refuses second-stage sizes above _ARRAY_LIMIT
+    (ValueError).
     """
     if instance.size != params.k + 1:
         raise ValueError(
@@ -496,7 +491,7 @@ def run_procedure(
             scale = math.sqrt(params.n0) * ratio / np.sqrt(stage1.variances)
         else:
             scale = np.sqrt(params.n0 / sizes)
-        statistics = instance.means + (stage1.means - instance.means) * scale
+        errors = stage1.errors * scale
     else:
         if np.max(sizes) > _ARRAY_LIMIT:
             raise ValueError(
@@ -504,14 +499,13 @@ def run_procedure(
                 f"{_ARRAY_LIMIT} observations per population; use the chi2 method "
                 "(--method chi2)"
             )
-        n2 = sizes - params.n0
-        dev1 = stage1.means - instance.means
-        dev2 = np.sqrt(instance.variances) * (_normal_sums(rng.generator, n2) / n2)
+        sums2 = np.sqrt(instance.variances) * _normal_sums(rng.generator, sizes - params.n0)
         if params.variant == DD:
             b, c = dd_weights(params.n0, sizes, stage1.variances, hval, params.delta)
-            statistics = instance.means + (b * params.n0 * dev1 + c * n2 * dev2)
         else:
-            statistics = instance.means + (params.n0 * dev1 + n2 * dev2) / sizes
+            b = c = 1.0 / sizes
+        errors = b * params.n0 * stage1.errors + c * sums2
+    statistics = instance.means + errors
     selected = np.argmax(statistics, axis=1)
     return ProcedureOutcome(
         selected_index=selected,

@@ -208,7 +208,7 @@ def test_stage1_moments_exact_method():
     assert abs(s1.variances.mean() - 1.0) < 3.0 * se
     assert s1.variances.var(ddof=1) == pytest.approx(0.5, rel=0.05)
     mean_se = math.sqrt(1.0 / n0 / 10**5)
-    assert abs(s1.means.mean()) < 3.0 * mean_se
+    assert abs(s1.errors.mean()) < 3.0 * mean_se
 
 
 def test_stage1_methods_agree_in_law():
@@ -216,9 +216,9 @@ def test_stage1_methods_agree_in_law():
     rng = RandomStream(SEED)
     a = run_stage1(inst, 6, rng.substream(3), method=EXACT)
     b = run_stage1(inst, 6, rng.substream(4), method=CHI2)
-    assert a.variances.shape == b.means.shape == (1, 2 * 10**4)
+    assert a.variances.shape == b.errors.shape == (1, 2 * 10**4)
     assert stats.ks_2samp(a.variances[0], b.variances[0]).pvalue > 0.001
-    assert stats.ks_2samp(a.means[0], b.means[0]).pvalue > 0.001
+    assert stats.ks_2samp(a.errors[0], b.errors[0]).pvalue > 0.001
 
 
 def test_stage1_validation():
@@ -229,6 +229,19 @@ def test_stage1_validation():
         run_stage1(inst, 5, RandomStream(0), method="bootstrap")
     with pytest.raises(ValueError):
         run_stage1(inst, 5, RandomStream(0), replications=0)
+
+
+@pytest.mark.parametrize("method", [EXACT, CHI2])
+def test_stage1_errors_scale_with_sigma_below_theta_ulp(method):
+    # sigma = 1e-150 is far below the ulp of theta = -2, -4, yet the errors
+    # X1 - theta and S^2 are the unit-variance ones from the same draws, scaled
+    theta = np.array([0.0, -2.0, -4.0])
+    unit, tiny = (run_stage1(ProblemInstance(theta, np.full(3, variance)), 3,
+                             RandomStream(SEED).substream(7), method, 50)
+                  for variance in (1.0, 1e-300))
+    assert np.all(unit.errors != 0.0)
+    np.testing.assert_allclose(tiny.errors, 1e-150 * unit.errors, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tiny.variances, 1e-300 * unit.variances, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------- sample size
@@ -559,6 +572,19 @@ def test_estimate_pcs_deterministic():
     a = estimate_pcs(params, inst, 500, RandomStream(9).substream(0))
     b = estimate_pcs(params, inst, 500, RandomStream(9).substream(0))
     assert a == b
+
+
+@pytest.mark.parametrize("method, variances", [(CHI2, (1.0, 1e-300)), (EXACT, (1e-20, 1e-300))])
+def test_dd_pcs_does_not_depend_on_sigma(method, variances):
+    # (DD statistic - theta) * h / delta is t_{n0-1} whatever sigma is; with the
+    # same draws the hits must not change when sigma falls below theta's ulp
+    # (on the exact path both variances keep every size at the N0 + 1 floor)
+    params = params_for(2, n0=3)
+    h = solve_h(HEquationSpec(2, params.nu, 0.9, DD))
+    pcs = [estimate_pcs(params, make_slippage_instance(params, 2.0, np.full(3, variance)),
+                        4000, RandomStream(3).substream(0), h=h, method=method).pcs
+           for variance in variances]
+    assert pcs[0] == pcs[1] < 1.0
 
 
 def test_estimate_pcs_huge_gap():

@@ -125,7 +125,7 @@ INTEGER_ARGS = {
     "HEquationSpec": ("k", 1, lambda v: HEquationSpec(v, 4, 0.9, DD).k),
     "ProcedureParams.k": ("k", 1, lambda v: ProcedureParams(0.9, 1.0, v, 5, DD).k),
     "ProcedureParams.n0": ("N0", 2, lambda v: ProcedureParams(0.9, 1.0, 2, v, DD).n0),
-    "run_stage1": ("N0", 2, lambda v: run_stage1(_PAIR, v, RandomStream(0)).n0),
+    "run_stage1": ("N0", 2, lambda v: run_stage1(_PAIR, v, RandomStream(0)).variances.tolist()),
     "second_stage_size": ("N0", 2, lambda v: second_stage_size([1.0], 2.0, 1.0, v)),
     "dd_weights": ("N0", 2, lambda v: dd_weights(v, [10], [1.0], 2.0, 1.0)),
     "ScheduleSpec.grid": ("k", 1, lambda v: ScheduleSpec("linear").grid([v])),
@@ -139,7 +139,7 @@ INTEGER_ARGS = {
     # replication counts
     "run_stage1.replications": (
         "replications", 1,
-        lambda v: run_stage1(_PAIR, 5, RandomStream(0), replications=v).means.tolist()),
+        lambda v: run_stage1(_PAIR, 5, RandomStream(0), replications=v).errors.tolist()),
     "estimate_pcs": ("replications", 1,
                      lambda v: estimate_pcs(_PAIR_PARAMS, _PAIR, v, RandomStream(0), h=2.0)),
     "estimate_alpha.replications": (
