@@ -8,9 +8,11 @@ comes from substreams keyed by stable ids, so the output does not depend on
 the CPU count; --threads is still accepted for old command lines and configs
 and changes nothing.
 
-Each parameter is declared once, in ``PARAMS`` (per command) or ``COMMON``:
-that row builds its flag, and gives its value the same parsing and choices
-whether it comes from the flag or from a config key.
+Each parameter is declared once, in ``PARAMS`` (per command) or ``COMMON``;
+its row builds its flag and config key.  Flags, config keys and $RANKSEL_SEED
+form one mapping, resolved in one pass with the row's parsing and choices
+(flag over key over variable; a JSON null is not given).  A config key no
+parameter declares exits 2; --out and --config are flags only.
 
 Exit codes: 0 success, 2 argument/usage error, 3 solver failure,
 4 I/O failure.
@@ -94,7 +96,7 @@ REQUIRED = object()
 # (name, parse, default or REQUIRED, choices, help); the flag is --name with
 # "-" for "_", the config key is name
 COMMON = (
-    ("seed", _integer, None, None, f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)"),
+    ("seed", _integer, 0, None, f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)"),
     ("format", _text, "csv", FORMATS, "output format (default csv)"),
     ("threads", _integer, 1, None, "accepted for old command lines and ignored (must be >= 1)"),
 )
@@ -165,12 +167,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args: argparse.Namespace, config: dict, params) -> dict:
-    """Each parameter's value: its flag, else its config key, else its default."""
+def _resolve(given: dict, params) -> dict:
+    """Pop each parameter's value from ``given``, else take its default."""
     values = {}
     for name, parse, default, choices, _ in params:
-        value = getattr(args, name, None)
-        value = config.get(name) if value is None else value
+        value = given.pop(name, None)
         if value is None:
             if default is REQUIRED:
                 raise UsageError(f"missing required parameter {_flag(name)}")
@@ -337,30 +338,29 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
-        command = args.command or config.get("command")
+        flags = vars(_build_parser().parse_args(argv))
+        out, path = flags.pop("out", None), flags.pop("config", None)
+        config = _load_config(path) if path else {}
+        command = flags.pop("command") or config.get("command")
         if command is None:
             raise UsageError("no command given (pass a subcommand or a config with one)")
         if not isinstance(command, str) or command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r} in config")
         if config.get("command", command) != command:
             raise UsageError(f"config is for {config['command']!r} but {command!r} was requested")
-        common = _resolve(args, config, COMMON)
-        values = _resolve(args, config, PARAMS[command])
-        seed = common["seed"]
-        if seed is None:
-            try:
-                seed = _integer(os.environ.get(SEED_ENV_VAR, "0"))
-            except ValueError as err:
-                raise UsageError(f"${SEED_ENV_VAR}: {err}") from None
+        given = {name: value for source in ({"seed": os.environ.get(SEED_ENV_VAR)}, config, flags)
+                 for name, value in source.items() if value is not None and name != "command"}
+        seed, fmt, threads = _resolve(given, COMMON).values()
+        values = _resolve(given, PARAMS[command])
+        if given:
+            raise UsageError(f"{command} takes no parameter {min(given)!r}")
         if seed < 0:
             raise UsageError(f"--seed (or ${SEED_ENV_VAR}) must be >= 0, got {seed}")
-        if common["threads"] < 1:
-            raise UsageError(f"threads must be >= 1, got {common['threads']}")
+        if threads < 1:
+            raise UsageError(f"threads must be >= 1, got {threads}")
         rows = _COMMANDS[command](values, seed)
         cfg = {"command": command, **{k: v for k, v in values.items() if v is not None},
-               "seed": seed, "format": common["format"]}
+               "seed": seed, "format": fmt}
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -368,7 +368,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {err}", file=sys.stderr)
         return EXIT_SOLVER
     try:
-        _write(getattr(args, "out", None), _render(common["format"], cfg, rows))
+        _write(out, _render(fmt, cfg, rows))
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)
         return EXIT_IO

@@ -177,8 +177,11 @@ def efficiency_curve(
 
     Row k has nu = schedule.nu_at(k) and pilot size n0 = nu + 1; its
     h_ratio is the table's ratio (NaN, and so are h_ratio_sq and
-    total_ratio, when h_dd is numerically zero).
+    total_ratio, when h_dd is numerically zero).  Each row draws from
+    rng.substream(nu), so a nu of 2^32 or more is refused (ValueError)
+    before any h is solved.
     """
+    _check_count(max(nu for _, nu in schedule.grid(ks)), "degrees of freedom", most=2**32 - 1)
     return tuple(
         _efficiency_row(h, delta, prior, replications, rng) for h in h_table(ks, schedule, p)
     )

@@ -92,6 +92,20 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
+def _check_method(method: str) -> None:
+    """The one check of a stage-sampling method name."""
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+
+
+def _check_instance(instance: ProblemInstance, params: ProcedureParams) -> None:
+    """The one check that an instance holds the k + 1 populations params expect."""
+    if instance.size != params.k + 1:
+        raise ValueError(
+            f"instance has {instance.size} populations, params expect {params.k + 1}"
+        )
+
+
 def _finite_square(a: float, b: float, message: str) -> float:
     """(a / b)^2, or ValueError(message.format(a=a, b=b)) when that is not a finite float."""
     try:
@@ -341,8 +355,7 @@ def run_stage1(
     the exact path refuses more than 2^24 draws per replication (ValueError).
     """
     n0 = _check_count(n0, "N0", least=2)
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
+    _check_method(method)
     replications = _check_count(replications, "replications")
     gen = rng.generator
     shape = (replications, instance.size)
@@ -468,10 +481,7 @@ def run_procedure(
     b = c = 1 / N.  It refuses second-stage sizes above _ARRAY_LIMIT
     (ValueError).
     """
-    if instance.size != params.k + 1:
-        raise ValueError(
-            f"instance has {instance.size} populations, params expect {params.k + 1}"
-        )
+    _check_instance(instance, params)
     hval = _h_value(h)
     if params.variant == DD and hval <= 0:
         raise ValueError(
@@ -531,9 +541,11 @@ def estimate_pcs(
     one run_procedure batch on rng.substream(b).  The block size follows
     from the inputs alone, so the estimate does not depend on execution
     order or thread count.  h is solved from params when not supplied, after
-    the replication count and the exact method's stage-1 draws per
-    replication are checked.
+    the method, the instance's size, the replication count and the exact
+    method's stage-1 draws per replication are checked.
     """
+    _check_method(method)
+    _check_instance(instance, params)
     replications = _check_count(replications, "replications")
     per_rep = instance.size * (params.n0 if method == EXACT else 1)
     if method == EXACT:

@@ -421,10 +421,12 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    for argv, (rc, out, err) in zip(runs, in_process):
-        fresh = subprocess.run([sys.executable, "-m", "ranksel.cli", *argv],
-                               capture_output=True, text=True, env=env)
-        assert (fresh.returncode, strip_timestamp(fresh.stdout), fresh.stderr) == (rc, out, err)
+    # each command in its own fresh process, all started together
+    procs = [subprocess.Popen([sys.executable, "-m", "ranksel.cli", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) for argv in runs]
+    for proc, (rc, out, err) in zip(procs, in_process):
+        stdout, stderr = proc.communicate()
+        assert (proc.returncode, strip_timestamp(stdout), stderr) == (rc, out, err)
     assert [rc for rc, _, _ in in_process] == [0, 2, 0, 0]
 
 
@@ -484,6 +486,40 @@ def test_config_value_outside_its_flag_exits_2(tmp_path, capsys, config):
     assert cli.main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({**PCS_CONFIG, "replication": 50, "variant": "dd"}, "replication"),
+    ({**HCONST_CONFIG, "sed": 7}, "sed"),
+    ({**HCONST_CONFIG, "formt": "jsonl", "sed": 7}, "formt"),
+    ({**HCONST_CONFIG, "out": "never-written.csv"}, "out"),
+    ({**HCONST_CONFIG, "config": "other.json"}, "config"),
+    ({**HCONST_CONFIG, "gap": 2.0}, "gap"),
+], ids=["pcs-replication", "hconst-sed", "first-of-two", "out", "config", "other-commands-key"])
+def test_config_key_no_parameter_declares_exits_2(tmp_path, capsys, monkeypatch, config, key):
+    # a config key is a parameter's name or an error, as a misspelled flag is
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config['command']} takes no parameter {key!r}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_seed_order_is_flag_config_variable_default(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    argv = ["--config", str(path), "--out", str(tmp_path / "a.csv")]
+    for seed, env, flags, want in [(None, None, [], 0), (None, "5", [], 5), (6, "5", [], 6),
+                                   (6, "5", ["--seed", "7"], 7), (None, "5", ["--seed", "7"], 7)]:
+        if env is None:
+            monkeypatch.delenv("RANKSEL_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RANKSEL_SEED", env)
+        path.write_text(json.dumps({**HCONST_CONFIG, "seed": seed}))  # null is not given
+        assert cli.main(argv + flags) == 0
+        assert parse_header((tmp_path / "a.csv").read_text())["seed"] == want
 
 
 @pytest.mark.parametrize("argv, message", [

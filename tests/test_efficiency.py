@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 import ranksel.distributions as distributions
+import ranksel.efficiency as efficiency
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
     AlphaEstimate,
@@ -214,6 +215,20 @@ def test_efficiency_curve_validation():
         efficiency_curve([4, 2], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
     with pytest.raises(ValueError):
         efficiency_curve([2, 2], schedule, 0.9, 1.0, prior, 10, RandomStream(0))
+
+
+@pytest.mark.parametrize("ks, schedule", [
+    ([10], ScheduleSpec("constant", 5_000_000_000)),
+    ([2, 2**130], ScheduleSpec("power-growth")),
+], ids=["constant", "power-growth"])
+def test_efficiency_curve_refuses_unkeyable_nu_before_solving(monkeypatch, ks, schedule):
+    # each row draws from rng.substream(nu), and stream ids stop below 2^32
+    def no_table(*args):
+        raise AssertionError("h_table reached")
+
+    monkeypatch.setattr(efficiency, "h_table", no_table)
+    with pytest.raises(ValueError, match="degrees of freedom must be at most 4294967295"):
+        efficiency_curve(ks, schedule, 0.9, 1.0, VariancePrior.fixed(1.0), 10, RandomStream(0))
 
 
 def test_limit_maxmix_closed_cases():

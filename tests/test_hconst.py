@@ -304,11 +304,16 @@ def test_h_table_skips_repeated_integrals(monkeypatch):
 
     monkeypatch.setattr(hconst, "panel_quadrature", counting)
     clear_integral_caches()
-    rows = h_table([1, 10, 100, 1000, 10000, 100000], ScheduleSpec("constant", 9), 0.99)
+    ks, schedule = [1, 10, 100, 1000, 10000, 100000], ScheduleSpec("constant", 9)
+    rows = h_table(ks, schedule, 0.99)
     solves = [hc for r in rows for hc in (r.dd, r.rinott)]
-    # iterations counts every integral a solve asks for; the residual
-    # re-reads the last one from the cache and costs none
-    assert len(calls) <= sum(hc.iterations for hc in solves)
+    # on a cold cache each integral a solve asks for (its iterations; the
+    # residual comes from the last step's evaluation) is one quadrature ...
+    assert len(calls) == sum(hc.iterations for hc in solves)
+    # ... and the same table solved again is served from the cache alone
+    calls.clear()
+    assert h_table(ks, schedule, 0.99) == rows
+    assert calls == []
 
 
 def test_integral_caches_are_bounded():

@@ -619,6 +619,21 @@ def test_estimate_pcs_accepts_explicit_h():
     assert b.h_used == hc.value
 
 
+def _no_solve(spec):
+    raise AssertionError(f"solve_h reached for {spec}")
+
+
+@pytest.mark.parametrize("method, size, message", [
+    ("gibbs", 3, "method must be one of"),
+    (CHI2, 4, "instance has 4 populations, params expect 3"),
+], ids=["method", "instance-size"])
+def test_estimate_pcs_checks_inputs_before_solving(monkeypatch, method, size, message):
+    monkeypatch.setattr(procedures, "solve_h", _no_solve)
+    instance = ProblemInstance(-2.0 * np.arange(size), np.ones(size))
+    with pytest.raises(ValueError, match=message):
+        estimate_pcs(params_for(2), instance, 10, RandomStream(0), method=method)
+
+
 @pytest.mark.parametrize("method", [CHI2, EXACT])
 def test_estimate_pcs_sums_its_blocks(monkeypatch, method):
     # a small block budget forces several blocks and a partial last one
