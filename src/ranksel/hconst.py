@@ -10,8 +10,7 @@ P_k(h) = p, the Rinott constant P_1(h)^k = p.  Both left-hand sides are
 smooth and strictly increasing in h, so a safeguarded Newton iteration on
 top of the graded quadrature engine solves them to a p-space residual
 below 1e-8.  Each quadrature pass returns the h-derivative beside the
-value, from the same t CDF evaluations, so every Newton step costs one
-integral.
+value, from the same t CDF evaluations, so every step costs one integral.
 
 The Rinott equation is solved in the power-free restatement
 
@@ -24,11 +23,16 @@ mirrored form qbar(-h) = p^(1/k), again on a tail below 1/2.
 
 Both equations are exact at h = 0 (the DD left-hand side is 1/(k+1), qbar
 is 1/2), which gives the sign of the root before any integral.  The solver
-then works on the tail beyond the root as a decreasing function of |h|:
-far from the root it steps in log |h| on the log tail, which is close to
-linear for t tails; near the root it steps on the tail itself.  A step that
-leaves the bracket of evaluated points doubles (bracket open on one side)
-or bisects.
+then works on the tail beyond the root as a decreasing function of |h|.
+From the second integral on, the next |h| solves the cubic Hermite
+interpolant of the log tail against log |h| through the last two
+evaluated points, from their values and slopes.  Where that step is
+undefined or leaves the bracket, a Newton step from the latest point is
+taken instead: far from the root in log |h| on the log tail, which is
+close to linear for t tails, near the root on the tail itself.  A Newton
+step that leaves the bracket of evaluated points doubles (bracket open on
+one side) or bisects.  Only the Newton step at the latest point, or the
+bracket width, ends a solve.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ _LOG_STEP_RATIO = 1.01
 # A step changes |h| by at most this factor: from a tail near its h = 0
 # value a Newton line aims far past the root, where the quadrature may fail
 _MAX_STEP_FACTOR = 1024.0
+# Newton iterations on the Hermite interpolant before its step is abandoned
+_HERMITE_ITERATIONS = 30
 # Largest |h| the solver evaluates; beyond it the panel edges overflow
 _H_LIMIT = 1e300
 # Integrals kept per process.  A solve takes its residual from the same
@@ -212,10 +218,14 @@ def solve_h(spec: HEquationSpec) -> HConstant:
     The iteration runs on u = |h| and on the tail beyond the root, which
     falls from its exact h = 0 value towards 0 as u grows: 1 - P (DD) or
     qbar(h) (Rinott) for a positive root, P or qbar(|h|) = 1 - qbar(h)
-    for a negative one.  It stops when a Newton step is below
-    H_INTERVAL_TOL + 8.9e-16 * |h|, or the bracket is that narrow, and
-    returns the last point it evaluated, with the residual of that point's
-    integral.  ``iterations`` counts integrals asked for, ``bracket`` holds
+    for a negative one.  From the second integral on, each step goes to
+    the root of the cubic Hermite interpolant of (log u, log tail) through
+    the last two points or, where that is undefined or outside the bracket,
+    is the Newton step at the latest point.  The solve stops when that
+    Newton step is below H_INTERVAL_TOL + 8.9e-16 * |h|, or the bracket is
+    that narrow, never on the Hermite step alone, and returns the last
+    point it evaluated, with the residual of that point's integral.
+    ``iterations`` counts integrals asked for, ``bracket`` holds
     the nearest evaluated h on each side of the root (the root itself on a
     side where none was evaluated).
     """
@@ -259,6 +269,7 @@ def solve_h(spec: HEquationSpec) -> HConstant:
     lo, hi = 0.0, math.inf  # u with the tail above / below its goal
     last_step = step_before = math.inf
     nodes_max = 0
+    previous = None  # (u, tail, slope) of the evaluation before the latest
     try:
         for iterations in range(1, _MAX_SOLVER_STEPS + 1):
             if not u <= _H_LIMIT:
@@ -277,9 +288,12 @@ def solve_h(spec: HEquationSpec) -> HConstant:
             tol = H_INTERVAL_TOL + 8.9e-16 * u
             if abs(step) <= tol or hi - lo <= tol:
                 break
-            new = min(max(u + step, u / _MAX_STEP_FACTOR), u * _MAX_STEP_FACTOR)
-            if not lo < new < hi or (hi < math.inf and abs(step) > 0.5 * step_before):
-                new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            new = _hermite_point(previous, (u, tail, slope), goal) if previous else math.nan
+            if not lo < new < hi:
+                new = min(max(u + step, u / _MAX_STEP_FACTOR), u * _MAX_STEP_FACTOR)
+                if not lo < new < hi or (hi < math.inf and abs(step) > 0.5 * step_before):
+                    new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            previous = (u, tail, slope)
             step_before, last_step = last_step, abs(new - u)
             u = new
         else:
@@ -311,6 +325,45 @@ def _newton_step(u: float, tail: float, goal: float, gap: float, slope: float) -
         if log_slope < 0.0:
             return u * math.expm1(min(-math.log(ratio) / log_slope, 700.0))
     return -gap / slope
+
+
+def _hermite_point(first: tuple, second: tuple, goal: float) -> float:
+    """u where the cubic Hermite interpolant of log tail against log u meets log goal.
+
+    ``first`` and ``second`` are (u, tail, d tail / du) at two evaluated
+    points, ``second`` the latest.  The interpolant matches both values and
+    slopes; Newton's method on it starts at the latest point.  NaN when the
+    data are degenerate (a point that is not positive, a slope that is not
+    negative, the same u twice), when the interpolant is not decreasing
+    along the way, or when the root lies more than _MAX_STEP_FACTOR away in u.
+    """
+    (u0, tail0, slope0), (u1, tail1, slope1) = first, second
+    if not (u0 > 0.0 and u1 > 0.0 and tail0 > 0.0 and tail1 > 0.0
+            and slope0 < 0.0 and slope1 < 0.0):
+        return math.nan
+    y0, y1 = math.log(tail0), math.log(tail1)
+    d = math.log(u1 / u0)
+    if d == 0.0:
+        return math.nan
+    # y(x0 + s d) = y0 + s (c1 + s (c2 + s c3)); s = 1 is the latest point
+    c1 = d * u0 * slope0 / tail0
+    m1 = d * u1 * slope1 / tail1
+    c2 = 3.0 * (y1 - y0) - 2.0 * c1 - m1
+    c3 = 2.0 * (y0 - y1) + c1 + m1
+    offset = y0 - math.log(goal)
+    limit = math.log(_MAX_STEP_FACTOR) / abs(d)
+    s = 1.0
+    for _ in range(_HERMITE_ITERATIONS):
+        derivative = c1 + s * (2.0 * c2 + 3.0 * s * c3)
+        if not derivative / d < 0.0:
+            return math.nan
+        delta = (offset + s * (c1 + s * (c2 + s * c3))) / derivative
+        s -= delta
+        if not abs(s - 1.0) <= limit:
+            return math.nan
+        if abs(delta) <= 1e-15 * max(1.0, abs(s)):
+            return u1 * math.exp((s - 1.0) * d)
+    return math.nan
 
 
 def mc_oracle(

@@ -1,4 +1,4 @@
-"""Composite Gauss-Kronrod (G10, K21) quadrature on graded panels with global refinement.
+"""Composite Gauss-Kronrod (G10, K21) quadrature on graded panels with local refinement.
 
 The critical-constant integrands mix a heavy-tailed density (support out to
 t-quantiles near 1e-12 tail mass, i.e. |t| up to ~1e6 for two degrees of
@@ -9,10 +9,12 @@ in octaves (1, 2, 4, ... away) up to the next anchor on each side, or to the
 domain end where there is none.  Octaves that ran on past a neighbouring
 anchor would fall |a - b| beside the neighbour's own and cut the far field
 into slivers of that width.  Each pass applies
-QUADPACK's 21-point Kronrod rule to every panel (Piessens et al. 1983,
-qk21) and takes the sum over panels of |K21 - G10| as its error estimate,
-from the same integrand values; while that estimate is above tolerance,
-every panel is halved and the pass repeated.
+QUADPACK's 21-point Kronrod rule to its panels (Piessens et al. 1983,
+qk21) and takes |K21 - G10| as each panel's error estimate, from the same
+integrand values.  While the summed estimate is above tolerance, the panels
+with the smallest estimates are kept as long as their sum stays within half
+the tolerance, and only the rest are halved: the next pass evaluates just
+the new halves (QUADPACK's adaptive idea, one numpy pass at a time).
 
 An integrand may also return two stacked rows, shape ``(2, n)``: row 0 is
 the integral being computed and alone decides refinement, row 1 is summed
@@ -22,6 +24,7 @@ same CDF evaluations as the value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,7 +40,7 @@ class QuadratureResult:
     value: float
     nodes: int
     refinements: int
-    # sum over panels of |K21 - G10| in the last pass
+    # sum of |K21 - G10| over the final panels: the kept ones and the last pass's
     error_estimate: float
     # integral of row 1 of a stacked (2, n) integrand; None for one row
     companion: float | None = None
@@ -83,7 +86,7 @@ KRONROD_WEIGHTS = np.concatenate((_WK, [_WK_CENTER], _WK[::-1]))
 GAUSS_WEIGHTS = np.zeros(21)
 GAUSS_WEIGHTS[1::2] = np.concatenate((_WG, _WG[::-1]))
 _ERROR_WEIGHTS = KRONROD_WEIGHTS - GAUSS_WEIGHTS
-# panel_quadrature's stopping rule and its cap on halvings of every panel
+# panel_quadrature's stopping rule and its cap on refinement passes
 ABS_TOL = 1e-13
 REL_TOL = 1e-11
 MAX_REFINEMENTS = 8
@@ -97,7 +100,11 @@ def geometric_edges(lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndar
     below the next anchor above it (or hi); the anchors themselves, clamped to
     [lo, hi], are edges too.  Outside the anchors' hull every panel but the
     one at the domain end is an octave of the nearer anchor, s to 2s from it.
+    ``lo``, ``hi``, the width hi - lo and every anchor must be finite
+    (ValueError).
     """
+    if not all(map(math.isfinite, (lo, hi, hi - lo, *anchors))):
+        raise ValueError(f"interval [{lo}, {hi}], its width and anchors {anchors} must be finite")
     if not hi > lo:
         raise ValueError(f"empty integration interval [{lo}, {hi}]")
     span = hi - lo
@@ -114,38 +121,65 @@ def geometric_edges(lo: float, hi: float, anchors: tuple[float, ...]) -> np.ndar
                 if lo < e < hi:
                     edges.append(e)
                 step *= 2.0
-    edges = np.unique(np.asarray(edges, dtype=float))
-    # collapse panels that are negligibly thin relative to the domain
-    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * span))
-    return edges[keep]
+    edges.sort()
+    # drop repeated edges and panels negligibly thin relative to the domain;
+    # each edge is compared with its sorted predecessor, kept or not
+    thin = 1e-12 * span
+    return np.array(edges[:1] + [b for a, b in zip(edges, edges[1:]) if b - a > thin])
 
 
 def panel_quadrature(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> QuadratureResult:
     """Integrate a vectorized f over the panels defined by ``edges``.
 
-    Each pass calls f once on the 21 Kronrod nodes of every panel and stops
-    when the sum over panels of |K21 - G10| is within
-    ``max(ABS_TOL, REL_TOL * |K21|)``; otherwise every panel is halved.
-    When f returns a ``(2, n)`` stack, row 0 is that total and row 1 comes
-    back as ``companion``.
+    ``edges`` must be a 1-D, strictly increasing array of at least two
+    finite values (ValueError, before f is called).  Each pass calls f once
+    on the 21 Kronrod nodes of its panels and stops when the sum of
+    |K21 - G10| over all panels is within ``max(ABS_TOL, REL_TOL * |K21|)``.
+    Otherwise the panels with the smallest estimates are kept while their
+    sum stays within half that tolerance, and the rest are halved for the
+    next pass; ``refinements`` counts the passes after the first.  When f
+    returns a ``(2, n)`` stack, row 0 is that total and row 1 comes back as
+    ``companion``.
     """
     edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all()
+            and (edges[1:] > edges[:-1]).all()):
+        raise ValueError(
+            f"panel edges must be a 1-D strictly increasing array of at least two "
+            f"finite values, got {edges!r}"
+        )
+    lefts, rights = edges[:-1], edges[1:]
+    # K21 sums (value row, companion row) and error sum of the panels kept so far
+    kept = np.zeros(2)
+    kept_error = 0.0
     nodes_used = 0
     for refinement in range(MAX_REFINEMENTS + 1):
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        halfs = 0.5 * (edges[1:] - edges[:-1])
+        mids = 0.5 * (rights + lefts)
+        halfs = 0.5 * (rights - lefts)
         xs = (mids[:, None] + halfs[:, None] * KRONROD_NODES[None, :]).ravel()
         fx = f(xs)
         nodes_used += xs.size
         per_panel = fx.reshape(-1, mids.size, 21)  # (rows, panels, nodes)
         kronrod = (per_panel @ KRONROD_WEIGHTS) * halfs
-        value = float(kronrod[0].sum())
-        error = float(np.dot(np.abs(per_panel[0] @ _ERROR_WEIGHTS), halfs))
-        if error <= max(ABS_TOL, REL_TOL * abs(value)):
-            companion = float(kronrod[1].sum()) if fx.ndim == 2 else None
+        errors = np.abs(per_panel[0] @ _ERROR_WEIGHTS) * halfs
+        value = float(kept[0] + kronrod[0].sum())
+        error = float(kept_error + errors.sum())
+        tol = max(ABS_TOL, REL_TOL * abs(value))
+        if error <= tol:
+            companion = float(kept[1] + kronrod[1].sum()) if fx.ndim == 2 else None
             return QuadratureResult(value, nodes_used, refinement, error, companion)
-        # halve all panels for the next pass
-        edges = np.sort(np.concatenate([edges, mids]))
+        # keep the most accurate panels while their errors sum to at most
+        # half the tolerance, halve the rest
+        order = np.argsort(errors, kind="stable")
+        summed = kept_error + np.cumsum(errors[order])
+        n_kept = int(np.searchsorted(summed, 0.5 * tol, side="right"))
+        if n_kept:
+            kept[:kronrod.shape[0]] += kronrod[:, order[:n_kept]].sum(axis=1)
+            kept_error = float(summed[n_kept - 1])
+        halve = np.sort(order[n_kept:])
+        lefts, mids, rights = lefts[halve], mids[halve], rights[halve]
+        lefts, rights = (np.column_stack((lefts, mids)).ravel(),
+                         np.column_stack((mids, rights)).ravel())
     raise QuadratureError(
-        f"no convergence after {MAX_REFINEMENTS} refinements ({edges.size - 1} panels)"
+        f"no convergence after {MAX_REFINEMENTS} refinements ({lefts.size} panels still to refine)"
     )

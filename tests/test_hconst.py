@@ -437,6 +437,64 @@ def test_solver_parity_with_brent_reference():
     assert len(PARITY_SWEEP) == 300
 
 
+def test_convergence_guard_keeps_the_brent_root():
+    # the Hermite step may propose the next point but never ends a solve: a
+    # solver that stopped on its own short step returned 0.3183113 here
+    spec = HEquationSpec(10**6, 1, 1e-6, DD)
+    assert abs(solve_h(spec).value - _brent_reference(spec)) <= 1e-9
+
+
+def test_solve_grid_integral_budget(monkeypatch):
+    # the six hconst tables of the solve-grid benchmark on a cold cache: 303
+    # integrals and 211 995 nodes with every panel halved per pass and a
+    # plain Newton step from each point alone
+    budget = {"integrals": 0, "nodes": 0}
+    real = hconst.panel_quadrature
+
+    def counting(*args):
+        res = real(*args)
+        budget["integrals"] += 1
+        budget["nodes"] += res.nodes
+        return res
+
+    monkeypatch.setattr(hconst, "panel_quadrature", counting)
+    clear_integral_caches()
+    for nu, p in itertools.product((2, 9, 500), (0.9, 0.99)):
+        h_table([1, 10, 100, 1000, 10000, 100000], ScheduleSpec("constant", nu), p)
+    assert budget["integrals"] <= 254 and budget["nodes"] <= 163_000, budget
+
+
+def _log_cubic_point(u, coefficients):
+    """(u, tail, d tail / du) where log tail is a cubic in log u."""
+    x = math.log(u)
+    y = np.polyval(coefficients, x)
+    return u, math.exp(y), math.exp(y) * np.polyval(np.polyder(coefficients), x) / u
+
+
+def test_hermite_point_solves_a_log_cubic_tail_exactly():
+    # the interpolant reproduces a tail whose log is a cubic in log u, so its
+    # root is the tail's own, also when both points lie on one side of it
+    coefficients = np.array([-0.01, 0.05, -2.0, -1.0])
+    root = 3.7
+    goal = _log_cubic_point(root, coefficients)[1]
+    for u0, u1 in ((1.0, 6.0), (6.0, 1.0), (1.0, 2.0), (8.0, 5.0)):
+        new = hconst._hermite_point(_log_cubic_point(u0, coefficients),
+                                    _log_cubic_point(u1, coefficients), goal)
+        assert new == pytest.approx(root, rel=1e-13)
+
+
+@pytest.mark.parametrize("first, second, goal", [
+    ((2.0, 0.1, -0.05), (2.0, 0.1, -0.05), 1e-3),  # the same u twice
+    ((0.0, 0.5, -0.1), (2.0, 0.1, -0.05), 1e-3),  # u = 0 has no log
+    ((1.0, 0.0, -0.1), (2.0, 0.1, -0.05), 1e-3),  # tail 0 has no log
+    ((1.0, 0.3, 0.1), (2.0, 0.1, -0.05), 1e-3),  # a tail that rises with u
+    ((1.0, 0.3, -10.0), (2.0, 0.1, -0.1), 0.15),  # Newton on the cubic meets its bump
+    ((1.0, 0.3, -0.01), (2.0, 0.29, -0.01), 1e-3),  # the goal 1e6 octaves away
+])
+def test_hermite_point_refuses_degenerate_data(first, second, goal):
+    assert math.isnan(hconst._hermite_point(first, second, goal))
+
+
 def _gl20_two_level(f, edges, abs_tol=1e-13, rel_tol=1e-11, max_refinements=8):
     """Reference rule: Gauss-Legendre-20 on every panel, all panels halved
     until two successive totals agree; f returns the solver's (2, n) stack."""

@@ -11,6 +11,8 @@ from ranksel.quadrature import (
     GAUSS_WEIGHTS,
     KRONROD_NODES,
     KRONROD_WEIGHTS,
+    MAX_REFINEMENTS,
+    REL_TOL,
     QuadratureError,
     geometric_edges,
     panel_quadrature,
@@ -79,6 +81,126 @@ def test_sharp_peak_needs_refinement():
     res = panel_quadrature(lambda x: np.exp(-1000.0 * (x - 0.3) ** 2), edges)
     assert res.value == pytest.approx(math.sqrt(math.pi / 1000.0), rel=1e-9)
     assert res.refinements >= 1
+
+
+def _global_halving(f, edges):
+    """The rule before local refinement: every panel re-evaluated and halved
+    while the summed |K21 - G10| is above tolerance (kept as the reference)."""
+    nodes_used = 0
+    for refinement in range(MAX_REFINEMENTS + 1):
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        halfs = 0.5 * (edges[1:] - edges[:-1])
+        xs = (mids[:, None] + halfs[:, None] * KRONROD_NODES[None, :]).ravel()
+        per_panel = f(xs).reshape(mids.size, 21)
+        nodes_used += xs.size
+        value = float((per_panel @ KRONROD_WEIGHTS) @ halfs)
+        error = float(np.abs(per_panel @ (KRONROD_WEIGHTS - GAUSS_WEIGHTS)) @ halfs)
+        if error <= max(ABS_TOL, REL_TOL * abs(value)):
+            return value, nodes_used
+        edges = np.sort(np.concatenate([edges, mids]))
+    raise QuadratureError("reference rule did not converge")
+
+
+def _panels(xs):
+    """(left, right) of each panel whose 21 Kronrod nodes make up xs."""
+    per_panel = xs.reshape(-1, 21)
+    centre = per_panel[:, 10]
+    half = (per_panel[:, 0] - centre) / KRONROD_NODES[0]
+    return np.column_stack((centre - half, centre + half))
+
+
+def test_refinement_evaluates_only_the_halved_panels():
+    # one sharp peak among smooth octave panels: after the first pass each
+    # pass evaluates the two halves of some of the previous pass's panels
+    # and nothing else, so it takes fewer nodes than halving every panel
+    def peak(x):
+        return np.exp(-1000.0 * (x - 0.3) ** 2)
+
+    calls = []
+
+    def recording(x):
+        calls.append(x.copy())
+        return peak(x)
+
+    edges = geometric_edges(-600.0, 600.0, (0.3,))
+    res = panel_quadrature(recording, edges)
+    assert res.refinements == len(calls) - 1 >= 2
+    for before, after in zip(calls, calls[1:]):
+        parents, halves = _panels(before), _panels(after)
+        left, right = halves[0::2], halves[1::2]
+        assert len(left) == len(right)
+        np.testing.assert_allclose(left[:, 1], right[:, 0], rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(left[:, 1], 0.5 * (left[:, 0] + right[:, 1]), rtol=1e-13)
+        halved = np.column_stack((left[:, 0], right[:, 1]))
+        for panel in halved:
+            assert np.isclose(parents, panel, rtol=1e-13, atol=1e-13).all(axis=1).any(), panel
+        assert len(halved) < len(parents)
+    exact = math.sqrt(math.pi / 1000.0)
+    assert abs(res.value - exact) <= max(ABS_TOL, REL_TOL * exact)
+    reference_value, reference_nodes = _global_halving(peak, edges)
+    assert res.nodes == sum(x.size for x in calls) < reference_nodes
+    assert abs(res.value - reference_value) <= 2.0 * max(ABS_TOL, REL_TOL * exact)
+
+
+def _refusing(x):
+    raise AssertionError("the integrand must not be called")
+
+
+@pytest.mark.parametrize("edges", [
+    [2.0, 1.0], [0.0, 1.0, 1.0], [1.0], [], [[0.0, 1.0]], [0.0, math.inf], [-math.inf, 0.0],
+    [0.0, math.nan, 1.0],
+], ids=["decreasing", "repeated", "one-edge", "empty", "2-D", "inf", "-inf", "nan"])
+def test_malformed_edges_are_refused(edges):
+    with pytest.raises(ValueError, match="panel edges"):
+        panel_quadrature(_refusing, edges)
+
+
+@pytest.mark.parametrize("lo, hi, anchors", [
+    (0.0, math.inf, (0.0,)), (-math.inf, 0.0, (0.0,)), (math.nan, 1.0, (0.0,)),
+    (0.0, 1.0, (math.nan,)), (0.0, 1.0, (0.5, math.inf)), (-1e308, 1e308, (0.0,)),
+])
+def test_edges_refuse_a_nonfinite_domain_or_anchor(lo, hi, anchors):
+    with pytest.raises(ValueError, match="finite"):
+        geometric_edges(lo, hi, anchors)
+
+
+def _numpy_edges(lo, hi, anchors):
+    """geometric_edges with numpy's unique and diff for the collapse (kept as the reference)."""
+    span = hi - lo
+    anchors = sorted(anchors)
+    edges = [lo, hi]
+    for i, a in enumerate(anchors):
+        edges.append(min(max(a, lo), hi))
+        left = max(lo, anchors[i - 1]) if i else lo
+        right = min(hi, anchors[i + 1]) if i + 1 < len(anchors) else hi
+        for direction, limit in ((-1.0, left), (1.0, right)):
+            step = 1.0
+            while step < span and direction * (limit - a) > step:
+                e = a + direction * step
+                if lo < e < hi:
+                    edges.append(e)
+                step *= 2.0
+    edges = np.unique(np.asarray(edges, dtype=float))
+    keep = np.concatenate(([True], np.diff(edges) > 1e-12 * span))
+    return edges[keep]
+
+
+def test_edges_collapse_as_numpy_unique_and_diff():
+    # edges closer than 1e-12 of the span to their sorted predecessor go,
+    # repeated ones too, on domains from 1e-14 to 1e8 wide
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        scale = 10 ** rng.uniform(-14, 8)
+        lo = float(rng.uniform(-1.0, 0.0) * scale)
+        hi = lo + float(10 ** rng.uniform(-14, 8))
+        if not hi > lo:  # a width below the ulp of lo
+            continue
+        pool = (lo, hi, 0.0, float(rng.uniform(lo, hi)), lo + 1e-13 * (hi - lo))
+        anchors = tuple(float(pool[rng.integers(len(pool))]) if rng.random() < 0.5
+                        else float(rng.normal() * scale) for _ in range(rng.integers(0, 4)))
+        expected = _numpy_edges(lo, hi, anchors)
+        edges = geometric_edges(lo, hi, anchors)
+        assert edges.dtype == expected.dtype and np.array_equal(edges, expected), (lo, hi, anchors)
 
 
 def test_result_metadata():
