@@ -8,11 +8,9 @@ tail by symmetry.  All of them are vectorized over numpy arrays.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import operator
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
@@ -26,19 +24,17 @@ __all__ = [
     "ScheduleSpec",
     "chunks",
     "map_blocks",
-    "map_threads",
     "t_pdf",
     "t_logcdf",
     "t_quantile",
 ]
 
-U = TypeVar("U")
 T = TypeVar("T")
 
 # Longest array a command may hold in memory (replications, populations or
 # draws in one row): one float array of this length is 128 MiB.
 _ARRAY_LIMIT = 2**24
-# Variates per block of map_blocks: the one block size of the pooled Monte Carlo loops
+# Variates per block of map_blocks, the package's one pooled Monte Carlo loop
 _POOLED_BLOCK_ELEMENTS = 2**19
 
 
@@ -184,8 +180,10 @@ class RandomStream:
 
     ``substream(*ids)`` derives statistically independent children; two
     streams built from the same ``(seed, path)`` replay the identical draw
-    sequence, so parallel work scheduled over substreams is order-free.
-    Splitting goes through numpy's ``SeedSequence`` spawn keys.
+    sequence, so work split over substreams gives the same draws whatever
+    order or thread it runs in.  Splitting goes through numpy's
+    ``SeedSequence`` spawn keys.  The seed must be an integer >= 0 and every
+    id an integer in [0, 2^32): TypeError or ValueError naming it otherwise.
     """
 
     seed: int
@@ -194,14 +192,12 @@ class RandomStream:
         default=None, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        self.seed = _check_count(self.seed, "seed", least=0)
+        self.path = tuple(_check_count(i, "stream id", least=0, most=2**32 - 1) for i in self.path)
+
     def substream(self, *ids: int) -> "RandomStream":
-        clean = []
-        for i in ids:
-            i = int(i)
-            if not 0 <= i < 2**32:
-                raise ValueError(f"stream id out of range: {i}")
-            clean.append(i)
-        return RandomStream(self.seed, self.path + tuple(clean))
+        return RandomStream(self.seed, self.path + ids)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -230,53 +226,23 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def map_threads(fn: Callable[[U], T], items: Iterable[U]) -> list[T]:
-    """``fn(item)`` for each item, results in item order.
-
-    The one pool policy of the package: one thread per CPU this process may
-    use (at most one per item), or serial when that is one.  The caller's
-    thread is one of them: it and the pool threads claim items one at a time
-    until none are left, so no item waits for a pool thread that is slow to
-    start.  numpy's samplers and large ufunc loops release the interpreter
-    lock, so large draws run in parallel.  Pool threads run under a copy of
-    the caller's ``contextvars`` context, so settings kept there, such as
-    ``np.errstate``, apply on them too.
-    """
-    items = list(items)
-    workers = min(_worker_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    claims: queue.SimpleQueue[int] = queue.SimpleQueue()
-    for i in range(len(items)):
-        claims.put(i)
-
-    def drain() -> None:
-        while True:
-            try:
-                i = claims.get_nowait()
-            except queue.Empty:
-                return
-            results[i] = fn(items[i])
-
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        helpers = [pool.submit(contextvars.copy_context().run, drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
-    return results
-
-
 def map_blocks(
     fn: Callable[[RandomStream, int], T], total: int, per_item: int, rng: RandomStream
 ) -> list[T]:
     """``fn(rng.substream(b), count)`` for each block b of ``total`` items.
 
     The blocks are ``chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)``: about
-    2^19 variates each for items of ``per_item`` variates.  Results come back
-    in block order; the blocks run through map_threads.  Block b draws only
-    from substream b, so the results depend on the inputs alone, never on
-    the CPU count or the order in which blocks finish.
+    2^19 variates each for items of ``per_item`` variates.  They run serially
+    on one CPU, otherwise on the package's one thread pool, a thread per CPU
+    this process may use; numpy's samplers release the interpreter lock, so
+    the blocks draw in parallel.  Results come back in block order, and
+    block b draws only from substream b, so they depend on the inputs alone,
+    never on the CPU count or the order in which blocks finish.
     """
     counts = chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)
-    return map_threads(lambda b: fn(rng.substream(b), counts[b]), range(len(counts)))
+    streams = [rng.substream(b) for b in range(len(counts))]
+    workers = min(_worker_count(), len(counts))
+    if workers <= 1:
+        return list(map(fn, streams, counts))
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, streams, counts))

@@ -23,9 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ranksel.distributions import (
-    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, map_threads,
-)
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
 from ranksel.hconst import HConstant, HTableRow, h_table
 from ranksel.procedures import (
     _SIZE_TOO_LARGE, VariancePrior, _check_delta, _finite_square, second_stage_size,
@@ -89,10 +87,10 @@ def estimate_alpha(
     """Estimate alpha = E N_1 / (h/delta)^2 under the variance prior, for critical constant h.
 
     Each replication draws sigma^2 from the prior and S^2 as
-    sigma^2 * chi2_nu / nu.  The prior and chi-square draws come from
-    fixed substreams (0 and 1) and run side by side (map_threads), so
-    calling this twice with the same rng but different h reuses identical
-    draws; variant comparisons are then common-random-number coupled.
+    sigma^2 * chi2_nu / nu.  The prior and then the chi-square draws come
+    from fixed substreams (0 and 1), so calling this twice with the same rng
+    but different h reuses identical draws; variant comparisons are then
+    common-random-number coupled.
     ValueError when h <= 0, replications exceed 2^24 (the draws would not
     fit in memory), an S^2 draw is not finite or a size
     ceil((h/delta)^2 * S^2) does not fit int64, the rule second_stage_size
@@ -111,13 +109,9 @@ def estimate_alpha(
         raise ValueError(
             f"(h/delta)^2 = ({h}/{delta})^2 underflows: delta is too large to normalize by"
         )
-    # an overflowing draw is reported below as a usage error, not a warning;
-    # the two draws own their substreams, so they run side by side
-    with np.errstate(over="ignore"):
-        sigma2, chi2 = map_threads(lambda draw: draw(), (
-            lambda: prior.sample(replications, rng.substream(0)),
-            lambda: rng.substream(1).generator.chisquare(nu, size=replications),
-        ))
+    with np.errstate(over="ignore"):  # an overflowing draw is refused below, not warned of
+        sigma2 = prior.sample(replications, rng.substream(0))
+        chi2 = rng.substream(1).generator.chisquare(nu, size=replications)
         s2 = sigma2 * chi2 / nu
     if not np.all(np.isfinite(s2)):
         raise ValueError(

@@ -71,9 +71,9 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 
 # Stage-1 random variates per replication block of estimate_pcs.  Blocks
 # are sized from k + 1 (and n0 on the exact path) only, so the streams, and
-# with them the estimates, never depend on the thread count.  The blocks run
-# serially (they mostly hold the GIL) and not at map_blocks' 2^19, which made
-# an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
+# with them the estimates, never depend on the CPU count.  The blocks run
+# serially, off map_blocks' pool (they mostly hold the GIL), and not at its
+# 2^19, which made an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
 _BLOCK_ELEMENTS = 2**14
 # Sample sizes are int64; anything at or above this does not fit.
 _INT64_LIMIT = 2.0**63
@@ -197,7 +197,11 @@ class VariancePrior:
         kind, sep, rest = text.partition(":")
         if not sep or not rest:
             raise ValueError(f"prior spec must look like 'kind:a,b', got {text!r}")
-        return cls(kind.strip(), tuple(float(v) for v in rest.split(",")))
+        try:
+            params = tuple(float(v) for v in rest.split(","))
+        except ValueError:
+            raise ValueError(f"prior parameters must be numbers, got {text!r}") from None
+        return cls(kind.strip(), params)
 
     def describe(self) -> str:
         return self.kind + ":" + ",".join(repr(v) for v in self.params)

@@ -324,6 +324,17 @@ def test_efficiency_bad_prior_exits_2(capsys, spec):
     assert "Traceback" not in err
 
 
+def test_efficiency_non_numeric_prior_exits_2(capsys):
+    argv = ["efficiency", "--ks", "10", "--nu", "4", "--p", "0.9",
+            "--replications", "1000", "--prior", "inverse-gamma:3,x"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: prior parameters must be numbers, got 'inverse-gamma:3,x'"
+    ]
+
+
 def test_pcs_huge_delta_exits_2(capsys):
     # (delta/h)^2 of the weighted mean overflows while (h/delta)^2 underflows
     argv = PCS_ARGS[:-2] + ["--gap", "1.5e300", "--delta", "1e300", "--replications", "10"]

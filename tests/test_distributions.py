@@ -6,7 +6,6 @@ everything else against internal round-trip identities.
 """
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -20,7 +19,6 @@ from ranksel.distributions import (
     RandomStream,
     chunks,
     map_blocks,
-    map_threads,
     t_logcdf,
     t_pdf,
     t_quantile,
@@ -234,35 +232,18 @@ def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
         assert map_blocks(fn, 0, 3, rng) == []
 
 
-def test_map_threads_runs_workers_under_callers_errstate(monkeypatch):
-    # numpy keeps np.errstate in a context variable, which a pool thread does
-    # not inherit on its own; the barrier makes two threads take one item each
-    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
-    both = threading.Barrier(2, timeout=30)
-
-    def fn(item):
-        if item < 2:
-            both.wait()
-        return item, np.geterr()["over"], threading.get_ident()
-
-    with np.errstate(over="raise"):
-        got = map_threads(fn, range(6))
-    assert [(i, over) for i, over, _ in got] == [(i, "raise") for i in range(6)]
-    assert len({ident for _, _, ident in got[:2]}) == 2
-    assert np.geterr()["over"] != "raise"
-
-
-def test_map_threads_reraises_a_task_error(monkeypatch):
-    # whichever thread claims the failing item, its error reaches the caller
+def test_map_blocks_reraises_a_block_error(monkeypatch):
+    # whichever pool thread runs the failing block, its error reaches the caller
+    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1)
     monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
 
-    def fn(item):
-        if item == 3:
-            raise ValueError("item 3")
-        return item
+    def fn(stream, n):
+        if stream.path == (3,):
+            raise ValueError("block 3")
+        return n
 
-    with pytest.raises(ValueError, match="item 3"):
-        map_threads(fn, range(6))
+    with pytest.raises(ValueError, match="block 3"):
+        map_blocks(fn, 6, 1, RandomStream(0))
 
 
 def test_substream_id_validation():
@@ -271,6 +252,16 @@ def test_substream_id_validation():
         rng.substream(-1)
     with pytest.raises(ValueError):
         rng.substream(2**32)
+    # a non-integer id is refused, not truncated to (2,), (3,) or (7,)
+    for bad in (2.5, np.float64(3.9), "7"):
+        with pytest.raises(TypeError, match="stream id"):
+            rng.substream(bad)
+    assert rng.substream(np.int64(2**32 - 1)).path == (2**32 - 1,)
+    # a bad seed is refused when the stream is built, not at its first draw
+    with pytest.raises(ValueError, match="seed"):
+        RandomStream(-1)
+    with pytest.raises(TypeError, match="seed"):
+        RandomStream(2.5)
 
 
 def test_scalar_versus_array_returns():

@@ -1,6 +1,7 @@
 """Normalized-sample-size estimation and efficiency-ratio tests."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_estimate_alpha_matches_reconstructed_draws():
     r2 = (h / delta) ** 2
     samples = np.maximum(float(nu + 2), np.ceil(s2 * r2)) / r2
     assert est == AlphaEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(reps))
+
+
+def test_estimate_alpha_starts_no_thread(monkeypatch):
+    # the prior and chi-square draws run in order in the caller's thread,
+    # even where the process may use more than one CPU
+    def refuse(thread):
+        raise AssertionError("estimate_alpha started a thread")
+
+    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    prior = VariancePrior.inverse_gamma(3.0, 4.0)
+    est = estimate_alpha(2.0, 4, 1.0, prior, 1000, RandomStream(SEED).substream(0))
+    assert est.alpha > 0
 
 
 def test_estimate_alpha_floor_regime():
@@ -189,21 +203,6 @@ def test_efficiency_curve_follows_growing_schedule():
     schedule = ScheduleSpec("log-growth")
     rows = efficiency_curve([2, 100], schedule, 0.9, 1.0, prior, 500, RandomStream(7))
     assert [(r.nu, r.n0) for r in rows] == [(2, 3), (6, 7)]
-
-
-@pytest.mark.parametrize("prior", [
-    VariancePrior.inverse_gamma(3.0, 4.0), VariancePrior.lognormal(0.0, 0.5), VariancePrior.fixed(2.0),
-])
-def test_efficiency_curve_rows_independent_of_worker_count(monkeypatch, prior):
-    # each alpha draws its prior and chi-square side by side on the worker pool
-    # when there is more than one CPU; the rows must not depend on that
-    printed = []
-    for workers in (1, 2):
-        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
-        rows = efficiency_curve([10, 100], ScheduleSpec("log-growth"), 0.9, 1.0, prior, 3000,
-                                RandomStream(9))
-        printed.append(repr(rows))
-    assert printed[0] == printed[1]
 
 
 def test_efficiency_curve_validation():

@@ -114,6 +114,9 @@ def test_prior_from_string():
         VariancePrior.from_string("inverse-gamma")
     with pytest.raises(ValueError):
         VariancePrior.from_string("fixed:1,2,3")
+    for spec in ("fixed:abc", "fixed:1,", "inverse-gamma:3,x", "lognormal:0;1"):
+        with pytest.raises(ValueError, match=f"prior parameters must be numbers, got '{spec}'"):
+            VariancePrior.from_string(spec)
 
 
 def test_prior_moments_against_sampling():
