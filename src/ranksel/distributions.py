@@ -34,7 +34,8 @@ T = TypeVar("T")
 # Longest array a command may hold in memory (replications, populations or
 # draws in one row): one float array of this length is 128 MiB.
 _ARRAY_LIMIT = 2**24
-# Variates per block of map_blocks, the package's one pooled Monte Carlo loop
+# Variates per block of map_blocks, the pooled Monte Carlo loop of the
+# solver's oracle (hconst.mc_oracle)
 _POOLED_BLOCK_ELEMENTS = 2**19
 
 
@@ -232,10 +233,11 @@ def map_blocks(
     """``fn(rng.substream(b), count)`` for each block b of ``total`` items.
 
     The blocks are ``chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)``: about
-    2^19 variates each for items of ``per_item`` variates.  They run serially
-    on one CPU, otherwise on the package's one thread pool, a thread per CPU
-    this process may use; numpy's samplers release the interpreter lock, so
-    the blocks draw in parallel.  Results come back in block order, and
+    2^19 variates each for items of ``per_item`` variates; the solver's
+    Monte Carlo oracle (hconst.mc_oracle) is the one caller.  They run
+    serially on one CPU, otherwise on the package's one thread pool, a
+    thread per CPU this process may use; numpy's samplers release the
+    interpreter lock, so the blocks draw in parallel.  Results come back in block order, and
     block b draws only from substream b, so they depend on the inputs alone,
     never on the CPU count or the order in which blocks finish.
     """

@@ -3,14 +3,17 @@
 For each k the array draws k i.i.d. copies of a base statistic (a single
 t variable, or a sum of two independent t variables) whose degrees of
 freedom may themselves depend on k, and records the sample maximum.  The
-sampler draws only the positive statistics of each row, about k/2 of them,
-after their Binomial(k, 1/2) count; by the base statistic's symmetry each
-maximum then has exactly the law of the maximum of k full draws (see
-_draw_base).  With nu fixed the classical theory applies (regularly varying
-tails, Frechet domain); when nu grows with k the limiting law is
-unresolved, so this module only emits per-k fit diagnostics:
-location/spread summaries, Anderson-Darling distances to best-fit Gumbel
-and Frechet, and a Hill-style tail-index estimate.  No limit claim is made.
+maximum of k draws has CDF F^k, so each row takes one uniform u and
+returns F^-1(u^(1/k)) (see _row_maxima): stdtrit for the t, exact, and
+for the sum Rinott's constant at p = u, read from a Chebyshev table of the
+solver's pairwise tail integral.  That integral stops at 1e-12 tail mass,
+so the law of a sum's maximum is off by up to about k * 1e-12 in
+probability, as is the solver's.  With nu fixed the classical theory
+applies (regularly varying tails, Frechet domain); when nu grows with k
+the limiting law is unresolved, so this module only emits per-k fit
+diagnostics: location/spread summaries, Anderson-Darling distances to
+best-fit Gumbel and Frechet, and a Hill-style tail-index estimate.  No
+limit claim is made.
 
 Both fits are maximum likelihood.  The Gumbel fit is scipy's; the Frechet
 fit profiles the scale out in closed form and climbs the remaining
@@ -24,12 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from scipy import stats
+from scipy.special import stdtrit
 
-from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, map_blocks
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
+from ranksel.hconst import RINOTT, HEquationSpec, dd_prob, solve_h
 
 __all__ = [
     "MAX_OF_T",
@@ -44,6 +51,23 @@ MAX_OF_T_SUM = "max-of-t-sum"
 STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
+
+# max-of-t-sum inverts qbar(x) = P(T1 + T2 > x) through a Chebyshev series of
+# log qbar in s = asinh(x), on [0, x_end] with qbar(x_end) = _TABLE_TAIL.
+# The end is the tail value itself, not a bound on it: for nu >= 3,
+# x_end = -2 stdtrit(nu, _TABLE_TAIL / 2) lies past the integration cutoff
+# (_tail_cutoff), where the integral drops the large-T2 mass within a unit
+# span of x, a kink the series cannot follow (log error 1e-2 at nu = 3 to 8).
+# For nu >= 3 the table spans at most 9.4 in s, and 64 nodes keep the series
+# within 2e-11 of the integral's log at every nu tried up to 1e6; the longer
+# tables of nu = 1 and 2 (25.5 and 13.3) take 6 nodes per unit of s, 3e-12.
+_TABLE_TAIL = 1e-11
+_TABLE_NODES = 64
+_TABLE_NODES_PER_S = 6
+_TABLE_GRID = 1024
+# Newton's method in s stops at a step below this (x to 1e-13 relative)
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_STEPS = 50
 
 # Frechet fit: Newton starts at shape c = 10, moves c or v by at most a
 # factor e^2 a step, and stops once the Newton decrement (twice the
@@ -69,62 +93,88 @@ class ExtremeFitRow:
     hill_index: float
 
 
-def _draw_half(gen: np.random.Generator, n: int, nu: int, statistic: str) -> np.ndarray:
-    """n independent copies of |X|, X the base statistic.
+@lru_cache(maxsize=None)
+def _sum_table(nu: int) -> tuple[Chebyshev, Chebyshev, np.ndarray, np.ndarray]:
+    """log qbar(sinh s) on [0, asinh(x_end)] as a Chebyshev series, its slope and a start grid.
 
-    A t variable is the normal variance mixture Z*sqrt(nu/V), V ~ chi2_nu, so
-    given the two chi-squares T1 + T2 is N(0, nu/V1 + nu/V2).  With standard
-    gammas G = V/2, |X| is |Z|*S: S = sqrt(nu/(2G)) for t and
-    sqrt(nu/2 * (1/G1 + 1/G2)) for the sum, one normal per copy either way.
+    qbar(x) = P(T1 + T2 > x) = dd_prob(-x, 1, nu), the integral solve_h
+    reads, at _TABLE_NODES Chebyshev points, or _TABLE_NODES_PER_S per unit
+    of s where that is more.  The table ends where qbar is _TABLE_TAIL: the
+    sum's lower _TABLE_TAIL quantile is -x_end, and P(T1 - T2 <= -x_end) =
+    _TABLE_TAIL is Rinott's equation at k = 1.  The grid holds the series at
+    _TABLE_GRID + 1 equal steps in s, from which the Newton inversion starts.
     """
-    g = gen.standard_gamma(nu / 2.0, size=(1 if statistic == MAX_OF_T else 2, n))
-    np.reciprocal(g, out=g)
-    scale = g.sum(axis=0)  # 1/G, or 1/G1 + 1/G2
-    scale *= nu / 2.0
-    np.sqrt(scale, out=scale)
-    z = gen.standard_normal(n)
-    np.abs(z, out=z)
-    z *= scale
-    return z
+    s_end = math.asinh(-solve_h(HEquationSpec(1, nu, _TABLE_TAIL, RINOTT)).value)
+    nodes = max(_TABLE_NODES, math.ceil(_TABLE_NODES_PER_S * s_end))
+    series = Chebyshev.interpolate(
+        lambda s: np.log([dd_prob(-math.sinh(v), 1, nu) for v in s]),
+        nodes - 1, domain=[0.0, s_end])
+    grid_s = np.linspace(0.0, s_end, _TABLE_GRID + 1)
+    return series, series.deriv(), grid_s, series(grid_s)
+
+
+def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """x >= 0 with qbar(x) = tail for tails in (0, 1/2], and the mask of tails past the table.
+
+    Newton's method on the series of _sum_table in s = asinh(x), from the
+    piecewise-linear inverse of its grid.  A tail below the table's last
+    value is left at the table's end, for the caller to solve.
+    """
+    series, slope, grid_s, grid_y = _sum_table(nu)
+    y = np.log(tail)
+    past = y < grid_y[-1]
+    s = np.interp(y, grid_y[::-1], grid_s[::-1])
+    for _ in range(_NEWTON_MAX_STEPS):
+        step = (series(s) - y) / slope(s)
+        step[past] = 0.0
+        s = np.clip(s - step, 0.0, grid_s[-1])
+        if not np.abs(step).max(initial=0.0) > _NEWTON_TOL:
+            break
+    return np.sinh(s), past
+
+
+def _row_maxima(u: np.ndarray, k: int, nu: int, statistic: str) -> np.ndarray:
+    """The maxima of k base statistics at the uniforms u: F^-1(u^(1/k)), F the base CDF.
+
+    The maximum of k i.i.d. draws has CDF F^k.  Its upper tail
+    1 - u^(1/k) = -expm1(log(u)/k) is taken at full precision; above 1/2
+    the maximum is negative and, F being symmetric, minus the point whose
+    upper tail is u^(1/k).  For max-of-t that point is -stdtrit(nu, tail).
+    For max-of-t-sum it is _sum_tail_quantile's, and a tail past the
+    table's end is solved exactly as Rinott's constant: u^(1/k) is the
+    pairwise probability P(T1 - T2 <= x), so the maximum is
+    solve_h(HEquationSpec(k, nu, u, RINOTT)).
+    """
+    log_root = np.log(u) / k
+    tail = -np.expm1(log_root)
+    below = tail > 0.5
+    tail[below] = np.exp(log_root[below])
+    if statistic == MAX_OF_T:
+        x = -stdtrit(nu, tail)
+    else:
+        x, past = _sum_tail_quantile(tail, nu)
+    np.negative(x, out=x, where=below)
+    if statistic == MAX_OF_T_SUM:
+        for i in np.flatnonzero(past):
+            x[i] = solve_h(HEquationSpec(k, nu, float(u[i]), RINOTT)).value
+    return x
 
 
 def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic: str) -> np.ndarray:
-    """Maxima of `count` independent rows of k base statistics.
+    """Maxima of `count` independent rows of k base statistics, one uniform per row.
 
-    Only a row's positive statistics can be its maximum, so only those are
-    drawn.  The base statistic X is continuous and symmetric about 0, so its
-    sign is a fair coin independent of |X|: among k i.i.d. copies the number
-    of positive ones is m ~ Binomial(k, 1/2), and given m they are m i.i.d.
-    copies of |X| (_draw_half).  A row with m >= 1 has the maximum of its m
-    draws; a row with m = 0 (probability 2^-k) has k negative draws, whose
-    maximum is minus the minimum of k copies of |X|.  The law of every
-    maximum is exactly that of k full draws, from about half the variates.
+    The uniforms are multiples of 2^-53 in [2^-53, 1 - 2^-53], so u and
+    1 - u are both exact and neither tail of a maximum's law rounds away;
+    _row_maxima inverts the law of the maximum at each.
     """
-    m = gen.binomial(k, 0.5, size=count)
-    negative = m == 0
-    m[negative] = k
-    x = _draw_half(gen, int(m.sum()), nu, statistic)
-    if negative.any():
-        np.negative(x, out=x, where=np.repeat(negative, m))
-    return np.maximum.reduceat(x, np.cumsum(m) - m)
+    return _row_maxima(gen.integers(1, 2**53, size=count) * 2.0**-53, k, nu, statistic)
 
 
 def _sample_maxima(
     k: int, nu: int, statistic: str, replications: int, rng: RandomStream
 ) -> np.ndarray:
-    """Maxima of `replications` independent rows of k base draws.
-
-    Rows are drawn in map_blocks' blocks of about 2^19 t variables (k, or
-    2k for the sum, per row), block b from ``rng.substream(b)`` by one
-    _draw_base call, so the maxima depend on the inputs alone, not on the
-    CPU count.
-    """
-    per_rep = k if statistic == MAX_OF_T else 2 * k
-
-    def block(stream: RandomStream, n: int) -> np.ndarray:
-        return _draw_base(stream.generator, n, k, nu, statistic)
-
-    return np.concatenate(map_blocks(block, replications, per_rep, rng))
+    """Maxima of `replications` independent rows of k base draws, by one _draw_base call on rng."""
+    return _draw_base(rng.generator, replications, k, nu, statistic)
 
 
 def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -301,7 +351,10 @@ def fit_extremes(
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
     # at least 100 maxima for stable fits
     replications = _check_count(replications, "replications", least=100, most=_ARRAY_LIMIT)
-    # one replication of the largest k is drawn as a single row
+    # no maximum draws its k statistics any more, but the sum's maxima read
+    # the solver's integral, whose 1e-12 tail cutoff puts the law of a maximum
+    # off by up to about k * 1e-12 in probability: the old bound of 2^24
+    # statistics per maximum keeps that below 2e-5
     width = 1 if statistic == MAX_OF_T else 2
     _check_count(width * grid[-1][0], "the draws per maximum (k, or 2k for the sum)",
                  most=_ARRAY_LIMIT)

@@ -10,17 +10,19 @@ from scipy.special import stdtr, stdtrit
 
 import ranksel.distributions as distributions
 import ranksel.extremes as extremes
-from ranksel.distributions import RandomStream, ScheduleSpec, chunks
+from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
+    STATISTICS,
     _frechet_fit,
+    _row_maxima,
     _sample_maxima,
     ad_distance,
     fit_extremes,
     hill_tail_index,
 )
-from ranksel.hconst import dd_prob
+from ranksel.hconst import RINOTT, HEquationSpec, _dd_integral, dd_prob, solve_h
 
 SEED = 20260814
 
@@ -52,69 +54,86 @@ def test_fit_extremes_refuses_before_any_draw(monkeypatch, case):
         fit_extremes(*REFUSED[case], RandomStream(0))
 
 
-def test_fit_extremes_limits_admit_their_bound(monkeypatch):
-    # k = 2^24 (2^23 for the sum) passes the checks and reaches the draws
-    def stop(*args):
-        raise RuntimeError("drawing")
-
-    monkeypatch.setattr(extremes, "_draw_base", stop)
-    for ks, statistic in (((5, 2**24), MAX_OF_T), ((5, 2**23), MAX_OF_T_SUM)):
-        with pytest.raises(RuntimeError, match="drawing"):
-            fit_extremes(ks, NU3, statistic, 100, RandomStream(0))
+def test_fit_extremes_limits_admit_their_bound():
+    # k = 2^24 (2^23 for the sum) passes the checks and gives finite rows; the
+    # old sampler drew about 1.7e9 variates for these 200 maxima
+    for k, statistic in ((2**24, MAX_OF_T), (2**23, MAX_OF_T_SUM)):
+        (row,) = fit_extremes((k,), NU3, statistic, 100, RandomStream(0))
+        assert row.k == k and row.iqr > 0
+        for value in (row.median, row.iqr, row.ad_gumbel, row.ad_frechet, row.hill_index):
+            assert math.isfinite(value), row
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
 def test_sample_maxima_independent_of_worker_count(monkeypatch, statistic):
-    # 2001 rows of 12 draws (24 for the sum) in blocks of 1000 elements: 25 or
-    # 49 blocks, each of which must equal _draw_base on its own substream
+    # a row is one _draw_base call on the row's own stream, whatever the CPU
+    # count or the pooled block size
     monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1000)
-    rng = RandomStream(5).substream(3)
-    per_rep = 12 if statistic == MAX_OF_T else 24
-    reference = np.concatenate([
-        extremes._draw_base(rng.substream(b).generator, n, 12, 3, statistic)
-        for b, n in enumerate(chunks(2001, per_rep, 1000))
-    ])
+    reference = extremes._draw_base(RandomStream(5).substream(3).generator, 2001, 12, 3, statistic)
     for workers in (1, 2, 3):
         monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
-        assert np.array_equal(_sample_maxima(12, 3, statistic, 2001, rng), reference)
+        got = _sample_maxima(12, 3, statistic, 2001, RandomStream(5).substream(3))
+        assert np.array_equal(got, reference)
 
 
-def test_sample_maxima_call_draw_base_once_per_block(monkeypatch):
+def test_sample_maxima_call_draw_base_once_per_row(monkeypatch):
     # the benchmark tallies extremes draws as count * k * width from each
-    # _draw_base(gen, count, k, nu, statistic) call: one call per block, all
-    # arguments positional, counts summing to the replications, so bulk-mc's
-    # extremes command tallies k * replications * 2 = 22 200 000 draws
+    # _draw_base(gen, count, k, nu, statistic) call: one call per row, on the
+    # row's stream, all arguments positional, so bulk-mc's extremes command
+    # tallies k * replications * 2 = 22 200 000 base statistics
     draw, calls = extremes._draw_base, []
 
     def record(*args, **kwargs):
         assert not kwargs and len(args) == 5
-        calls.append(args[1:])
+        calls.append(args)
         return draw(*args)
 
     monkeypatch.setattr(extremes, "_draw_base", record)
     tally = 0
     for k, nu in ScheduleSpec("log-growth").grid((10, 100, 1000)):
         del calls[:]
-        maxima = _sample_maxima(k, nu, MAX_OF_T_SUM, 10**4, RandomStream(1).substream(k))
-        blocks = chunks(10**4, 2 * k, distributions._POOLED_BLOCK_ELEMENTS)
+        rng = RandomStream(1).substream(k)
+        maxima = _sample_maxima(k, nu, MAX_OF_T_SUM, 10**4, rng)
         assert maxima.shape == (10**4,)
-        assert sorted(calls) == sorted((n, k, nu, MAX_OF_T_SUM) for n in blocks)
-        tally += sum(n * k * 2 for n, *_ in calls)
+        assert calls == [(rng.generator, 10**4, k, nu, MAX_OF_T_SUM)]
+        tally += sum(n * k * 2 for _, n, *_ in calls)
     assert tally == 22_200_000
 
 
 def test_max_of_t_maxima_follow_exact_law():
-    # P(max of k t_nu draws <= x) = G_nu(x)^k, whatever the block layout
+    # P(max of k t_nu draws <= x) = G_nu(x)^k
     k, nu = 1000, 3
     maxima = _sample_maxima(k, nu, MAX_OF_T, 20_000, RandomStream(SEED).substream(9))
     assert stats.kstest(maxima, lambda x: stdtr(nu, x) ** k).pvalue > 0.001
 
 
+def _direct_maxima(gen, count, k, nu, statistic):
+    """Maxima of `count` rows of k base statistics, drawn directly: the test oracle.
+
+    Only a row's positive statistics can be its maximum.  The number of
+    positive ones among k is m ~ Binomial(k, 1/2), and given m they are m
+    i.i.d. copies of |X| = |Z| * S, Z standard normal and S = sqrt(nu/(2G))
+    for t, sqrt(nu/2 * (1/G1 + 1/G2)) for the sum, G standard gamma(nu/2)
+    (a t variable is a normal variance mixture).  A row with m = 0 has minus
+    the minimum of k copies of |X|.
+    """
+    m = gen.binomial(k, 0.5, size=count)
+    negative = m == 0
+    m[negative] = k
+    n = int(m.sum())
+    g = gen.standard_gamma(nu / 2.0, size=(1 if statistic == MAX_OF_T else 2, n))
+    scale = np.sqrt(nu / 2.0 * (1.0 / g).sum(axis=0))
+    x = np.abs(gen.standard_normal(n)) * scale
+    np.negative(x, out=x, where=np.repeat(negative, m))
+    return np.maximum.reduceat(x, np.cumsum(m) - m)
+
+
 # CDFs of the two base statistics: P(T1 + T2 <= x) = P(T2 - T1 <= x) = dd_prob(x, 1, nu)
 BASE_CDF = {MAX_OF_T: lambda x, nu: stdtr(nu, x), MAX_OF_T_SUM: lambda x, nu: dd_prob(x, 1, nu)}
-# both sides of 0: at k = 1 and 2 a half and a quarter of the rows have no
-# positive statistic, and their maxima are negative
+# both sides of 0: at k = 1 and 2 a half and a quarter of the maxima are
+# negative, from the mirrored branch of _row_maxima
 LAW_POINTS = (-8.0, -3.0, -1.0, -0.25, 0.0, 0.5, 1.5, 3.0, 8.0, 30.0, 200.0)
+LAW_KS = (1, 2, 100, 1000)
 
 
 def _assert_counts_follow(sample, cdf):
@@ -129,7 +148,7 @@ def _assert_counts_follow(sample, cdf):
 @pytest.mark.parametrize("nu", [1, 3, 8])
 def test_draw_base_t_sum_follows_exact_law(nu):
     # a row maximum of k sums has CDF dd_prob(x, 1, nu)^k
-    for k in (1, 2, 100):
+    for k in LAW_KS:
         gen = RandomStream(5).substream(4, nu, k).generator
         maxima = extremes._draw_base(gen, 20_000, k, nu, MAX_OF_T_SUM)
         assert maxima.shape == (20_000,)
@@ -139,19 +158,100 @@ def test_draw_base_t_sum_follows_exact_law(nu):
 @pytest.mark.parametrize("nu", [1, 3, 8])
 def test_draw_base_t_follows_exact_law(nu):
     # a row maximum of k t draws has CDF stdtr(nu, x)^k
-    for k in (1, 2):
+    for k in LAW_KS:
         maxima = extremes._draw_base(RandomStream(6).substream(nu, k).generator, 20_000, k, nu,
                                      MAX_OF_T)
         _assert_counts_follow(maxima, lambda x: stdtr(nu, x) ** k)
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
+@pytest.mark.parametrize("k, nu", [(1, 1), (2, 3), (100, 8), (1000, 3)])
+def test_draw_base_matches_direct_sampler(statistic, k, nu):
+    # the inverted law against the direct draws of k statistics a row
+    # (two-sample Kolmogorov-Smirnov)
+    new = extremes._draw_base(RandomStream(8).substream(k, nu).generator, 10**4, k, nu, statistic)
+    old = _direct_maxima(RandomStream(9).substream(k, nu).generator, 10**4, k, nu, statistic)
+    assert stats.ks_2samp(new, old).pvalue > 0.001
+
+
+@pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
 @pytest.mark.parametrize("nu", [1, 3, 8])
 def test_draw_half_follows_half_law(statistic, nu):
-    # |X| of a symmetric X has CDF 2 F(x) - 1 for x >= 0, and no mass below 0
+    # at k = 1 a maximum is one base draw X, from the upper branch of
+    # _row_maxima when X >= 0 and the mirrored one otherwise: |X| must have
+    # CDF 2 F(x) - 1 for x >= 0, and u and 1 - u (both exact) give mirror images
     cdf = BASE_CDF[statistic]
-    draws = extremes._draw_half(RandomStream(7).substream(nu).generator, 10**5, nu, statistic)
-    _assert_counts_follow(draws, lambda x: max(0.0, 2.0 * cdf(x, nu) - 1.0))
+    draws = extremes._draw_base(RandomStream(7).substream(nu).generator, 10**5, 1, nu, statistic)
+    _assert_counts_follow(np.abs(draws), lambda x: max(0.0, 2.0 * cdf(x, nu) - 1.0))
+    u = np.array([1, 2**20, 2**40, 2**51, 3 * 2**50]) * 2.0**-53
+    upper = _row_maxima(1.0 - u, 1, nu, statistic)
+    assert (upper > 0).all()
+    np.testing.assert_allclose(_row_maxima(u, 1, nu, statistic), -upper, rtol=1e-9)
+
+
+def _tail_at(u, k):
+    """The tail _row_maxima inverts at u and whether it mirrored: (1 - u^(1/k), False) or (u^(1/k), True)."""
+    tail = -math.expm1(math.log(u) / k)
+    return (math.exp(math.log(u) / k), True) if tail > 0.5 else (tail, False)
+
+
+@pytest.mark.parametrize("nu", [1, 3, 8])
+def test_sum_maxima_meet_rinott_equation(nu):
+    # each maximum x solves P(T1 - T2 <= x)^k = u at its own u to solve_h's
+    # p-space tolerance; inside the table its pairwise tail is within 1e-9
+    # of the integral's, and past the table x is solve_h's own root
+    gen = RandomStream(10).substream(nu).generator
+    u = gen.integers(1, 2**53, size=200) * 2.0**-53
+    u = np.concatenate((u, [2.0**-53, 1e-6, 0.5, 1 - 1e-6, 1 - 2.0**-53]))
+    *_, grid_y = extremes._sum_table(nu)
+    for k in LAW_KS:
+        maxima = _row_maxima(u.copy(), k, nu, MAX_OF_T_SUM)
+        for x, ui in zip(maxima, u):
+            tail, mirrored = _tail_at(ui, k)
+            assert (x < 0) == mirrored
+            pairwise = _dd_integral(-abs(x), 1, nu)[0]  # the tail beyond |x|
+            implied = pairwise ** k if mirrored else math.exp(k * math.log1p(-pairwise))
+            assert abs(implied - ui) < 1e-8, (k, ui, x)
+            if math.log(tail) >= grid_y[-1]:
+                assert abs(pairwise / tail - 1.0) <= 1e-9, (k, ui, x)
+            else:
+                assert x == solve_h(HEquationSpec(k, nu, float(ui), RINOTT)).value
+
+
+@pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
+@pytest.mark.parametrize("nu", [1, 3, 8, 10**6])
+def test_row_maxima_finite_at_extreme_uniforms(statistic, nu):
+    # the smallest and largest uniforms _draw_base makes, at k from 1 to 2^23
+    u = np.array([2.0**-53, 1.0 - 2.0**-53])
+    for k in (1, 2, 1000, 2**23):
+        maxima = _row_maxima(u.copy(), k, nu, statistic)
+        assert np.isfinite(maxima).all() and maxima[0] < maxima[1], (k, maxima)
+
+
+def test_sum_maxima_past_the_table_are_solved(monkeypatch):
+    # u = 1 - 2^-53 at k = 1000 leaves a pairwise tail of 1.1e-19, past the
+    # table's 1e-11: that maximum alone goes to solve_h
+    k, nu = 1000, 4
+    extremes._sum_table(nu)  # built first: its end is a solve_h call of its own
+    solve, specs = extremes.solve_h, []
+
+    def record(spec):
+        specs.append(spec)
+        return solve(spec)
+
+    monkeypatch.setattr(extremes, "solve_h", record)
+    u = np.array([0.3, 1.0 - 2.0**-53, 0.9])
+    maxima = _row_maxima(u.copy(), k, nu, MAX_OF_T_SUM)
+    assert specs == [HEquationSpec(k, nu, 1.0 - 2.0**-53, RINOTT)]
+    assert maxima[1] == solve(specs[0]).value > maxima[2] > maxima[0]
+
+
+def test_draw_base_inverts_one_uniform_per_row():
+    # the uniforms are gen.integers(1, 2^53) * 2^-53, one per row, in order
+    for statistic in STATISTICS:
+        got = extremes._draw_base(RandomStream(3).generator, 500, 10, 4, statistic)
+        u = RandomStream(3).generator.integers(1, 2**53, size=500) * 2.0**-53
+        assert np.array_equal(got, _row_maxima(u, 10, 4, statistic))
 
 
 def test_sample_max_medians_rise_with_k_at_exact_law():
@@ -175,11 +275,10 @@ def test_sum_statistic_is_symmetric():
     # median se ~ 1/(2 f(0) sqrt(n)) = 0.0069, f(0) = 0.2297 for a sum of two t_3
     assert abs(np.median(draws)) < 3.0 * 0.0069
     assert abs(np.mean(draws < 0) - 0.5) < 3.0 * math.sqrt(0.25 / 10**5)
-    # the half-law helper: |T1 + T2| has median x with dd_prob(x, 1, 3) = 3/4,
-    # about 1.209, and density 2 f(x) = 0.333 there: median se 0.0047
-    half = extremes._draw_half(gen, 10**5, 3, MAX_OF_T_SUM)
+    # |T1 + T2| has median x with dd_prob(x, 1, 3) = 3/4, about 1.209, and
+    # density 2 f(x) = 0.333 there: median se 0.0047
     x = brentq(lambda x: dd_prob(x, 1, 3) - 0.75, 0.0, 5.0)
-    assert abs(np.median(half) - x) < 3.0 * 0.0047
+    assert abs(np.median(np.abs(draws)) - x) < 3.0 * 0.0047
 
 
 def test_hill_recovers_pareto_index():
