@@ -1,5 +1,10 @@
 """Student-t primitives, the degrees-of-freedom schedule nu(k) and reproducible random streams.
 
+The blocked Monte Carlo loops (hconst.mc_oracle, procedures.estimate_pcs)
+cut their replications into the blocks of ``chunks`` and draw block b
+from substream b, in order and in the caller's thread: no code of the
+package starts a thread, and no result depends on the CPU count.
+
 The critical-constant solver propagates any CDF error straight into its
 residual, so the t functions evaluate ``scipy.special.stdtr`` on the
 lower tail, where it keeps full relative precision, and reach the upper
@@ -10,10 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,20 +26,14 @@ __all__ = [
     "RandomStream",
     "ScheduleSpec",
     "chunks",
-    "map_blocks",
     "t_pdf",
     "t_logcdf",
     "t_quantile",
 ]
 
-T = TypeVar("T")
-
 # Longest array a command may hold in memory (replications, populations or
 # draws in one row): one float array of this length is 128 MiB.
 _ARRAY_LIMIT = 2**24
-# Variates per block of map_blocks, the pooled Monte Carlo loop of the
-# solver's oracle (hconst.mc_oracle)
-_POOLED_BLOCK_ELEMENTS = 2**19
 
 
 def _check_count(value, name: str, least: int = 1, most: int | None = None) -> int:
@@ -182,7 +179,7 @@ class RandomStream:
     ``substream(*ids)`` derives statistically independent children; two
     streams built from the same ``(seed, path)`` replay the identical draw
     sequence, so work split over substreams gives the same draws whatever
-    order or thread it runs in.  Splitting goes through numpy's
+    order it runs in.  Splitting goes through numpy's
     ``SeedSequence`` spawn keys.  The seed must be an integer >= 0 and every
     id an integer in [0, 2^32): TypeError or ValueError naming it otherwise.
     """
@@ -218,33 +215,3 @@ def chunks(total: int, per_item: int, budget: int) -> list[int]:
     size = max(1, budget // per_item)
     return [min(size, total - start) for start in range(0, total, size)]
 
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def map_blocks(
-    fn: Callable[[RandomStream, int], T], total: int, per_item: int, rng: RandomStream
-) -> list[T]:
-    """``fn(rng.substream(b), count)`` for each block b of ``total`` items.
-
-    The blocks are ``chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)``: about
-    2^19 variates each for items of ``per_item`` variates; the solver's
-    Monte Carlo oracle (hconst.mc_oracle) is the one caller.  They run
-    serially on one CPU, otherwise on the package's one thread pool, a
-    thread per CPU this process may use; numpy's samplers release the
-    interpreter lock, so the blocks draw in parallel.  Results come back in block order, and
-    block b draws only from substream b, so they depend on the inputs alone,
-    never on the CPU count or the order in which blocks finish.
-    """
-    counts = chunks(total, per_item, _POOLED_BLOCK_ELEMENTS)
-    streams = [rng.substream(b) for b in range(len(counts))]
-    workers = min(_worker_count(), len(counts))
-    if workers <= 1:
-        return list(map(fn, streams, counts))
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, streams, counts))

@@ -170,13 +170,6 @@ def _draw_base(gen: np.random.Generator, count: int, k: int, nu: int, statistic:
     return _row_maxima(gen.integers(1, 2**53, size=count) * 2.0**-53, k, nu, statistic)
 
 
-def _sample_maxima(
-    k: int, nu: int, statistic: str, replications: int, rng: RandomStream
-) -> np.ndarray:
-    """Maxima of `replications` independent rows of k base draws, by one _draw_base call on rng."""
-    return _draw_base(rng.generator, replications, k, nu, statistic)
-
-
 def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Anderson-Darling statistic of the sample against a fully specified CDF.
 
@@ -311,7 +304,7 @@ def _frechet_cdf(x: np.ndarray, c: float, loc: float, scale: float) -> np.ndarra
 
 
 def _fit_row(k: int, nu: int, statistic: str, replications: int, rng: RandomStream) -> ExtremeFitRow:
-    maxima = _sample_maxima(k, nu, statistic, replications, rng)
+    maxima = _draw_base(rng.generator, replications, k, nu, statistic)
     q25, q50, q75 = np.percentile(maxima, [25, 50, 75])
     loc_g, scale_g = stats.gumbel_r.fit(maxima)
     ad_gumbel = ad_distance(maxima, lambda x: stats.gumbel_r.cdf(x, loc_g, scale_g))

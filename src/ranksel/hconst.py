@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from ranksel.distributions import (
-    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, _t_logpdf, map_blocks, t_logcdf,
+    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, _t_logpdf, chunks, t_logcdf,
     t_quantile,
 )
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
@@ -89,6 +89,8 @@ _H_LIMIT = 1e300
 # k, nu and p); the bounded cache returns those without changing a bit of
 # any result.
 _INTEGRAL_CACHE_SIZE = 4096
+# Variates per replication block of mc_oracle
+_ORACLE_BLOCK_ELEMENTS = 2**19
 
 
 class SolverError(RuntimeError):
@@ -374,10 +376,10 @@ def mc_oracle(
     Kept independent of the quadrature/CDF path: the DD event draws k
     competitors plus a reference and compares the max, the Rinott event
     draws k independent pairs and requires every difference under h.
-    Replications run in map_blocks' blocks of about 2^19 variates, block b
-    from ``rng.substream(b)``, so the estimate does not depend on the CPU
-    count.  One replication draws k + 1 (DD) or 2k (Rinott) variates as one
-    row, at most 2^24 (ValueError).
+    Replications run in blocks of about 2^19 variates, in order, block b
+    from ``rng.substream(b)``, so the estimate depends on its inputs alone.
+    One replication draws k + 1 (DD) or 2k (Rinott) variates as one row, at
+    most 2^24 (ValueError).
     """
     replications = _check_count(replications, "replications")
     k, nu = spec.k, spec.nu
@@ -393,7 +395,8 @@ def mc_oracle(
         diffs = draws[:, :, 0] - draws[:, :, 1]
         return int(np.count_nonzero(diffs.max(axis=1) <= h))
 
-    hits = sum(map_blocks(block, replications, per_rep, rng))
+    hits = sum(block(rng.substream(b), n)
+               for b, n in enumerate(chunks(replications, per_rep, _ORACLE_BLOCK_ELEMENTS)))
     value = hits / replications
     std_error = math.sqrt(value * (1.0 - value) / replications)
     return MCEstimate(value, std_error, replications)

@@ -71,8 +71,7 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 
 # Stage-1 random variates per replication block of estimate_pcs.  Blocks
 # are sized from k + 1 (and n0 on the exact path) only, so the streams, and
-# with them the estimates, never depend on the CPU count.  The blocks run
-# serially, off map_blocks' pool (they mostly hold the GIL), and not at its
+# with them the estimates, never depend on the CPU count.  Not mc_oracle's
 # 2^19, which made an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
 _BLOCK_ELEMENTS = 2**14
 # Sample sizes are int64; anything at or above this does not fit.

@@ -18,7 +18,6 @@ import ranksel.distributions as distributions
 from ranksel.distributions import (
     RandomStream,
     chunks,
-    map_blocks,
     t_logcdf,
     t_pdf,
     t_quantile,
@@ -213,37 +212,6 @@ def test_chunks_cover_range_in_order():
     assert chunks(5, 100, 7) == [1, 1, 1, 1, 1]
     assert chunks(5, 1, 1000) == [5]
     assert chunks(0, 1, 10) == []
-
-
-def test_map_blocks_runs_block_b_on_substream_b(monkeypatch):
-    rng = RandomStream(4).substream(2)
-
-    def fn(stream, n):
-        return stream.path, stream.generator.standard_normal(n)
-
-    want = [(rng.substream(b).path, rng.substream(b).generator.standard_normal(n))
-            for b, n in enumerate(chunks(10, 3, 7))]
-    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 7)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
-        got = map_blocks(fn, 10, 3, rng)
-        assert [path for path, _ in got] == [path for path, _ in want]
-        assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
-        assert map_blocks(fn, 0, 3, rng) == []
-
-
-def test_map_blocks_reraises_a_block_error(monkeypatch):
-    # whichever pool thread runs the failing block, its error reaches the caller
-    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1)
-    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
-
-    def fn(stream, n):
-        if stream.path == (3,):
-            raise ValueError("block 3")
-        return n
-
-    with pytest.raises(ValueError, match="block 3"):
-        map_blocks(fn, 6, 1, RandomStream(0))
 
 
 def test_substream_id_validation():

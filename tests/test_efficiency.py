@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-import ranksel.distributions as distributions
 import ranksel.efficiency as efficiency
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import (
@@ -16,8 +15,9 @@ from ranksel.efficiency import (
     estimate_alpha,
     theoretical_eta,
 )
-from ranksel.hconst import DD, RINOTT, HEquationSpec, solve_h
-from ranksel.procedures import VariancePrior
+from ranksel.extremes import MAX_OF_T, MAX_OF_T_SUM, fit_extremes
+from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
+from ranksel.procedures import ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance
 
 SEED = 20260814
 
@@ -84,17 +84,33 @@ def test_estimate_alpha_matches_reconstructed_draws():
     assert est == AlphaEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(reps))
 
 
-def test_estimate_alpha_starts_no_thread(monkeypatch):
-    # the prior and chi-square draws run in order in the caller's thread,
-    # even where the process may use more than one CPU
-    def refuse(thread):
-        raise AssertionError("estimate_alpha started a thread")
+PRIOR = VariancePrior.inverse_gamma(3.0, 4.0)
+PCS_PARAMS = ProcedureParams(0.9, 1.0, 3, 5, DD)
 
-    monkeypatch.setattr(distributions, "_worker_count", lambda: 2)
+# one tiny call of each Monte Carlo entry point
+MONTE_CARLO_CALLS = {
+    "estimate_alpha": lambda rng: estimate_alpha(2.0, 4, 1.0, PRIOR, 1000, rng),
+    "mc_oracle": lambda rng: mc_oracle(HEquationSpec(4, 5, 0.9, DD), 2.5, 3000, rng),
+    "estimate_pcs": lambda rng: estimate_pcs(
+        PCS_PARAMS, make_slippage_instance(PCS_PARAMS, 1.5, (1.0,) * 4), 200, rng, h=2.5),
+    "efficiency_curve": lambda rng: efficiency_curve(
+        [2, 5], ScheduleSpec("constant", 4), 0.9, 1.0, PRIOR, 1000, rng),
+    "fit_extremes-max-of-t": lambda rng: fit_extremes(
+        (5, 10), ScheduleSpec("constant", 3), MAX_OF_T, 100, rng),
+    "fit_extremes-max-of-t-sum": lambda rng: fit_extremes(
+        (5, 10), ScheduleSpec("constant", 3), MAX_OF_T_SUM, 100, rng),
+}
+
+
+@pytest.mark.parametrize("call", MONTE_CARLO_CALLS)
+def test_monte_carlo_starts_no_thread(monkeypatch, call):
+    # every block, row and draw runs in order in the caller's thread, so no
+    # result can depend on the CPU count
+    def refuse(thread):
+        raise AssertionError(f"{call} started a thread")
+
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    prior = VariancePrior.inverse_gamma(3.0, 4.0)
-    est = estimate_alpha(2.0, 4, 1.0, prior, 1000, RandomStream(SEED).substream(0))
-    assert est.alpha > 0
+    MONTE_CARLO_CALLS[call](RandomStream(SEED).substream(0))
 
 
 def test_estimate_alpha_floor_regime():

@@ -8,16 +8,15 @@ from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import stdtr, stdtrit
 
-import ranksel.distributions as distributions
 import ranksel.extremes as extremes
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.extremes import (
     MAX_OF_T,
     MAX_OF_T_SUM,
     STATISTICS,
+    _draw_base,
     _frechet_fit,
     _row_maxima,
-    _sample_maxima,
     ad_distance,
     fit_extremes,
     hill_tail_index,
@@ -64,18 +63,6 @@ def test_fit_extremes_limits_admit_their_bound():
             assert math.isfinite(value), row
 
 
-@pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
-def test_sample_maxima_independent_of_worker_count(monkeypatch, statistic):
-    # a row is one _draw_base call on the row's own stream, whatever the CPU
-    # count or the pooled block size
-    monkeypatch.setattr(distributions, "_POOLED_BLOCK_ELEMENTS", 1000)
-    reference = extremes._draw_base(RandomStream(5).substream(3).generator, 2001, 12, 3, statistic)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(distributions, "_worker_count", lambda: workers)
-        got = _sample_maxima(12, 3, statistic, 2001, RandomStream(5).substream(3))
-        assert np.array_equal(got, reference)
-
-
 def test_sample_maxima_call_draw_base_once_per_row(monkeypatch):
     # the benchmark tallies extremes draws as count * k * width from each
     # _draw_base(gen, count, k, nu, statistic) call: one call per row, on the
@@ -85,25 +72,24 @@ def test_sample_maxima_call_draw_base_once_per_row(monkeypatch):
 
     def record(*args, **kwargs):
         assert not kwargs and len(args) == 5
-        calls.append(args)
+        # the generator's state before the row draws, to compare with a fresh stream
+        calls.append((args[0].bit_generator.state,) + args[1:])
         return draw(*args)
 
     monkeypatch.setattr(extremes, "_draw_base", record)
-    tally = 0
-    for k, nu in ScheduleSpec("log-growth").grid((10, 100, 1000)):
-        del calls[:]
-        rng = RandomStream(1).substream(k)
-        maxima = _sample_maxima(k, nu, MAX_OF_T_SUM, 10**4, rng)
-        assert maxima.shape == (10**4,)
-        assert calls == [(rng.generator, 10**4, k, nu, MAX_OF_T_SUM)]
-        tally += sum(n * k * 2 for _, n, *_ in calls)
-    assert tally == 22_200_000
+    ks, schedule, rng = (10, 100, 1000), ScheduleSpec("log-growth"), RandomStream(1)
+    grid = schedule.grid(ks)
+    rows = fit_extremes(ks, schedule, MAX_OF_T_SUM, 10**4, rng)
+    assert [(row.k, row.nu) for row in rows] == grid
+    assert calls == [(rng.substream(k).generator.bit_generator.state, 10**4, k, nu, MAX_OF_T_SUM)
+                     for k, nu in grid]
+    assert sum(n * k * 2 for _, n, k, *_ in calls) == 22_200_000
 
 
 def test_max_of_t_maxima_follow_exact_law():
     # P(max of k t_nu draws <= x) = G_nu(x)^k
     k, nu = 1000, 3
-    maxima = _sample_maxima(k, nu, MAX_OF_T, 20_000, RandomStream(SEED).substream(9))
+    maxima = _draw_base(RandomStream(SEED).substream(9).generator, 20_000, k, nu, MAX_OF_T)
     assert stats.kstest(maxima, lambda x: stdtr(nu, x) ** k).pvalue > 0.001
 
 
@@ -260,7 +246,7 @@ def test_sample_max_medians_rise_with_k_at_exact_law():
     # binomial interval (level 1e-6)
     n, medians = 4001, []
     for k in (10, 100, 1000):
-        maxima = _sample_maxima(k, 3, MAX_OF_T, n, RandomStream(77).substream(k))
+        maxima = _draw_base(RandomStream(77).substream(k).generator, n, k, 3, MAX_OF_T)
         exact = stdtrit(3, 0.5 ** (1.0 / k))
         lo, hi = stats.binom.interval(1 - 1e-6, n, 0.5)
         assert lo <= np.count_nonzero(maxima <= exact) <= hi, (k, exact)
@@ -352,8 +338,8 @@ def case_rows():
             args, seed = FIT_CASES[case]
             _, _, statistic, replications = args
             rows = fit_extremes(*args, RandomStream(seed))
-            maxima = [_sample_maxima(row.k, row.nu, statistic, replications,
-                                     RandomStream(seed).substream(row.k)) for row in rows]
+            maxima = [_draw_base(RandomStream(seed).substream(row.k).generator, replications,
+                                 row.k, row.nu, statistic) for row in rows]
             done[case] = rows, maxima
         return done[case]
 
