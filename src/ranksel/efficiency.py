@@ -87,10 +87,13 @@ def estimate_alpha(
     """Estimate alpha = E N_1 / (h/delta)^2 under the variance prior, for critical constant h.
 
     Each replication draws sigma^2 from the prior and S^2 as
-    sigma^2 * chi2_nu / nu.  The prior and then the chi-square draws come
-    from fixed substreams (0 and 1), so calling this twice with the same rng
+    sigma^2 * chi2_nu / nu.  The prior and the chi-square draws come from
+    fixed substreams (0 and 1), so calling this twice with the same rng
     but different h reuses identical draws; variant comparisons are then
-    common-random-number coupled.
+    common-random-number coupled.  The prior is drawn on every call.  The
+    chi-square is drawn once per (stream, nu, replications) and shared,
+    read-only, by the calls that follow with the same key; efficiency_curve
+    forgets it when it returns.
     ValueError when h <= 0, replications exceed 2^24 (the draws would not
     fit in memory), an S^2 draw is not finite or a size
     ceil((h/delta)^2 * S^2) does not fit int64, the rule second_stage_size
@@ -110,9 +113,9 @@ def estimate_alpha(
             f"(h/delta)^2 = ({h}/{delta})^2 underflows: delta is too large to normalize by"
         )
     with np.errstate(over="ignore"):  # an overflowing draw is refused below, not warned of
-        sigma2 = prior.sample(replications, rng.substream(0))
-        chi2 = rng.substream(1).generator.chisquare(nu, size=replications)
-        s2 = sigma2 * chi2 / nu
+        s2 = prior.sample(replications, rng.substream(0))  # a fresh array: S^2 is built in it
+        s2 *= _chi_square(rng, nu, replications)
+        s2 /= nu
     if not np.all(np.isfinite(s2)):
         raise ValueError(
             f"the {prior.describe()} prior gave variance draws whose S^2 is not finite"
@@ -124,6 +127,24 @@ def estimate_alpha(
     else:
         std_error = 0.0
     return AlphaEstimate(alpha, std_error)
+
+
+# The last chi-square draw of estimate_alpha, read-only, under its
+# (seed, substream path, nu, replications): both variants of a row, and the
+# rows that share nu, share one stream and so one draw.
+_CHI_SQUARE_MEMO: dict[tuple, np.ndarray] = {}
+
+
+def _chi_square(rng: RandomStream, nu: int, replications: int) -> np.ndarray:
+    """rng.substream(1)'s chisquare(nu, replications), drawn once per key and kept read-only."""
+    key = (rng.seed, rng.path + (1,), nu, replications)
+    draw = _CHI_SQUARE_MEMO.get(key)
+    if draw is None:
+        draw = rng.substream(1).generator.chisquare(nu, size=replications)
+        draw.flags.writeable = False
+        _CHI_SQUARE_MEMO.clear()
+        _CHI_SQUARE_MEMO[key] = draw
+    return draw
 
 
 def _efficiency_row(
@@ -176,6 +197,9 @@ def efficiency_curve(
     before any h is solved.
     """
     _check_count(max(nu for _, nu in schedule.grid(ks)), "degrees of freedom", most=2**32 - 1)
-    return tuple(
-        _efficiency_row(h, delta, prior, replications, rng) for h in h_table(ks, schedule, p)
-    )
+    try:
+        return tuple(
+            _efficiency_row(h, delta, prior, replications, rng) for h in h_table(ks, schedule, p)
+        )
+    finally:
+        _CHI_SQUARE_MEMO.clear()

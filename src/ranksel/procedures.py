@@ -244,7 +244,8 @@ class VariancePrior:
         gen = rng.generator
         if self.kind == "inverse-gamma":
             shape, scale = self.params
-            return scale / gen.standard_gamma(shape, count)
+            draws = gen.standard_gamma(shape, count)
+            return np.divide(scale, draws, out=draws)
         mu, sigma = self.params
         return np.exp(sigma * gen.standard_normal(count)) * math.exp(mu)
 
@@ -377,7 +378,8 @@ def run_stage1(
 def second_stage_size(s2, h: float, delta: float, n0: int):
     """max{N0 + 1, ceil((h/delta)^2 * S^2)}: the common sample-size rule.
 
-    Elementwise over an array of S^2 values.  S^2 = 0 (impossible under
+    Elementwise over an array of S^2 values, which is never written to;
+    a scalar or 0-d S^2 gives an int64 scalar.  S^2 = 0 (impossible under
     the model, reachable with degenerate inputs) falls through to the
     N0 + 1 floor; a size that does not fit int64 raises ValueError.
     """
@@ -386,13 +388,18 @@ def second_stage_size(s2, h: float, delta: float, n0: int):
         raise ValueError(f"S^2 must be nonnegative, got {np.min(s2)}")
     _check_delta(delta)
     n0 = _check_count(n0, "N0", least=2)
+    # one float buffer, fresh so that the caller's S^2 is left as it is
+    raw = np.empty_like(s2)
     with np.errstate(over="ignore"):  # an overflow reads inf, refused below
-        raw = np.ceil(_finite_square(h, delta, _SIZE_TOO_LARGE) * s2)
+        np.multiply(_finite_square(h, delta, _SIZE_TOO_LARGE), s2, out=raw)
+    np.ceil(raw, out=raw)
     if not np.all(raw < _INT64_LIMIT):
         raise ValueError(
             f"second-stage size (h/delta)^2*S^2 = {np.max(raw)} does not fit a 64-bit integer"
         )
-    return np.maximum(raw.astype(np.int64), n0 + 1)
+    sizes = raw.astype(np.int64)
+    np.maximum(sizes, n0 + 1, out=sizes)
+    return sizes[()]
 
 
 def dd_weights(n0: int, n, s2, h: float, delta: float):

@@ -68,20 +68,24 @@ def test_schedule_validation():
         ScheduleSpec("linear").nu_at(0)
 
 
+def reconstructed_alpha(h, nu, delta, prior, reps, rng):
+    """White-box oracle: replay the documented substreams and the size rule."""
+    sigma2 = prior.sample(reps, rng.substream(0))
+    chi2 = rng.substream(1).generator.chisquare(nu, size=reps)
+    s2 = sigma2 * chi2 / nu
+    r2 = (h / delta) ** 2
+    samples = np.maximum(float(nu + 2), np.ceil(s2 * r2)) / r2
+    return AlphaEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(reps))
+
+
 def test_estimate_alpha_matches_reconstructed_draws():
-    # white-box oracle: replay the documented substreams and the size rule
     k, nu, p, delta = 10, 4, 0.9, 1.0
     prior = VariancePrior.inverse_gamma(3.0, 4.0)
     reps = 10**4
     rng = RandomStream(SEED).substream(0)
     h = solve_h(HEquationSpec(k, nu, p, DD)).value
     est = estimate_alpha(h, nu, delta, prior, reps, rng)
-    sigma2 = prior.sample(reps, rng.substream(0))
-    chi2 = rng.substream(1).generator.chisquare(nu, size=reps)
-    s2 = sigma2 * chi2 / nu
-    r2 = (h / delta) ** 2
-    samples = np.maximum(float(nu + 2), np.ceil(s2 * r2)) / r2
-    assert est == AlphaEstimate(samples.mean(), samples.std(ddof=1) / math.sqrt(reps))
+    assert est == reconstructed_alpha(h, nu, delta, prior, reps, rng)
 
 
 PRIOR = VariancePrior.inverse_gamma(3.0, 4.0)
@@ -244,6 +248,85 @@ def test_efficiency_curve_refuses_unkeyable_nu_before_solving(monkeypatch, ks, s
     monkeypatch.setattr(efficiency, "h_table", no_table)
     with pytest.raises(ValueError, match="degrees of freedom must be at most 4294967295"):
         efficiency_curve(ks, schedule, 0.9, 1.0, VariancePrior.fixed(1.0), 10, RandomStream(0))
+
+
+class CountingGenerator:
+    """A numpy Generator whose chisquare calls are recorded as (df, size)."""
+
+    def __init__(self, generator, calls):
+        self._generator = generator
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+    def chisquare(self, df, size=None):
+        self._calls.append((df, size))
+        return self._generator.chisquare(df, size=size)
+
+
+@pytest.mark.parametrize("schedule, chi_squares", [
+    (ScheduleSpec("constant", 4), [(4, 1000)]),
+    (ScheduleSpec("log-growth"), [(4, 1000), (6, 1000), (8, 1000), (11, 1000)]),
+], ids=["constant", "log-growth"])
+def test_efficiency_curve_draw_budget(monkeypatch, schedule, chi_squares):
+    # the bulk-mc efficiency tables: every estimate_alpha call draws its prior,
+    # but the rows that share nu share one stream, so one chi-square per nu
+    calls, samples = [], []
+    generator = RandomStream.__dict__["generator"]
+    monkeypatch.setattr(RandomStream, "generator", property(
+        lambda stream: CountingGenerator(generator.fget(stream), calls)))
+    sample = VariancePrior.sample
+
+    def counting_sample(prior, count, rng):
+        samples.append(count)
+        return sample(prior, count, rng)
+
+    monkeypatch.setattr(VariancePrior, "sample", counting_sample)
+    rows = efficiency_curve([10, 100, 1000, 10000], schedule, 0.9, 1.0, PRIOR, 1000,
+                            RandomStream(SEED))
+    assert calls == chi_squares
+    assert samples == [1000] * (2 * len(rows))
+
+
+def test_chi_square_memo_never_serves_another_key():
+    # alternate streams, nu and counts, each change next to the first key:
+    # every alpha is its own replay
+    base = RandomStream(SEED)
+    first = (2.5, 4, 1000, base.substream(4))
+    calls = [
+        first,
+        (3.0, 4, 1000, base.substream(4)),  # the key again, another h
+        (2.5, 4, 1000, RandomStream(SEED + 1).substream(4)),  # another seed
+        first,
+        (2.5, 4, 1000, base.substream(5)),  # another path
+        first,
+        (2.5, 4, 1000, base.substream(4, 1)),  # the first key's own chi-square stream
+        first,
+        (2.5, 5, 1000, base.substream(4)),  # another nu
+        first,
+        (2.5, 4, 999, base.substream(4)),  # another count
+        first,
+        (3.5, 4, 1000, base),
+    ]
+    for h, nu, reps, rng in calls:
+        assert estimate_alpha(h, nu, 1.0, PRIOR, reps, rng) == reconstructed_alpha(
+            h, nu, 1.0, PRIOR, reps, rng)
+
+
+def test_chi_square_memo_is_read_only_and_emptied_by_efficiency_curve():
+    estimate_alpha(2.5, 4, 1.0, PRIOR, 1000, RandomStream(SEED))
+    (draw,) = efficiency._CHI_SQUARE_MEMO.values()
+    with pytest.raises(ValueError, match="read-only"):
+        draw[0] = 1.0
+    efficiency_curve([2, 5], ScheduleSpec("constant", 4), 0.9, 1.0, PRIOR, 1000,
+                     RandomStream(SEED))
+    assert efficiency._CHI_SQUARE_MEMO == {}
+    # also when a row is refused after its chi-square is drawn
+    with pytest.raises(ValueError, match="not finite"):
+        efficiency_curve([2, 5], ScheduleSpec("constant", 4), 0.9, 1.0,
+                         VariancePrior.lognormal(0.0, 1000.0), 1000, RandomStream(SEED))
+    assert efficiency._CHI_SQUARE_MEMO == {}
 
 
 def test_limit_maxmix_closed_cases():

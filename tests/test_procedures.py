@@ -293,6 +293,43 @@ def test_second_stage_size_vectorized_matches_scalar():
     assert sizes.tolist() == expected
 
 
+def test_second_stage_size_leaves_its_input_alone():
+    # the sizes come from a buffer of their own: the caller's S^2 is not
+    # written to, and a read-only S^2 (efficiency's shared chi-square) is taken
+    s2 = np.array([0.0, 0.1, 2.75, 5.0])
+    kept = s2.copy()
+    assert second_stage_size(s2, h=2.0, delta=1.0, n0=5).tolist() == [6, 6, 11, 20]
+    assert np.array_equal(s2, kept)
+    s2.flags.writeable = False
+    sizes = second_stage_size(s2, h=2.0, delta=1.0, n0=5)
+    assert sizes.tolist() == [6, 6, 11, 20] and sizes.flags.writeable
+    assert not np.shares_memory(sizes, s2)
+
+
+@pytest.mark.parametrize("s2, expected", [
+    (2.75, np.int64(11)),  # a Python float gives an int64 scalar
+    (3, np.int64(12)),  # so does a Python int
+    (np.float32(2.0), np.int64(8)),
+    (np.array(2.0), np.int64(8)),  # a 0-d array gives a scalar, not a 0-d array
+    (np.array([]), np.array([], dtype=np.int64)),
+    (np.array([[0.1, 3.0], [2.75, 0.0]]), np.array([[6, 12], [11, 6]])),
+    (np.array([[[2.0]]]), np.array([[[8]]])),
+])
+def test_second_stage_size_return_types(s2, expected):
+    sizes = second_stage_size(s2, h=2.0, delta=1.0, n0=5)
+    assert type(sizes) is type(expected)
+    assert sizes.dtype == np.int64
+    assert np.shape(sizes) == np.shape(expected)
+    assert np.array_equal(sizes, expected)
+
+
+def test_second_stage_size_refusal_names_the_largest_size():
+    with pytest.raises(ValueError, match=r"= 4e\+300 does not fit a 64-bit integer"):
+        second_stage_size(np.array([1.0, 1e300, 1e20]), h=2.0, delta=1.0, n0=4)
+    with pytest.raises(ValueError, match="= inf does not fit"):
+        second_stage_size(np.array([[1.0], [math.inf]]), h=2.0, delta=1.0, n0=4)
+
+
 @given(st.floats(0.01, 50.0), st.integers(-3, 3))
 @settings(max_examples=30, deadline=None)
 def test_second_stage_size_scale_equivariance(s2, twopow):
