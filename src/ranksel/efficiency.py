@@ -26,7 +26,7 @@ import numpy as np
 from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
 from ranksel.hconst import HConstant, HTableRow, h_table
 from ranksel.procedures import (
-    _SIZE_TOO_LARGE, VariancePrior, _check_delta, _finite_square, second_stage_size,
+    _SIZE_TOO_LARGE, VariancePrior, _ceil_sizes, _check_delta, _finite_square,
 )
 
 __all__ = [
@@ -120,7 +120,11 @@ def estimate_alpha(
         raise ValueError(
             f"the {prior.describe()} prior gave variance draws whose S^2 is not finite"
         )
-    samples = second_stage_size(s2, h, delta, n0) / r2
+    # second_stage_size's rule, built as floats in the S^2 buffer: rounding is
+    # monotone, so these are its int64 sizes read as floats, bit for bit
+    samples = _ceil_sizes(s2, r2, out=s2)
+    np.maximum(samples, n0 + 1, out=samples)
+    samples /= r2
     alpha = float(samples.mean())
     if replications > 1:
         std_error = float(samples.std(ddof=1) / math.sqrt(replications))

@@ -28,15 +28,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebvander
 from scipy import stats
 from scipy.special import stdtrit
 
 from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
-from ranksel.hconst import RINOTT, HEquationSpec, dd_prob, solve_h
+from ranksel.hconst import (
+    RINOTT, HEquationSpec, SolverError, dd_prob, dd_prob_with_slope, solve_h,
+)
 
 __all__ = [
     "MAX_OF_T",
@@ -58,14 +61,27 @@ HILL_FRACTION = 0.05
 # x_end = -2 stdtrit(nu, _TABLE_TAIL / 2) lies past the integration cutoff
 # (_tail_cutoff), where the integral drops the large-T2 mass within a unit
 # span of x, a kink the series cannot follow (log error 1e-2 at nu = 3 to 8).
-# For nu >= 3 the table spans at most 9.4 in s, and 64 nodes keep the series
-# within 2e-11 of the integral's log at every nu tried up to 1e6; the longer
-# tables of nu = 1 and 2 (25.5 and 13.3) take 6 nodes per unit of s, 3e-12.
+# The series has n = 64 coefficients, or 6 per unit of s where that is more:
+# for nu >= 3 the table spans at most 9.4 in s, nu = 1 and 2 span 25.5 and
+# 13.3.  Each integral gives its h-slope from the same nodes, so the series is
+# the degree 2m - 1 interpolant of the values and s-slopes of log qbar at
+# m = ceil(n/2) + 2 Chebyshev points: m integrals where values alone took n.
+# Its largest log error against dd_prob, on 801 points, is 3.4e-13 at nu = 2,
+# 4.7e-12 at nu = 3 and 4, 5.0e-12 at nu = 6, 1.5e-12 at nu = 8 and 2e-14 at
+# nu = 100 and 1e6; n values alone read 3.0e-12, 1.8e-11, 1.7e-11, 1.1e-11,
+# 6.0e-12 and 1.0e-12 there.  The slope's integrand peaks within a unit of
+# t = x, and t + h rounds at ulp(x): at nu = 1 the slope is within 2e-13 of the
+# Cauchy closed form at x = 1e6, 6e-11 at 1e8 and 1.5e-8 at 5e10, and its
+# table, which ends at x = 5.8e10, is 1e-9 off with slopes.  So a table whose
+# end has an ulp above _SLOPE_MAX_ULP (x_end of 2^23 or more) interpolates its
+# n values alone, 4.2e-12 at nu = 1.
 _TABLE_TAIL = 1e-11
 _TABLE_NODES = 64
 _TABLE_NODES_PER_S = 6
+_SLOPE_MAX_ULP = 2.0**-30
 _TABLE_GRID = 1024
-# Newton's method in s stops at a step below this (x to 1e-13 relative)
+# Newton's method in s stops once the clipped step is below this (x to 1e-13
+# relative), and raises SolverError when it has not after _NEWTON_MAX_STEPS
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 50
 
@@ -93,44 +109,111 @@ class ExtremeFitRow:
     hill_index: float
 
 
+class _SumTable(NamedTuple):
+    """log qbar(sinh s) on [0, s_end] and the grid the Newton inversion starts from."""
+
+    series: Chebyshev  # log qbar(sinh s)
+    slope: Chebyshev  # its derivative in s
+    grid_s: np.ndarray  # _TABLE_GRID + 1 equal steps over [0, s_end]
+    grid_y: np.ndarray  # the series there, falling from log qbar(0) = log 1/2
+    grid_slope: np.ndarray  # the slope there
+
+
 @lru_cache(maxsize=None)
-def _sum_table(nu: int) -> tuple[Chebyshev, Chebyshev, np.ndarray, np.ndarray]:
+def _sum_table(nu: int) -> _SumTable:
     """log qbar(sinh s) on [0, asinh(x_end)] as a Chebyshev series, its slope and a start grid.
 
     qbar(x) = P(T1 + T2 > x) = dd_prob(-x, 1, nu), the integral solve_h
-    reads, at _TABLE_NODES Chebyshev points, or _TABLE_NODES_PER_S per unit
-    of s where that is more.  The table ends where qbar is _TABLE_TAIL: the
-    sum's lower _TABLE_TAIL quantile is -x_end, and P(T1 - T2 <= -x_end) =
-    _TABLE_TAIL is Rinott's equation at k = 1.  The grid holds the series at
-    _TABLE_GRID + 1 equal steps in s, from which the Newton inversion starts.
+    reads.  The series matches its values and slopes at m Chebyshev points
+    (_hermite_series), or, where the table's end is too far out for the
+    slopes, its values alone at n points; n and m are set out above
+    _TABLE_TAIL.  The table ends where qbar is _TABLE_TAIL: the sum's lower
+    _TABLE_TAIL quantile is -x_end, and P(T1 - T2 <= -x_end) = _TABLE_TAIL
+    is Rinott's equation at k = 1.
     """
     s_end = math.asinh(-solve_h(HEquationSpec(1, nu, _TABLE_TAIL, RINOTT)).value)
-    nodes = max(_TABLE_NODES, math.ceil(_TABLE_NODES_PER_S * s_end))
-    series = Chebyshev.interpolate(
-        lambda s: np.log([dd_prob(-math.sinh(v), 1, nu) for v in s]),
-        nodes - 1, domain=[0.0, s_end])
+    n = max(_TABLE_NODES, math.ceil(_TABLE_NODES_PER_S * s_end))
+    if math.ulp(math.sinh(s_end)) <= _SLOPE_MAX_ULP:
+        series = _hermite_series(nu, s_end, (n + 1) // 2 + 2)
+    else:
+        series = Chebyshev.interpolate(
+            lambda s: np.log([dd_prob(-math.sinh(v), 1, nu) for v in s]),
+            n - 1, domain=[0.0, s_end])
+    slope = series.deriv()
     grid_s = np.linspace(0.0, s_end, _TABLE_GRID + 1)
-    return series, series.deriv(), grid_s, series(grid_s)
+    return _SumTable(series, slope, grid_s, series(grid_s), slope(grid_s))
+
+
+def _hermite_series(nu: int, s_end: float, m: int) -> Chebyshev:
+    """The degree 2m - 1 series of log qbar(sinh s) on [0, s_end] through m values and slopes.
+
+    The points are the m Chebyshev points z_i of the first kind, s = (z + 1)
+    s_end / 2.  The coefficients solve the confluent system whose rows are
+    T_j(z_i) against the values and T_j'(z_i) = j U_{j-1}(z_i) against the
+    slopes in z, U by its three-term recurrence.
+    """
+    z = np.cos((np.arange(m) + 0.5) * (math.pi / m))
+    rhs = np.empty(2 * m)
+    for i, v in enumerate((z + 1.0) * (0.5 * s_end)):
+        prob, slope = dd_prob_with_slope(-math.sinh(v), 1, nu)
+        # qbar(x) = P_1(-x): d log qbar / dz = -P_1'(-x) cosh(s) / qbar * s_end / 2
+        rhs[i] = math.log(prob)
+        rhs[m + i] = -slope * math.cosh(v) / prob * (0.5 * s_end)
+    rows = np.empty((2 * m, 2 * m))
+    rows[:m] = chebvander(z, 2 * m - 1)
+    rows[m:, 0] = 0.0
+    u_before, u = np.zeros(m), np.ones(m)  # U_{j-2}, U_{j-1}
+    for j in range(1, 2 * m):
+        rows[m:, j] = j * u
+        u_before, u = u, 2.0 * z * u - u_before
+    return Chebyshev(np.linalg.solve(rows, rhs), domain=[0.0, s_end])
+
+
+def _grid_inverse(table: _SumTable, y: np.ndarray) -> np.ndarray:
+    """s in [0, s_end] near series(s) = y: the cubic Hermite inverse of the table's grid.
+
+    On the grid step around y, s is the cubic in y that matches s and
+    ds/dy = 1/slope at both ends; a y outside the grid takes its nearer end.
+    """
+    grid_y, grid_s, grid_slope = table.grid_y[::-1], table.grid_s[::-1], table.grid_slope[::-1]
+    i = np.clip(np.searchsorted(grid_y, y), 1, grid_y.size - 1)
+    width = grid_y[i] - grid_y[i - 1]
+    t = np.clip((y - grid_y[i - 1]) / width, 0.0, 1.0)
+    t2 = t * t
+    s = (t2 * (3.0 - 2.0 * t)) * (grid_s[i] - grid_s[i - 1]) + grid_s[i - 1]
+    s += (t - t2) * ((1.0 - t) * width / grid_slope[i - 1] - t * width / grid_slope[i])
+    return np.clip(s, 0.0, table.grid_s[-1], out=s)
 
 
 def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """x >= 0 with qbar(x) = tail for tails in (0, 1/2], and the mask of tails past the table.
 
     Newton's method on the series of _sum_table in s = asinh(x), from the
-    piecewise-linear inverse of its grid.  A tail below the table's last
-    value is left at the table's end, for the caller to solve.
+    cubic Hermite inverse of its grid, clipped to the table.  It stops when
+    the steps that the clip lets through are below _NEWTON_TOL, and raises
+    SolverError when they are not after _NEWTON_MAX_STEPS passes.  A tail
+    below the table's last value is left at the table's end, for the caller
+    to solve.
     """
-    series, slope, grid_s, grid_y = _sum_table(nu)
+    table = _sum_table(nu)
     y = np.log(tail)
-    past = y < grid_y[-1]
-    s = np.interp(y, grid_y[::-1], grid_s[::-1])
+    past = y < table.grid_y[-1]
+    s = _grid_inverse(table, y)
     for _ in range(_NEWTON_MAX_STEPS):
-        step = (series(s) - y) / slope(s)
+        step = (table.series(s) - y) / table.slope(s)
         step[past] = 0.0
-        s = np.clip(s - step, 0.0, grid_s[-1])
-        if not np.abs(step).max(initial=0.0) > _NEWTON_TOL:
-            break
-    return np.sinh(s), past
+        # the series at s = 0 lies up to 1e-11 below log 1/2: at tail 1/2 the
+        # step leaves s below 0 and the clip takes it back, so only the
+        # distance moved can end the loop
+        new = np.clip(s - step, 0.0, table.grid_s[-1])
+        moved = np.abs(new - s).max(initial=0.0)
+        s = new
+        if not moved > _NEWTON_TOL:
+            return np.sinh(s), past
+    raise SolverError(
+        f"Newton's method on the nu = {nu} sum table moved more than {_NEWTON_TOL:g} "
+        f"after {_NEWTON_MAX_STEPS} steps"
+    )
 
 
 def _row_maxima(u: np.ndarray, k: int, nu: int, statistic: str) -> np.ndarray:
@@ -189,8 +272,9 @@ def ad_distance(sample: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> 
 def hill_tail_index(sample: np.ndarray) -> float:
     """Hill estimate of the tail index from the top HILL_FRACTION of the order stats.
 
-    Returns NaN when fewer than 20 positive observations are available
-    (the estimate would be meaningless).
+    Returns NaN when fewer than 20 positive observations are available, or
+    when the top m + 1 order statistics tie, so that the log spacings the
+    estimate averages are all 0 (the estimate would be meaningless).
     """
     pos = np.sort(np.asarray(sample, dtype=float))
     pos = pos[pos > 0]
@@ -199,7 +283,7 @@ def hill_tail_index(sample: np.ndarray) -> float:
     m = max(2, int(math.floor(HILL_FRACTION * pos.size)))  # <= pos.size - 1 as pos.size >= 20
     threshold = pos[-(m + 1)]
     gamma = float(np.mean(np.log(pos[-m:] / threshold)))
-    return 1.0 / gamma
+    return 1.0 / gamma if gamma > 0.0 else float("nan")
 
 
 def _frechet_profile(x: np.ndarray, anchor: float, p: tuple[float, float]):

@@ -60,6 +60,7 @@ __all__ = [
     "HTableRow",
     "SolverError",
     "dd_prob",
+    "dd_prob_with_slope",
     "solve_h",
     "mc_oracle",
     "h_table",
@@ -198,10 +199,19 @@ def dd_prob(h: float, k: int, nu: int) -> float:
     accumulated as k*log(G) per node, so k up to 1e5 and beyond stays in
     range.
     """
+    return dd_prob_with_slope(h, k, nu)[0]
+
+
+def dd_prob_with_slope(h: float, k: int, nu: int) -> tuple[float, float]:
+    """dd_prob(h, k, nu) and its derivative in h, both from one integral.
+
+    The derivative is the integral of k * G(t+h)^(k-1) * g(t+h) * g(t), summed
+    on the value's nodes: the quadrature refines on the value alone.
+    """
     k = _check_count(k, "k")
     nu = _check_count(nu, "degrees of freedom")
-    value, _, _ = _dd_integral(float(h), k, nu)
-    return min(max(value, 0.0), 1.0)
+    value, _, slope = _dd_integral(float(h), k, nu)
+    return min(max(value, 0.0), 1.0), slope
 
 
 def _first_guess(nu: int, tail: float) -> float:

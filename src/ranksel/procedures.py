@@ -388,18 +388,28 @@ def second_stage_size(s2, h: float, delta: float, n0: int):
         raise ValueError(f"S^2 must be nonnegative, got {np.min(s2)}")
     _check_delta(delta)
     n0 = _check_count(n0, "N0", least=2)
-    # one float buffer, fresh so that the caller's S^2 is left as it is
-    raw = np.empty_like(s2)
-    with np.errstate(over="ignore"):  # an overflow reads inf, refused below
-        np.multiply(_finite_square(h, delta, _SIZE_TOO_LARGE), s2, out=raw)
-    np.ceil(raw, out=raw)
-    if not np.all(raw < _INT64_LIMIT):
-        raise ValueError(
-            f"second-stage size (h/delta)^2*S^2 = {np.max(raw)} does not fit a 64-bit integer"
-        )
+    # a fresh float buffer, so that the caller's S^2 is left as it is
+    raw = _ceil_sizes(s2, _finite_square(h, delta, _SIZE_TOO_LARGE), np.empty_like(s2))
     sizes = raw.astype(np.int64)
+    # the floor after the cast: N0 + 1 stays exact past 2^53
     np.maximum(sizes, n0 + 1, out=sizes)
     return sizes[()]
+
+
+def _ceil_sizes(s2: np.ndarray, r2: float, out: np.ndarray) -> np.ndarray:
+    """ceil(r2 * S^2) into ``out``, as floats: second_stage_size's rule before its N0 + 1 floor.
+
+    ``out`` may be S^2 itself.  ValueError when a size does not fit int64;
+    an overflow reads inf and is refused with it.
+    """
+    with np.errstate(over="ignore"):
+        np.multiply(r2, s2, out=out)
+    np.ceil(out, out=out)
+    if not np.all(out < _INT64_LIMIT):
+        raise ValueError(
+            f"second-stage size (h/delta)^2*S^2 = {np.max(out)} does not fit a 64-bit integer"
+        )
+    return out
 
 
 def dd_weights(n0: int, n, s2, h: float, delta: float):

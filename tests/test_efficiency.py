@@ -17,7 +17,9 @@ from ranksel.efficiency import (
 )
 from ranksel.extremes import MAX_OF_T, MAX_OF_T_SUM, fit_extremes
 from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
-from ranksel.procedures import ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance
+from ranksel.procedures import (
+    ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance, second_stage_size,
+)
 
 SEED = 20260814
 
@@ -86,6 +88,35 @@ def test_estimate_alpha_matches_reconstructed_draws():
     h = solve_h(HEquationSpec(k, nu, p, DD)).value
     est = estimate_alpha(h, nu, delta, prior, reps, rng)
     assert est == reconstructed_alpha(h, nu, delta, prior, reps, rng)
+
+
+# S^2 at the edges of the size rule, for h = 2, delta = 1 ((h/delta)^2 = 4) and
+# N0 = 5: 0 and small S^2 at the N0 + 1 floor, 4 S^2 an exact integer at the
+# floor and above it and one ulp past each, and sizes above 2^53
+SIZE_EDGES = [0.0, 1e-300, 1.0, 1.5, math.nextafter(1.5, math.inf), 2.75,
+              math.nextafter(2.75, math.inf), 2.0**51 + 0.25, 3 * 2.0**55, 2.0**61 - 2.0**8]
+
+
+def _alpha_at(monkeypatch, s2):
+    """estimate_alpha's one replication at S^2 = s2: a fixed prior of 1 and a chi-square of 4 s2."""
+    monkeypatch.setattr(efficiency, "_chi_square", lambda rng, nu, reps: np.full(reps, nu * s2))
+    return estimate_alpha(2.0, 4, 1.0, VariancePrior.fixed(1.0), 1, RandomStream(SEED))
+
+
+@pytest.mark.parametrize("s2", SIZE_EDGES)
+def test_estimate_alpha_sizes_follow_second_stage_size(monkeypatch, s2):
+    # one size rule: a replication's alpha is second_stage_size's size over
+    # (h/delta)^2, exactly, since 4 S^2 / 4 = S^2 and 4 alpha are exact
+    assert _alpha_at(monkeypatch, s2) == AlphaEstimate(second_stage_size(s2, 2.0, 1.0, 5) / 4.0, 0.0)
+
+
+def test_estimate_alpha_refuses_the_sizes_second_stage_size_refuses(monkeypatch):
+    # 4 S^2 = 2^63 does not fit int64; both name the same size
+    with pytest.raises(ValueError) as size:
+        second_stage_size(2.0**61, 2.0, 1.0, 5)
+    with pytest.raises(ValueError) as alpha:
+        _alpha_at(monkeypatch, 2.0**61)
+    assert str(alpha.value) == str(size.value)
 
 
 PRIOR = VariancePrior.inverse_gamma(3.0, 4.0)

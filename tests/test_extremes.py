@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import stdtr, stdtrit
 
 import ranksel.extremes as extremes
+import ranksel.hconst as hconst
 from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.extremes import (
     MAX_OF_T,
@@ -21,7 +22,7 @@ from ranksel.extremes import (
     fit_extremes,
     hill_tail_index,
 )
-from ranksel.hconst import RINOTT, HEquationSpec, _dd_integral, dd_prob, solve_h
+from ranksel.hconst import RINOTT, HEquationSpec, SolverError, _dd_integral, dd_prob, solve_h
 
 SEED = 20260814
 
@@ -189,7 +190,7 @@ def test_sum_maxima_meet_rinott_equation(nu):
     gen = RandomStream(10).substream(nu).generator
     u = gen.integers(1, 2**53, size=200) * 2.0**-53
     u = np.concatenate((u, [2.0**-53, 1e-6, 0.5, 1 - 1e-6, 1 - 2.0**-53]))
-    *_, grid_y = extremes._sum_table(nu)
+    grid_y = extremes._sum_table(nu).grid_y
     for k in LAW_KS:
         maxima = _row_maxima(u.copy(), k, nu, MAX_OF_T_SUM)
         for x, ui in zip(maxima, u):
@@ -230,6 +231,66 @@ def test_sum_maxima_past_the_table_are_solved(monkeypatch):
     maxima = _row_maxima(u.copy(), k, nu, MAX_OF_T_SUM)
     assert specs == [HEquationSpec(k, nu, 1.0 - 2.0**-53, RINOTT)]
     assert maxima[1] == solve(specs[0]).value > maxima[2] > maxima[0]
+
+
+# the largest log error of each nu's table against dd_prob, on 801 equal steps
+# in s, as the 64-value interpolant read it (at nu = 1 the table is the same)
+HEAD_TABLE_LOG_ERROR = {1: 4.2e-12, 2: 3.1e-12, 3: 1.8e-11, 4: 1.8e-11, 8: 6.1e-12,
+                        100: 1.1e-12, 10**6: 9.8e-13}
+
+
+@pytest.mark.parametrize("nu", HEAD_TABLE_LOG_ERROR)
+def test_sum_table_follows_the_integral(nu):
+    table = extremes._sum_table(nu)
+    s = np.linspace(0.0, table.grid_s[-1], 801)
+    exact = np.log([dd_prob(-math.sinh(v), 1, nu) for v in s])
+    assert np.abs(table.series(s) - exact).max() <= HEAD_TABLE_LOG_ERROR[nu]
+    assert np.array_equal(table.grid_y, table.series(table.grid_s))
+    assert np.array_equal(table.grid_slope, table.slope(table.grid_s))
+
+
+def test_sum_table_takes_slopes_where_its_end_allows():
+    # t + h rounds at ulp(x_end) inside the slope integrand's peak: nu = 1 ends
+    # at 5.8e10 and interpolates its n = 153 values alone, nu = 2 ends at 3.0e5
+    # and matches m = 42 values and slopes, degree 83
+    for nu, slopes, degree in ((1, False, 152), (2, True, 83)):
+        table = extremes._sum_table(nu)
+        assert (math.ulp(math.sinh(table.grid_s[-1])) <= extremes._SLOPE_MAX_ULP) == slopes
+        assert table.series.degree() == degree
+
+
+def test_sum_table_integral_budget(monkeypatch):
+    # on a cold integral cache the nu = 4 table asks for its end's solve and
+    # m = 64/2 + 2 = 34 integrals, one per value and slope pair
+    calls = []
+    quadrature = hconst.panel_quadrature
+
+    def counted(f, edges):
+        calls.append(edges.size)
+        return quadrature(f, edges)
+
+    monkeypatch.setattr(hconst, "panel_quadrature", counted)
+    _dd_integral.cache_clear()
+    table = extremes._sum_table.__wrapped__(4)
+    end = solve_h(HEquationSpec(1, 4, extremes._TABLE_TAIL, RINOTT))
+    assert table.series.degree() == 2 * 34 - 1
+    assert len(calls) <= 34 + end.iterations
+
+
+def test_sum_tail_quantile_settles_where_the_clip_holds(monkeypatch):
+    # series(0) lies 2e-12 to 1e-11 below log 1/2, so at tail 1/2 every Newton
+    # step leaves s below 0 and the clip takes it back: the row converges on
+    # the step the clip lets through, 0, not on the step before the clip
+    monkeypatch.setattr(extremes, "_NEWTON_MAX_STEPS", 3)
+    for nu in (1, 4):
+        x, past = extremes._sum_tail_quantile(np.full(10_000, 0.5), nu)
+        assert (x == 0.0).all() and not past.any()
+
+
+def test_sum_tail_quantile_raises_when_newton_runs_out(monkeypatch):
+    monkeypatch.setattr(extremes, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(SolverError, match="nu = 4"):
+        extremes._sum_tail_quantile(np.geomspace(1e-10, 0.4, 1000), 4)
 
 
 def test_draw_base_inverts_one_uniform_per_row():
@@ -277,6 +338,14 @@ def test_hill_recovers_pareto_index():
 def test_hill_insufficient_positives():
     assert math.isnan(hill_tail_index(np.full(100, -1.0)))
     assert math.isnan(hill_tail_index(np.arange(1, 15, dtype=float)))
+
+
+def test_hill_tied_top_order_statistics():
+    # at 100 positives the estimate reads the top m = 5 over the 6th: when all
+    # six tie, every log spacing is 0 and there is no tail to measure
+    assert math.isnan(hill_tail_index(np.ones(100)))
+    assert math.isnan(hill_tail_index(np.concatenate((np.arange(1.0, 95.0), np.full(6, 99.0)))))
+    assert math.isfinite(hill_tail_index(np.concatenate((np.arange(1.0, 96.0), np.full(5, 99.0)))))
 
 
 def test_ad_distance_discriminates_families():
