@@ -92,8 +92,12 @@ def estimate_alpha(
     but different h reuses identical draws; variant comparisons are then
     common-random-number coupled.  The prior is drawn on every call.  The
     chi-square is drawn once per (stream, nu, replications) and shared,
-    read-only, by the calls that follow with the same key; efficiency_curve
-    forgets it when it returns.
+    read-only, by the calls that follow with the same key; a new key forgets
+    it before its own draw, and so does efficiency_curve when it returns.
+    S^2, the sizes and the squared deviations of the standard error
+    (numpy's std with ddof=1, over sqrt(replications); 0 for one
+    replication) all live in the prior's array: beside the shared
+    chi-square, a call keeps that one array of `replications` floats.
     ValueError when h <= 0, replications exceed 2^24 (the draws would not
     fit in memory), an S^2 draw is not finite or a size
     ceil((h/delta)^2 * S^2) does not fit int64, the rule second_stage_size
@@ -126,11 +130,14 @@ def estimate_alpha(
     np.maximum(samples, n0 + 1, out=samples)
     samples /= r2
     alpha = float(samples.mean())
-    if replications > 1:
-        std_error = float(samples.std(ddof=1) / math.sqrt(replications))
-    else:
-        std_error = 0.0
-    return AlphaEstimate(alpha, std_error)
+    if replications == 1:
+        return AlphaEstimate(alpha, 0.0)
+    # samples.std(ddof=1) in the sizes buffer, numpy's own _var sequence (the
+    # same bits), without the second array std allocates
+    samples -= alpha
+    np.square(samples, out=samples)
+    std = math.sqrt(float(samples.sum()) / (replications - 1))
+    return AlphaEstimate(alpha, std / math.sqrt(replications))
 
 
 # The last chi-square draw of estimate_alpha, read-only, under its
@@ -144,9 +151,9 @@ def _chi_square(rng: RandomStream, nu: int, replications: int) -> np.ndarray:
     key = (rng.seed, rng.path + (1,), nu, replications)
     draw = _CHI_SQUARE_MEMO.get(key)
     if draw is None:
+        _CHI_SQUARE_MEMO.clear()  # first, so that two draws are never alive at once
         draw = rng.substream(1).generator.chisquare(nu, size=replications)
         draw.flags.writeable = False
-        _CHI_SQUARE_MEMO.clear()
         _CHI_SQUARE_MEMO[key] = draw
     return draw
 

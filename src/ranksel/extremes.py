@@ -32,7 +32,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy import stats
 from scipy.special import stdtrit
 
@@ -80,8 +80,16 @@ _TABLE_NODES = 64
 _TABLE_NODES_PER_S = 6
 _SLOPE_MAX_ULP = 2.0**-30
 _TABLE_GRID = 1024
-# Newton's method in s stops once the clipped step is below this (x to 1e-13
-# relative), and raises SolverError when it has not after _NEWTON_MAX_STEPS
+# Newton's method in s stops once its error bound is below _NEWTON_TOL (x to
+# 1e-13 relative), and raises SolverError when it is not after
+# _NEWTON_MAX_STEPS passes.  Newton's error after a step is at most K e^2, e
+# the error before it and K = max|series''| / (2 min|slope|); a step that
+# moves s by d then leaves at most K (2d)^2, since e <= d + K e^2 <= 2d while
+# K e <= 1/2.  The table keeps twice K as read on its grid, a margin: for
+# every nu tried, K there lies within 1e-4 of K on a grid 40 times as fine.
+# The first step from _grid_inverse moves s by at most 2e-9 (nu = 1; 6.6e-11
+# at nu = 4), which bounds the error after it by 1e-17, so one pass settles
+# every row.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 50
 
@@ -110,13 +118,15 @@ class ExtremeFitRow:
 
 
 class _SumTable(NamedTuple):
-    """log qbar(sinh s) on [0, s_end] and the grid the Newton inversion starts from."""
+    """log qbar(sinh s) on [0, s_end], the grid the Newton inversion starts from and its K."""
 
     series: Chebyshev  # log qbar(sinh s)
     slope: Chebyshev  # its derivative in s
     grid_s: np.ndarray  # _TABLE_GRID + 1 equal steps over [0, s_end]
     grid_y: np.ndarray  # the series there, falling from log qbar(0) = log 1/2
     grid_slope: np.ndarray  # the slope there
+    coef: np.ndarray  # series and slope coefficients as the columns of one (n, 2) array
+    newton_k: float  # max|series''| / min|slope| on the grid: twice Newton's K
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +151,12 @@ def _sum_table(nu: int) -> _SumTable:
             n - 1, domain=[0.0, s_end])
     slope = series.deriv()
     grid_s = np.linspace(0.0, s_end, _TABLE_GRID + 1)
-    return _SumTable(series, slope, grid_s, series(grid_s), slope(grid_s))
+    grid_slope = slope(grid_s)
+    coef = np.zeros((series.coef.size, 2))  # a trailing 0 leaves Clenshaw's bits alone
+    coef[:, 0] = series.coef
+    coef[:-1, 1] = slope.coef
+    newton_k = float(np.abs(slope.deriv()(grid_s)).max() / np.abs(grid_slope).min())
+    return _SumTable(series, slope, grid_s, series(grid_s), grid_slope, coef, newton_k)
 
 
 def _hermite_series(nu: int, s_end: float, m: int) -> Chebyshev:
@@ -185,22 +200,36 @@ def _grid_inverse(table: _SumTable, y: np.ndarray) -> np.ndarray:
     return np.clip(s, 0.0, table.grid_s[-1], out=s)
 
 
+def _series_and_slope(table: _SumTable, s: np.ndarray) -> np.ndarray:
+    """table.series(s) and table.slope(s) as the rows of one array, from one Clenshaw pass.
+
+    chebval runs the two columns of table.coef side by side, the same
+    operations on each as the two calls, so the rows equal their bits.
+    """
+    off, scl = table.series.mapparms()
+    return chebval(off + scl * s, table.coef)
+
+
 def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """x >= 0 with qbar(x) = tail for tails in (0, 1/2], and the mask of tails past the table.
 
     Newton's method on the series of _sum_table in s = asinh(x), from the
-    cubic Hermite inverse of its grid, clipped to the table.  It stops when
-    the steps that the clip lets through are below _NEWTON_TOL, and raises
-    SolverError when they are not after _NEWTON_MAX_STEPS passes.  A tail
-    below the table's last value is left at the table's end, for the caller
-    to solve.
+    cubic Hermite inverse of its grid, clipped to the table; each pass
+    evaluates the series and its slope together (_series_and_slope).  It
+    stops once K (2d)^2 <= _NEWTON_TOL, d the largest distance a pass moved
+    s after the clip and K the table's newton_k (Newton's K with a margin of
+    2): a bound on the error left, which holds after one pass from the grid
+    inverse.  It raises SolverError when the bound has not held after
+    _NEWTON_MAX_STEPS passes.  A tail below the table's last value is left
+    at the table's end, for the caller to solve.
     """
     table = _sum_table(nu)
     y = np.log(tail)
     past = y < table.grid_y[-1]
     s = _grid_inverse(table, y)
     for _ in range(_NEWTON_MAX_STEPS):
-        step = (table.series(s) - y) / table.slope(s)
+        value, slope = _series_and_slope(table, s)
+        step = (value - y) / slope
         step[past] = 0.0
         # the series at s = 0 lies up to 1e-11 below log 1/2: at tail 1/2 the
         # step leaves s below 0 and the clip takes it back, so only the
@@ -208,11 +237,11 @@ def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarra
         new = np.clip(s - step, 0.0, table.grid_s[-1])
         moved = np.abs(new - s).max(initial=0.0)
         s = new
-        if not moved > _NEWTON_TOL:
+        if table.newton_k * (2.0 * moved) ** 2 <= _NEWTON_TOL:
             return np.sinh(s), past
     raise SolverError(
-        f"Newton's method on the nu = {nu} sum table moved more than {_NEWTON_TOL:g} "
-        f"after {_NEWTON_MAX_STEPS} steps"
+        f"Newton's method on the nu = {nu} sum table left an error bound above "
+        f"{_NEWTON_TOL:g} after {_NEWTON_MAX_STEPS} steps"
     )
 
 

@@ -206,7 +206,12 @@ def dd_prob_with_slope(h: float, k: int, nu: int) -> tuple[float, float]:
     """dd_prob(h, k, nu) and its derivative in h, both from one integral.
 
     The derivative is the integral of k * G(t+h)^(k-1) * g(t+h) * g(t), summed
-    on the value's nodes: the quadrature refines on the value alone.
+    on the value's nodes: the quadrature refines on the value (row 0) alone,
+    so only the value meets the 1e-11 relative tolerance.  The slope's own
+    error, measured at k = 1 and nu = 1 against the closed form
+    2 / (pi (4 + x^2)) at h = -x, is 1.9e-13 relative at x = 1e6, 6e-11 at
+    1e8 and 1.5e-8 at 5e10: its integrand peaks within a unit of t = x,
+    where t + h rounds at ulp(x).
     """
     k = _check_count(k, "k")
     nu = _check_count(nu, "degrees of freedom")

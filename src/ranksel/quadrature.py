@@ -139,7 +139,9 @@ def panel_quadrature(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -
     sum stays within half that tolerance, and the rest are halved for the
     next pass; ``refinements`` counts the passes after the first.  When f
     returns a ``(2, n)`` stack, row 0 is that total and row 1 comes back as
-    ``companion``.
+    ``companion``.  Refinement reads row 0 only: the companion has no error
+    estimate or tolerance of its own, and is as accurate as row 0's nodes
+    make it (see hconst.dd_prob_with_slope for the h-slope's).
     """
     edges = np.asarray(edges, dtype=float)
     if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all()

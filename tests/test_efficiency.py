@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,41 @@ def test_chi_square_memo_never_serves_another_key():
     for h, nu, reps, rng in calls:
         assert estimate_alpha(h, nu, 1.0, PRIOR, reps, rng) == reconstructed_alpha(
             h, nu, 1.0, PRIOR, reps, rng)
+
+
+def _traced_peak(call) -> int:
+    """Bytes of the largest traced allocation total while call() runs, over the start."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BULK_REPS = 200_000  # bulk-mc's replications: one array of them is 1.6 MB
+
+
+def test_estimate_alpha_keeps_one_array_beside_the_chi_square():
+    # S^2, the sizes and the standard error's squared deviations share the
+    # prior's array; with the chi-square already drawn, nothing else of its
+    # size is allocated
+    args = (2.5, 4, 1.0, PRIOR, BULK_REPS, RandomStream(SEED))
+    estimate_alpha(*args)
+    assert _traced_peak(lambda: estimate_alpha(*args)) < 1.25 * 8 * BULK_REPS
+
+
+def test_efficiency_curve_never_holds_two_chi_squares():
+    # four rows of distinct nu (2, 3, 4, 5): each new chi-square is drawn
+    # after the last is forgotten, so at most it and one S^2 array are alive
+    ks, schedule = [2, 3, 8, 21], ScheduleSpec("log-growth")
+    assert [nu for _, nu in schedule.grid(ks)] == [2, 3, 4, 5]
+
+    def curve(reps):
+        return efficiency_curve(ks, schedule, 0.9, 1.0, PRIOR, reps, RandomStream(SEED))
+
+    curve(1000)  # the h solves' integrals are cached before the peak is read
+    assert _traced_peak(lambda: curve(BULK_REPS)) < 1.25 * 2 * 8 * BULK_REPS
 
 
 def test_chi_square_memo_is_read_only_and_emptied_by_efficiency_curve():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 from scipy import stats
 from scipy.optimize import brentq
 from scipy.special import stdtr, stdtrit
@@ -247,6 +248,10 @@ def test_sum_table_follows_the_integral(nu):
     assert np.abs(table.series(s) - exact).max() <= HEAD_TABLE_LOG_ERROR[nu]
     assert np.array_equal(table.grid_y, table.series(table.grid_s))
     assert np.array_equal(table.grid_slope, table.slope(table.grid_s))
+    # Newton's K, read on the grid with its margin, covers K on a grid 40 times as fine
+    fine = np.linspace(0.0, table.grid_s[-1], 40 * extremes._TABLE_GRID + 1)
+    k_fine = np.abs(table.slope.deriv()(fine)).max() / (2 * np.abs(table.slope(fine)).min())
+    assert k_fine <= table.newton_k
 
 
 def test_sum_table_takes_slopes_where_its_end_allows():
@@ -288,9 +293,75 @@ def test_sum_tail_quantile_settles_where_the_clip_holds(monkeypatch):
 
 
 def test_sum_tail_quantile_raises_when_newton_runs_out(monkeypatch):
+    # from the middle of the table, not the grid inverse, Newton needs more
+    # than the one pass it is allowed
     monkeypatch.setattr(extremes, "_NEWTON_MAX_STEPS", 1)
+    monkeypatch.setattr(extremes, "_grid_inverse",
+                        lambda table, y: np.full(y.shape, 0.5 * table.grid_s[-1]))
     with pytest.raises(SolverError, match="nu = 4"):
         extremes._sum_tail_quantile(np.geomspace(1e-10, 0.4, 1000), 4)
+
+
+@pytest.mark.parametrize("nu", [1, 4, 100])
+def test_series_and_slope_equal_the_two_series(nu):
+    table = extremes._sum_table(nu)
+    s = np.concatenate((RandomStream(nu).generator.uniform(0.0, table.grid_s[-1], 10_000),
+                        table.grid_s))
+    value, slope = extremes._series_and_slope(table, s)
+    assert np.array_equal(value, table.series(s))
+    assert np.array_equal(slope, table.slope(s))
+
+
+def _newton_in_extended_precision(table, y, past):
+    """The root in s of the series at each y, by Newton's method on long doubles."""
+    off, scl = (np.longdouble(v) for v in table.series.mapparms())
+    coef = table.series.coef.astype(np.longdouble)
+    slope = table.slope.coef.astype(np.longdouble)
+    s = extremes._grid_inverse(table, y).astype(np.longdouble)
+    for _ in range(8):
+        z = off + scl * s
+        step = (chebval(z, coef) - y) / chebval(z, slope)
+        step[past] = 0.0
+        new = np.clip(s - step, 0.0, np.longdouble(table.grid_s[-1]))
+        moved = float(np.abs(new - s).max())
+        s = new
+    assert moved < 1e-17
+    return s
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4, 8, 100])
+def test_sum_tail_quantile_takes_one_pass_to_the_root(monkeypatch, nu):
+    # one Newton pass from the grid inverse lands within 4 ulps in s of the
+    # series' root, beyond the float series' own rounding: the largest
+    # distance on these points between it and the long-double series, over
+    # the slope.  The root is found by Newton on long doubles until its steps
+    # are below 1e-17 (a float Newton cycles at rounding level in half the rows)
+    if np.finfo(np.longdouble).eps > 2.0**-60:
+        pytest.skip("long double is no wider than double here")
+    table = extremes._sum_table(nu)
+    tail = np.concatenate((np.geomspace(1e-12, 0.5, 3000),
+                           RandomStream(nu).generator.uniform(0.0, 0.5, 3000)))
+    y = np.log(tail)
+    past = y < table.grid_y[-1]
+    root = _newton_in_extended_precision(table, y, past)
+    ref = root.astype(float)
+    off, scl = (np.longdouble(v) for v in table.series.mapparms())
+    exact = chebval(off + scl * root, table.series.coef.astype(np.longdouble))
+    rounding = float(np.abs(table.series(ref) - exact).max())
+    assert rounding < 2e-14
+
+    passes = []
+    series_and_slope = extremes._series_and_slope
+
+    def counted(table, s):
+        passes.append(s.size)
+        return series_and_slope(table, s)
+
+    monkeypatch.setattr(extremes, "_series_and_slope", counted)
+    x, got_past = extremes._sum_tail_quantile(tail, nu)
+    assert len(passes) == 1 and np.array_equal(got_past, past)
+    tolerance = rounding / np.abs(table.slope(ref)) + 4 * np.spacing(ref)
+    assert (np.abs(np.arcsinh(x) - ref) <= tolerance).all()
 
 
 def test_draw_base_inverts_one_uniform_per_row():

@@ -370,6 +370,17 @@ def test_rinott_tail_is_mirrored_dd_integral(nu):
         assert abs(-slope - tail_slope) <= 1e-13 * abs(tail_slope), (h, slope, tail_slope)
 
 
+def test_companion_slope_meets_the_cauchy_closed_form():
+    # refinement reads the value row only, and the slope row rides on its
+    # nodes.  At nu = 1, T2 - T1 is Cauchy of scale 2, so the slope at h = -x
+    # is 2 / (pi (4 + x^2)): within 1e-12 relative out to x = 1e6 (1.9e-13
+    # there; 6e-11 at 1e8 and 1.5e-8 at 5e10, where t + h rounds in the peak)
+    for x in (0.0, 0.5, 1.0, 3.0, 10.0, 1e2, 1e3, 1e4, 1e5, 3e5, 1e6):
+        slope = hconst._dd_integral(-x, 1, 1)[2]
+        exact = 2.0 / (math.pi * (4.0 + x * x))
+        assert abs(slope / exact - 1.0) <= 1e-12, (x, slope, exact)
+
+
 def _brent_reference(spec):
     """h from a doubling bracket search from [0, 1] and brentq, on the solver's integrals."""
     k, nu, p = spec.k, spec.nu, spec.p
