@@ -4,16 +4,17 @@ For each k the array draws k i.i.d. copies of a base statistic (a single
 t variable, or a sum of two independent t variables) whose degrees of
 freedom may themselves depend on k, and records the sample maximum.  The
 maximum of k draws has CDF F^k, so each row takes one uniform u and
-returns F^-1(u^(1/k)) (see _row_maxima): stdtrit for the t, exact, and
-for the sum Rinott's constant at p = u, read from a Chebyshev table of the
-solver's pairwise tail integral.  That integral stops at 1e-12 tail mass,
-so the law of a sum's maximum is off by up to about k * 1e-12 in
-probability, as is the solver's.  With nu fixed the classical theory
-applies (regularly varying tails, Frechet domain); when nu grows with k
-the limiting law is unresolved, so this module only emits per-k fit
-diagnostics: location/spread summaries, Anderson-Darling distances to
-best-fit Gumbel and Frechet, and a Hill-style tail-index estimate.  No
-limit claim is made.
+returns F^-1(u^(1/k)) (see _row_maxima): stdtrit for the t, exact.  At
+nu = 1 the sum is Cauchy with scale 2, so its quantile is twice stdtrit's,
+exact too.  At nu >= 2 the sum's is Rinott's constant at p = u, read from
+a Chebyshev table of the solver's pairwise tail integral.  That integral
+stops at 1e-12 tail mass, so there the law of a sum's maximum is off by
+up to about k * 1e-12 in probability, as is the solver's.  With nu fixed
+the classical theory applies (regularly varying tails, Frechet domain);
+when nu grows with k the limiting law is unresolved, so this module only
+emits per-k fit diagnostics: location/spread summaries, Anderson-Darling
+distances to best-fit Gumbel and Frechet, and a Hill-style tail-index
+estimate.  No limit claim is made.
 
 Both fits are maximum likelihood.  The Gumbel fit is scipy's; the Frechet
 fit profiles the scale out in closed form and climbs the remaining
@@ -37,9 +38,7 @@ from scipy import stats
 from scipy.special import stdtrit
 
 from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
-from ranksel.hconst import (
-    RINOTT, HEquationSpec, SolverError, dd_prob, dd_prob_with_slope, solve_h,
-)
+from ranksel.hconst import RINOTT, HEquationSpec, SolverError, dd_prob_with_slope, solve_h
 
 __all__ = [
     "MAX_OF_T",
@@ -55,30 +54,24 @@ STATISTICS = (MAX_OF_T, MAX_OF_T_SUM)
 
 HILL_FRACTION = 0.05
 
-# max-of-t-sum inverts qbar(x) = P(T1 + T2 > x) through a Chebyshev series of
-# log qbar in s = asinh(x), on [0, x_end] with qbar(x_end) = _TABLE_TAIL.
-# The end is the tail value itself, not a bound on it: for nu >= 3,
-# x_end = -2 stdtrit(nu, _TABLE_TAIL / 2) lies past the integration cutoff
-# (_tail_cutoff), where the integral drops the large-T2 mass within a unit
-# span of x, a kink the series cannot follow (log error 1e-2 at nu = 3 to 8).
-# The series has n = 64 coefficients, or 6 per unit of s where that is more:
-# for nu >= 3 the table spans at most 9.4 in s, nu = 1 and 2 span 25.5 and
-# 13.3.  Each integral gives its h-slope from the same nodes, so the series is
-# the degree 2m - 1 interpolant of the values and s-slopes of log qbar at
+# max-of-t-sum at nu >= 2 inverts qbar(x) = P(T1 + T2 > x) through a
+# Chebyshev series of log qbar in s = asinh(x), on [0, x_end] with
+# qbar(x_end) = _TABLE_TAIL.  The end is the tail value itself, not a bound
+# on it: for nu >= 3, x_end = -2 stdtrit(nu, _TABLE_TAIL / 2) lies past the
+# integration cutoff (_tail_cutoff), where the integral drops the large-T2
+# mass within a unit span of x, a kink the series cannot follow (log error
+# 1e-2 at nu = 3 to 8).  The series has n = 64 coefficients, or 6 per unit
+# of s where that is more: for nu >= 3 the table spans at most 9.4 in s,
+# nu = 2 spans 13.3.
+# Each integral gives its h-slope from the same nodes, so the series is the
+# degree 2m - 1 interpolant of the values and s-slopes of log qbar at
 # m = ceil(n/2) + 2 Chebyshev points: m integrals where values alone took n.
 # Its largest log error against dd_prob, on 801 points, is 3.4e-13 at nu = 2,
 # 4.7e-12 at nu = 3 and 4, 5.0e-12 at nu = 6, 1.5e-12 at nu = 8 and 2e-14 at
-# nu = 100 and 1e6; n values alone read 3.0e-12, 1.8e-11, 1.7e-11, 1.1e-11,
-# 6.0e-12 and 1.0e-12 there.  The slope's integrand peaks within a unit of
-# t = x, and t + h rounds at ulp(x): at nu = 1 the slope is within 2e-13 of the
-# Cauchy closed form at x = 1e6, 6e-11 at 1e8 and 1.5e-8 at 5e10, and its
-# table, which ends at x = 5.8e10, is 1e-9 off with slopes.  So a table whose
-# end has an ulp above _SLOPE_MAX_ULP (x_end of 2^23 or more) interpolates its
-# n values alone, 4.2e-12 at nu = 1.
+# nu = 100 and 1e6, below the n-value interpolant's at each.
 _TABLE_TAIL = 1e-11
 _TABLE_NODES = 64
 _TABLE_NODES_PER_S = 6
-_SLOPE_MAX_ULP = 2.0**-30
 _TABLE_GRID = 1024
 # Newton's method in s stops once its error bound is below _NEWTON_TOL (x to
 # 1e-13 relative), and raises SolverError when it is not after
@@ -87,9 +80,9 @@ _TABLE_GRID = 1024
 # moves s by d then leaves at most K (2d)^2, since e <= d + K e^2 <= 2d while
 # K e <= 1/2.  The table keeps twice K as read on its grid, a margin: for
 # every nu tried, K there lies within 1e-4 of K on a grid 40 times as fine.
-# The first step from _grid_inverse moves s by at most 2e-9 (nu = 1; 6.6e-11
-# at nu = 4), which bounds the error after it by 1e-17, so one pass settles
-# every row.
+# The first step from _grid_inverse moves s by at most 3.6e-10 (nu = 2;
+# 6.6e-11 at nu = 4), which bounds the error after it by 1e-18, so one pass
+# settles every row.
 _NEWTON_TOL = 1e-13
 _NEWTON_MAX_STEPS = 50
 
@@ -135,20 +128,14 @@ def _sum_table(nu: int) -> _SumTable:
 
     qbar(x) = P(T1 + T2 > x) = dd_prob(-x, 1, nu), the integral solve_h
     reads.  The series matches its values and slopes at m Chebyshev points
-    (_hermite_series), or, where the table's end is too far out for the
-    slopes, its values alone at n points; n and m are set out above
-    _TABLE_TAIL.  The table ends where qbar is _TABLE_TAIL: the sum's lower
-    _TABLE_TAIL quantile is -x_end, and P(T1 - T2 <= -x_end) = _TABLE_TAIL
-    is Rinott's equation at k = 1.
+    (_hermite_series); n and m are set out above _TABLE_TAIL.  The table
+    ends where qbar is _TABLE_TAIL: the sum's lower _TABLE_TAIL quantile is
+    -x_end, and P(T1 - T2 <= -x_end) = _TABLE_TAIL is Rinott's equation at
+    k = 1.
     """
     s_end = math.asinh(-solve_h(HEquationSpec(1, nu, _TABLE_TAIL, RINOTT)).value)
     n = max(_TABLE_NODES, math.ceil(_TABLE_NODES_PER_S * s_end))
-    if math.ulp(math.sinh(s_end)) <= _SLOPE_MAX_ULP:
-        series = _hermite_series(nu, s_end, (n + 1) // 2 + 2)
-    else:
-        series = Chebyshev.interpolate(
-            lambda s: np.log([dd_prob(-math.sinh(v), 1, nu) for v in s]),
-            n - 1, domain=[0.0, s_end])
+    series = _hermite_series(nu, s_end, (n + 1) // 2 + 2)
     slope = series.deriv()
     grid_s = np.linspace(0.0, s_end, _TABLE_GRID + 1)
     grid_slope = slope(grid_s)
@@ -213,16 +200,20 @@ def _series_and_slope(table: _SumTable, s: np.ndarray) -> np.ndarray:
 def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarray]:
     """x >= 0 with qbar(x) = tail for tails in (0, 1/2], and the mask of tails past the table.
 
-    Newton's method on the series of _sum_table in s = asinh(x), from the
-    cubic Hermite inverse of its grid, clipped to the table; each pass
-    evaluates the series and its slope together (_series_and_slope).  It
-    stops once K (2d)^2 <= _NEWTON_TOL, d the largest distance a pass moved
-    s after the clip and K the table's newton_k (Newton's K with a margin of
-    2): a bound on the error left, which holds after one pass from the grid
-    inverse.  It raises SolverError when the bound has not held after
-    _NEWTON_MAX_STEPS passes.  A tail below the table's last value is left
-    at the table's end, for the caller to solve.
+    At nu = 1, T1 + T2 is Cauchy with scale 2: x = -2 stdtrit(1, tail),
+    exact, and no tail is past a table.  Otherwise Newton's method on the
+    series of _sum_table in s = asinh(x), from the cubic Hermite inverse of
+    its grid, clipped to the table; each pass evaluates the series and its
+    slope together (_series_and_slope).  It stops once K (2d)^2 <=
+    _NEWTON_TOL, d the largest distance a pass moved s after the clip and K
+    the table's newton_k (Newton's K with a margin of 2): a bound on the
+    error left, which holds after one pass from the grid inverse.  It
+    raises SolverError when the bound has not held after _NEWTON_MAX_STEPS
+    passes.  A tail below the table's last value is left at the table's
+    end, for the caller to solve.
     """
+    if nu == 1:
+        return -2.0 * stdtrit(1, tail), np.zeros(tail.shape, dtype=bool)
     table = _sum_table(nu)
     y = np.log(tail)
     past = y < table.grid_y[-1]
@@ -231,9 +222,9 @@ def _sum_tail_quantile(tail: np.ndarray, nu: int) -> tuple[np.ndarray, np.ndarra
         value, slope = _series_and_slope(table, s)
         step = (value - y) / slope
         step[past] = 0.0
-        # the series at s = 0 lies up to 1e-11 below log 1/2: at tail 1/2 the
-        # step leaves s below 0 and the clip takes it back, so only the
-        # distance moved can end the loop
+        # the series at s = 0 can lie below log 1/2 (by 5.3e-12 at nu = 4):
+        # at tail 1/2 the step leaves s below 0 and the clip takes it back,
+        # so only the distance moved can end the loop
         new = np.clip(s - step, 0.0, table.grid_s[-1])
         moved = np.abs(new - s).max(initial=0.0)
         s = new
@@ -252,10 +243,10 @@ def _row_maxima(u: np.ndarray, k: int, nu: int, statistic: str) -> np.ndarray:
     1 - u^(1/k) = -expm1(log(u)/k) is taken at full precision; above 1/2
     the maximum is negative and, F being symmetric, minus the point whose
     upper tail is u^(1/k).  For max-of-t that point is -stdtrit(nu, tail).
-    For max-of-t-sum it is _sum_tail_quantile's, and a tail past the
-    table's end is solved exactly as Rinott's constant: u^(1/k) is the
-    pairwise probability P(T1 - T2 <= x), so the maximum is
-    solve_h(HEquationSpec(k, nu, u, RINOTT)).
+    For max-of-t-sum it is _sum_tail_quantile's (closed form at nu = 1),
+    and a tail past the table's end is solved exactly as Rinott's
+    constant: u^(1/k) is the pairwise probability P(T1 - T2 <= x), so the
+    maximum is solve_h(HEquationSpec(k, nu, u, RINOTT)).
     """
     log_root = np.log(u) / k
     tail = -np.expm1(log_root)
@@ -457,10 +448,11 @@ def fit_extremes(
         raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
     # at least 100 maxima for stable fits
     replications = _check_count(replications, "replications", least=100, most=_ARRAY_LIMIT)
-    # no maximum draws its k statistics any more, but the sum's maxima read
-    # the solver's integral, whose 1e-12 tail cutoff puts the law of a maximum
-    # off by up to about k * 1e-12 in probability: the old bound of 2^24
-    # statistics per maximum keeps that below 2e-5
+    # no maximum draws its k statistics any more, but at nu >= 2 the sum's
+    # maxima read the solver's integral, whose 1e-12 tail cutoff puts the law
+    # of a maximum off by up to about k * 1e-12 in probability (nu = 1 sums
+    # are exact): the old bound of 2^24 statistics per maximum keeps that
+    # below 2e-5
     width = 1 if statistic == MAX_OF_T else 2
     _check_count(width * grid[-1][0], "the draws per maximum (k, or 2k for the sum)",
                  most=_ARRAY_LIMIT)

@@ -247,7 +247,9 @@ class VariancePrior:
             draws = gen.standard_gamma(shape, count)
             return np.divide(scale, draws, out=draws)
         mu, sigma = self.params
-        return np.exp(sigma * gen.standard_normal(count)) * math.exp(mu)
+        draws = gen.standard_normal(count)
+        np.exp(np.multiply(draws, sigma, out=draws), out=draws)
+        return np.multiply(draws, math.exp(mu), out=draws)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 Each test prints exactly one ACCEPTANCE line (run pytest with -s to see
 them all; failures surface the line in the captured output).  The checks
 exercise the full pipeline at realistic Monte Carlo scale, so this module
-takes about 18-19 s on 2 CPUs; everything is seeded and deterministic.
+takes about 12 s on 2 CPUs; everything is seeded and deterministic.
 """
 
 import json

@@ -361,11 +361,12 @@ BULK_REPS = 200_000  # bulk-mc's replications: one array of them is 1.6 MB
 
 def test_estimate_alpha_keeps_one_array_beside_the_chi_square():
     # S^2, the sizes and the standard error's squared deviations share the
-    # prior's array; with the chi-square already drawn, nothing else of its
-    # size is allocated
-    args = (2.5, 4, 1.0, PRIOR, BULK_REPS, RandomStream(SEED))
-    estimate_alpha(*args)
-    assert _traced_peak(lambda: estimate_alpha(*args)) < 1.25 * 8 * BULK_REPS
+    # prior's array, which each prior forms in place in its one draw; with the
+    # chi-square already drawn, nothing else of its size is allocated
+    for prior in (PRIOR, VariancePrior.lognormal(0.0, 0.5)):
+        args = (2.5, 4, 1.0, prior, BULK_REPS, RandomStream(SEED))
+        estimate_alpha(*args)
+        assert _traced_peak(lambda: estimate_alpha(*args)) < 1.25 * 8 * BULK_REPS, prior
 
 
 def test_efficiency_curve_never_holds_two_chi_squares():

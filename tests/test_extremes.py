@@ -153,7 +153,7 @@ def test_draw_base_t_follows_exact_law(nu):
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
-@pytest.mark.parametrize("k, nu", [(1, 1), (2, 3), (100, 8), (1000, 3)])
+@pytest.mark.parametrize("k, nu", [(1, 1), (2, 3), (100, 8), (1000, 3), (1000, 1)])
 def test_draw_base_matches_direct_sampler(statistic, k, nu):
     # the inverted law against the direct draws of k statistics a row
     # (two-sample Kolmogorov-Smirnov)
@@ -183,7 +183,7 @@ def _tail_at(u, k):
     return (math.exp(math.log(u) / k), True) if tail > 0.5 else (tail, False)
 
 
-@pytest.mark.parametrize("nu", [1, 3, 8])
+@pytest.mark.parametrize("nu", [2, 3, 8])
 def test_sum_maxima_meet_rinott_equation(nu):
     # each maximum x solves P(T1 - T2 <= x)^k = u at its own u to solve_h's
     # p-space tolerance; inside the table its pairwise tail is within 1e-9
@@ -204,6 +204,32 @@ def test_sum_maxima_meet_rinott_equation(nu):
                 assert abs(pairwise / tail - 1.0) <= 1e-9, (k, ui, x)
             else:
                 assert x == solve_h(HEquationSpec(k, nu, float(ui), RINOTT)).value
+
+
+def test_nu_1_sum_maxima_are_cauchy(monkeypatch):
+    # T1 + T2 at nu = 1 is Cauchy with scale 2: each maximum is -2 stdtrit(1, tail)
+    # bit for bit, mirrored where the tail u^(1/k) is above 1/2 (u below 2^-k),
+    # with no table, integral or solve, so no solver error can arise
+    def refuse(*args):
+        raise AssertionError("computed at nu = 1")
+
+    monkeypatch.setattr(hconst, "_dd_integral", refuse)
+    monkeypatch.setattr(extremes, "_sum_table", refuse)
+    monkeypatch.setattr(extremes, "solve_h", refuse)
+    u = np.concatenate((RandomStream(11).generator.integers(1, 2**53, size=2000) * 2.0**-53,
+                        [2.0**-53, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6, 1 - 2.0**-53]))
+    for k in (1, 2, 1000, 2**23):
+        log_root = np.log(u) / k
+        tail = -np.expm1(log_root)
+        below = tail > 0.5
+        tail[below] = np.exp(log_root[below])
+        assert below.any() == (k <= 2) and not below.all()
+        cauchy = -2.0 * stdtrit(1, tail)
+        cauchy[below] = -cauchy[below]
+        assert np.array_equal(_row_maxima(u.copy(), k, 1, MAX_OF_T_SUM), cauchy), k
+    rows = fit_extremes((1, 10, 1000), ScheduleSpec("constant", 1), MAX_OF_T_SUM, 1000,
+                        RandomStream(3))
+    assert [row.nu for row in rows] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("statistic", [MAX_OF_T, MAX_OF_T_SUM])
@@ -235,9 +261,9 @@ def test_sum_maxima_past_the_table_are_solved(monkeypatch):
 
 
 # the largest log error of each nu's table against dd_prob, on 801 equal steps
-# in s, as the 64-value interpolant read it (at nu = 1 the table is the same)
-HEAD_TABLE_LOG_ERROR = {1: 4.2e-12, 2: 3.1e-12, 3: 1.8e-11, 4: 1.8e-11, 8: 6.1e-12,
-                        100: 1.1e-12, 10**6: 9.8e-13}
+# in s, as the 64-value interpolant read it
+HEAD_TABLE_LOG_ERROR = {2: 3.1e-12, 3: 1.8e-11, 4: 1.8e-11, 8: 6.1e-12, 100: 1.1e-12,
+                        10**6: 9.8e-13}
 
 
 @pytest.mark.parametrize("nu", HEAD_TABLE_LOG_ERROR)
@@ -255,13 +281,11 @@ def test_sum_table_follows_the_integral(nu):
 
 
 def test_sum_table_takes_slopes_where_its_end_allows():
-    # t + h rounds at ulp(x_end) inside the slope integrand's peak: nu = 1 ends
-    # at 5.8e10 and interpolates its n = 153 values alone, nu = 2 ends at 3.0e5
-    # and matches m = 42 values and slopes, degree 83
-    for nu, slopes, degree in ((1, False, 152), (2, True, 83)):
-        table = extremes._sum_table(nu)
-        assert (math.ulp(math.sinh(table.grid_s[-1])) <= extremes._SLOPE_MAX_ULP) == slopes
-        assert table.series.degree() == degree
+    # nu = 2, the widest table, ends at x = 3.0e5 (s = 13.3): n = 6 * 13.3 -> 80
+    # and it matches m = 42 values and slopes, degree 83
+    table = extremes._sum_table(2)
+    assert 13.3 < table.grid_s[-1] < 13.4
+    assert table.series.degree() == 83
 
 
 def test_sum_table_integral_budget(monkeypatch):
@@ -283,11 +307,12 @@ def test_sum_table_integral_budget(monkeypatch):
 
 
 def test_sum_tail_quantile_settles_where_the_clip_holds(monkeypatch):
-    # series(0) lies 2e-12 to 1e-11 below log 1/2, so at tail 1/2 every Newton
-    # step leaves s below 0 and the clip takes it back: the row converges on
-    # the step the clip lets through, 0, not on the step before the clip
+    # series(0) lies 1.9e-12 (nu = 2) and 5.3e-12 (nu = 4) below log 1/2, so at
+    # tail 1/2 every Newton step leaves s below 0 and the clip takes it back:
+    # the row converges on the step the clip lets through, 0, not on the step
+    # before the clip
     monkeypatch.setattr(extremes, "_NEWTON_MAX_STEPS", 3)
-    for nu in (1, 4):
+    for nu in (2, 4):
         x, past = extremes._sum_tail_quantile(np.full(10_000, 0.5), nu)
         assert (x == 0.0).all() and not past.any()
 
@@ -302,7 +327,7 @@ def test_sum_tail_quantile_raises_when_newton_runs_out(monkeypatch):
         extremes._sum_tail_quantile(np.geomspace(1e-10, 0.4, 1000), 4)
 
 
-@pytest.mark.parametrize("nu", [1, 4, 100])
+@pytest.mark.parametrize("nu", [2, 4, 100])
 def test_series_and_slope_equal_the_two_series(nu):
     table = extremes._sum_table(nu)
     s = np.concatenate((RandomStream(nu).generator.uniform(0.0, table.grid_s[-1], 10_000),
@@ -329,7 +354,7 @@ def _newton_in_extended_precision(table, y, past):
     return s
 
 
-@pytest.mark.parametrize("nu", [1, 2, 4, 8, 100])
+@pytest.mark.parametrize("nu", [2, 4, 8, 100])
 def test_sum_tail_quantile_takes_one_pass_to_the_root(monkeypatch, nu):
     # one Newton pass from the grid inverse lands within 4 ulps in s of the
     # series' root, beyond the float series' own rounding: the largest
