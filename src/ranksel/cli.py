@@ -36,7 +36,9 @@ from ranksel.distributions import RandomStream, ScheduleSpec
 from ranksel.efficiency import efficiency_curve, theoretical_eta
 from ranksel.extremes import MAX_OF_T, STATISTICS, fit_extremes
 from ranksel.hconst import DD, RINOTT, SolverError, h_table
-from ranksel.procedures import ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance
+from ranksel.procedures import (
+    _STAGE1_MEMO, ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance,
+)
 
 __all__ = ["main", "entrypoint", "UsageError"]
 
@@ -271,20 +273,22 @@ def _cmd_pcs(values, seed):
     all_params = [ProcedureParams(p=p, delta=delta, k=k, n0=n0, variant=v) for v in chosen]
     if values["variances"] is None:
         values["variances"] = [1.0] * (k + 1)
-    rng = RandomStream(seed)
+    # both variants run on one stream, so they share each block's stage 1
+    rng = RandomStream(seed).substream(0)
     rows = []
-    for params in all_params:
-        instance = make_slippage_instance(params, gap, values["variances"])
-        est = estimate_pcs(
-            params, instance, replications,
-            rng.substream(0 if params.variant == DD else 1), method=values["method"],
-        )
-        rows.append({
-            "variant": params.variant, "k": k, "n0": n0, "p": p, "delta": delta,
-            "gap": gap, "replications": replications, "pcs": est.pcs,
-            "std_error": est.std_error, "mean_total": est.mean_total,
-            "h": est.h_used.value, "residual": est.h_used.residual,
-        })
+    try:
+        for params in all_params:
+            instance = make_slippage_instance(params, gap, values["variances"])
+            est = estimate_pcs(params, instance, replications, rng, method=values["method"])
+            rows.append({
+                "variant": params.variant, "k": k, "n0": n0, "p": p, "delta": delta,
+                "gap": gap, "replications": replications, "pcs": est.pcs,
+                "std_error": est.std_error, "pcs_lo": est.pcs_lo, "pcs_hi": est.pcs_hi,
+                "mean_total": est.mean_total, "h": est.h_used.value,
+                "residual": est.h_used.residual,
+            })
+    finally:
+        _STAGE1_MEMO.clear()
     return rows
 
 

@@ -19,7 +19,11 @@ The simulation layers are vectorized over a leading replication axis:
 run_stage1 and run_procedure run R replications as one batch of (R, k+1)
 arrays, second_stage_size and dd_weights work elementwise, and
 estimate_pcs runs fixed-size replication blocks, each on its own
-substream.
+substream.  Calls that share a stream, N0, method, replication count and
+variances (the Dudewicz-Dalal and Rinott runs of one pcs command) share each
+block's stage 1: it is drawn once, kept read-only, and the block generator
+resumes from its state after stage 1, so every result has the same bits as
+a fresh draw and the two procedures are compared on common random numbers.
 
 The exact method draws every observation of both stages.  The chi2 method
 draws stage 1 only, as sufficient statistics, and rescales the stage-1
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtr
+from scipy.special import betaincinv, gammainc, gammaincc, ndtr
 
 from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_count, chunks
 from ranksel.hconst import (
@@ -74,6 +78,9 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 # with them the estimates, never depend on the CPU count.  Not mc_oracle's
 # 2^19, which made an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
 _BLOCK_ELEMENTS = 2**14
+# estimate_pcs keeps a run's stage 1 while replications * (k + 1) is at most
+# this: its errors and S^2 together hold 2^24 floats, 128 MiB, at most.
+_STAGE1_MEMO_LIMIT = 2**23
 # Sample sizes are int64; anything at or above this does not fit.
 _INT64_LIMIT = 2.0**63
 # |mu| below this keeps a lognormal prior's scale exp(mu) finite and nonzero.
@@ -311,11 +318,32 @@ class ProcedureOutcome:
 
 @dataclass(frozen=True)
 class PCSEstimate:
+    """Hit fraction pcs over `replications` runs, its standard error and 95 % interval.
+
+    std_error is the plug-in sqrt(pcs (1 - pcs) / replications), which reads
+    0 at pcs 0 or 1; [pcs_lo, pcs_hi] is the exact two-sided 95 %
+    Clopper-Pearson interval, which does not collapse there.
+    """
+
     pcs: float
     std_error: float
     replications: int
     mean_total: float
     h_used: HConstant | float
+    pcs_lo: float
+    pcs_hi: float
+
+
+def _clopper_pearson(hits: int, trials: int) -> tuple[float, float]:
+    """Exact two-sided 95 % Clopper-Pearson bounds on a binomial success probability.
+
+    The lower bound is the beta(hits, trials - hits + 1) quantile at 0.025,
+    the upper the beta(hits + 1, trials - hits) quantile at 0.975; they are
+    0 at hits = 0 and 1 at hits = trials.
+    """
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, 0.025))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 0.975))
+    return lo, hi
 
 
 def make_slippage_instance(
@@ -483,6 +511,7 @@ def run_procedure(
     rng: RandomStream,
     method: str = CHI2,
     replications: int = 1,
+    stage1: Stage1Summary | None = None,
 ) -> ProcedureOutcome:
     """`replications` full two-stage runs; every outcome field has a leading R axis.
 
@@ -502,6 +531,12 @@ def run_procedure(
     stage-2 normals), with the Dudewicz-Dalal weights (b, c) or Rinott's
     b = c = 1 / N.  It refuses second-stage sizes above _ARRAY_LIMIT
     (ValueError).
+
+    ``stage1``, when given, is that pilot stage already drawn by run_stage1
+    with the same instance, N0, method and replication count; it is read,
+    never written, and rng must stand where its draw left the generator.
+    The run then draws only what follows stage 1, the same bits as a run
+    that draws both stages.
     """
     _check_instance(instance, params)
     hval = _h_value(h)
@@ -510,7 +545,13 @@ def run_procedure(
             f"the weighted-mean variant needs h > 0, got h={hval} "
             "(p at or below the symmetry point)"
         )
-    stage1 = run_stage1(instance, params.n0, rng, method, replications)
+    if stage1 is None:
+        stage1 = run_stage1(instance, params.n0, rng, method, replications)
+    elif stage1.errors.shape != (replications, instance.size):
+        raise ValueError(
+            f"stage 1 has shape {stage1.errors.shape}, the run needs "
+            f"{(replications, instance.size)}"
+        )
     sizes = second_stage_size(stage1.variances, hval, params.delta, params.n0)
     if np.max(sizes.sum(axis=1, dtype=float)) >= _INT64_LIMIT:
         raise ValueError("the total sample size of a run does not fit a 64-bit integer")
@@ -548,6 +589,13 @@ def run_procedure(
     )
 
 
+# Each block's stage 1 of the last estimate_pcs run, read-only, with the
+# block generator's state after it, under (seed, stream path, N0, method,
+# replications, variances, block budget): the two procedures of one pcs
+# command share it.
+_STAGE1_MEMO: dict[tuple, list[tuple[Stage1Summary, dict]]] = {}
+
+
 def estimate_pcs(
     params: ProcedureParams,
     instance: ProblemInstance,
@@ -562,9 +610,18 @@ def estimate_pcs(
     (k + 1 per replication, times n0 on the exact path); block b runs as
     one run_procedure batch on rng.substream(b).  The block size follows
     from the inputs alone, so the estimate does not depend on execution
-    order or thread count.  h is solved from params when not supplied, after
-    the method, the instance's size, the replication count and the exact
-    method's stage-1 draws per replication are checked.
+    order.  h is solved from params when not supplied, after the method,
+    the instance's size, the replication count and the exact method's
+    stage-1 draws per replication are checked.
+
+    Each block's stage 1 is drawn once per (stream, N0, method,
+    replications, variances) and kept, read-only, with its generator's
+    state after the draw: a later call with the same key, such as the
+    other variant's, restores that state and reuses the draw, so its
+    result has the same bits as a fresh draw would give.  A new key forgets
+    the kept draw before its own.  Only runs with replications * (k + 1)
+    at most _STAGE1_MEMO_LIMIT are kept; larger runs draw on every call.
+    The interval [pcs_lo, pcs_hi] is the exact 95 % Clopper-Pearson one.
     """
     _check_method(method)
     _check_instance(instance, params)
@@ -574,12 +631,32 @@ def estimate_pcs(
         _check_count(per_rep, _EXACT_STAGE1, most=_ARRAY_LIMIT)
     if h is None:
         h = solve_h(HEquationSpec(params.k, params.nu, params.p, params.variant))
+    key = None  # a run too large to keep has no key: it copies no variances into one
+    if replications * instance.size <= _STAGE1_MEMO_LIMIT:
+        key = (rng.seed, rng.path, params.n0, method, replications,
+               instance.variances.tobytes(), _BLOCK_ELEMENTS)
+    kept = _STAGE1_MEMO.get(key)
+    if kept is None:
+        _STAGE1_MEMO.clear()  # first, so that two runs' draws are never alive at once
+        if key is not None:
+            kept = _STAGE1_MEMO[key] = []
     hits = 0
     total = 0.0
     for block, count in enumerate(chunks(replications, per_rep, _BLOCK_ELEMENTS)):
-        outcome = run_procedure(instance, params, h, rng.substream(block), method, count)
+        stream = rng.substream(block)
+        if kept is not None and block < len(kept):
+            stage1, state = kept[block]
+            stream.generator.bit_generator.state = state
+        else:
+            stage1 = run_stage1(instance, params.n0, stream, method, count)
+            if kept is not None:
+                stage1.errors.flags.writeable = False
+                stage1.variances.flags.writeable = False
+                kept.append((stage1, stream.generator.bit_generator.state))
+        outcome = run_procedure(instance, params, h, stream, method, count, stage1)
         hits += int(np.count_nonzero(outcome.correct))
         total += float(outcome.total_samples.sum(dtype=float))
     pcs = hits / replications
     std_error = math.sqrt(pcs * (1.0 - pcs) / replications)
-    return PCSEstimate(pcs, std_error, replications, total / replications, h)
+    return PCSEstimate(pcs, std_error, replications, total / replications, h,
+                       *_clopper_pearson(hits, replications))

@@ -12,6 +12,7 @@ from scipy import stats
 
 import ranksel.cli as cli
 import ranksel.hconst as hconst
+import ranksel.procedures as procedures
 from ranksel.hconst import SolverError, solve_h, HEquationSpec
 
 
@@ -168,7 +169,7 @@ def test_pcs_csv_schema(tmp_path):
     lines = text.splitlines()
     assert lines[2].split(",") == [
         "variant", "k", "n0", "p", "delta", "gap", "replications",
-        "pcs", "std_error", "mean_total", "h", "residual",
+        "pcs", "std_error", "pcs_lo", "pcs_hi", "mean_total", "h", "residual",
     ]
     assert [line.split(",")[0] for line in lines[3:]] == ["dd", "rinott"]
 
@@ -414,6 +415,55 @@ def test_pcs_exact_on_deviations_meets_p(capsys, options):
     for row in rows:
         n = int(row["replications"])
         assert stats.binom.cdf(round(float(row["pcs"]) * n), n, 0.9) >= 1e-6, row
+
+
+def pcs_rows(capsys, argv):
+    assert cli.main(argv + ["--format", "jsonl"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    return [r for r in records if r["record"] == "row"]
+
+
+PCS_SIM = ["pcs", "--n0", "10", "--p", "0.9", "--gap", "1.01", "--seed", "5"]
+# ten replications of three populations: on chi2 with a stream per variant,
+# Rinott's mean_total falls below DD's at seeds 1 to 4
+PCS_FEW = ["pcs", "--k", "2", "--n0", "3", "--p", "0.9", "--gap", "2", "--replications", "10",
+           "--variances", "100,100,100", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    PCS_SIM + ["--k", "4", "--replications", "10000", "--variances", "1,2,3,4,5"],
+    PCS_SIM + ["--k", "100", "--replications", "1000"],
+    PCS_SIM + ["--k", "1000", "--replications", "100"],
+    PCS_SIM + ["--k", "4", "--replications", "2000", "--method", "exact"],
+    PCS_FEW,
+    PCS_FEW + ["--method", "exact"],
+], ids=["k4", "k100", "k1000", "exact", "variances", "variances-exact"])
+def test_pcs_rinott_mean_total_dominates_dd(capsys, argv):
+    # both variants read one stage 1, and h_rinott >= h_dd makes every Rinott
+    # second-stage size at least the DD one: a paired property, which two
+    # independent streams give only on average
+    dd, rinott = pcs_rows(capsys, argv)
+    assert (dd["variant"], rinott["variant"]) == ("dd", "rinott")
+    assert rinott["h"] > dd["h"]
+    assert rinott["mean_total"] >= dd["mean_total"]
+
+
+@pytest.mark.parametrize("method", ["chi2", "exact"])
+def test_pcs_rows_do_not_depend_on_the_variants_requested(capsys, method):
+    argv = PCS_SIM + ["--k", "4", "--replications", "2000", "--method", method]
+    both = pcs_rows(capsys, argv)
+    alone = [row for v in ("dd", "rinott") for row in pcs_rows(capsys, argv + ["--variants", v])]
+    assert alone == both
+    assert not procedures._STAGE1_MEMO  # the command forgets its kept stage 1
+
+
+def test_pcs_interval_at_pcs_one(capsys):
+    # every replication correct: std_error reads 0, the interval does not
+    rows = pcs_rows(capsys, ["pcs", "--k", "1000", "--n0", "10", "--p", "0.9", "--gap", "1.01",
+                             "--replications", "100"])
+    for row in rows:
+        assert (row["pcs"], row["std_error"]) == (1.0, 0.0)
+        assert (row["pcs_lo"], row["pcs_hi"]) == (0.025 ** (1 / 100), 1.0)
 
 
 def test_parser_is_built_once_and_reused(tmp_path, capsys):

@@ -2,6 +2,7 @@
 two-block weights, selection invariants, the batch against a
 per-population reference loop, and PCS estimation."""
 
+import dataclasses
 import math
 import warnings
 
@@ -692,3 +693,174 @@ def test_estimate_pcs_sums_its_blocks(monkeypatch, method):
         total += int(out.total_samples.sum())
     assert est.pcs == hits / reps
     assert est.mean_total == total / reps
+
+
+# ------------------------------------------------- shared stage 1 (CRN)
+
+# Several blocks on both methods: chi2 keeps 3276 replications of k + 1 = 5
+# per block, exact 327 (times N0 = 10).
+SHARED_REPS = {CHI2: 7000, EXACT: 700}
+
+
+def _shared_case(variant):
+    params = params_for(4, n0=10, variant=variant)
+    return params, make_slippage_instance(params, 1.01, (1.0, 2.0, 3.0, 4.0, 5.0))
+
+
+def _bits(est):
+    """Every PCSEstimate field, floats as their exact hex form."""
+    return tuple(v.hex() if isinstance(v, float) else v
+                 for v in (getattr(est, f.name) for f in dataclasses.fields(est)))
+
+
+def _both_variants(method, rng):
+    """DD, then Rinott, on one stream, as the pcs command runs them."""
+    out = []
+    for variant in (DD, RINOTT):
+        params, inst = _shared_case(variant)
+        out.append(estimate_pcs(params, inst, SHARED_REPS[method], rng, method=method))
+    return out
+
+
+def _count_stage1(monkeypatch):
+    calls = []
+    real = procedures.run_stage1
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(procedures, "run_stage1", counted)
+    return calls
+
+
+def _blocks(method):
+    per_rep = 5 * (10 if method == EXACT else 1)
+    return chunks(SHARED_REPS[method], per_rep, procedures._BLOCK_ELEMENTS)
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_rinott_on_the_kept_stage1_matches_a_fresh_draw(method):
+    rng = RandomStream(SEED).substream(40)
+    procedures._STAGE1_MEMO.clear()
+    _, shared = _both_variants(method, rng)
+    procedures._STAGE1_MEMO.clear()
+    params, inst = _shared_case(RINOTT)
+    fresh = estimate_pcs(params, inst, SHARED_REPS[method], rng, method=method)
+    assert _bits(shared) == _bits(fresh)
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_stage1_runs_once_per_block_across_variants(monkeypatch, method):
+    calls = _count_stage1(monkeypatch)
+    procedures._STAGE1_MEMO.clear()
+    _both_variants(method, RandomStream(SEED).substream(41))
+    assert len(_blocks(method)) > 1
+    assert len(calls) == len(_blocks(method))
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_run_past_the_memo_bound_draws_per_call_with_the_same_bits(monkeypatch, method):
+    rng = RandomStream(SEED).substream(42)
+    procedures._STAGE1_MEMO.clear()
+    kept = _both_variants(method, rng)
+    monkeypatch.setattr(procedures, "_STAGE1_MEMO_LIMIT", SHARED_REPS[method] * 5 - 1)
+    calls = _count_stage1(monkeypatch)
+    procedures._STAGE1_MEMO.clear()
+    drawn = _both_variants(method, rng)
+    assert not procedures._STAGE1_MEMO
+    assert len(calls) == 2 * len(_blocks(method))
+    assert [_bits(est) for est in drawn] == [_bits(est) for est in kept]
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_kept_stage1_arrays_are_read_only(method):
+    procedures._STAGE1_MEMO.clear()
+    params, inst = _shared_case(DD)
+    estimate_pcs(params, inst, SHARED_REPS[method], RandomStream(SEED).substream(43),
+                 method=method)
+    (kept,) = procedures._STAGE1_MEMO.values()
+    assert len(kept) == len(_blocks(method))
+    for stage1, _ in kept:
+        for array in (stage1.errors, stage1.variances):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+    procedures._STAGE1_MEMO.clear()
+
+
+def test_a_new_key_forgets_the_kept_stage1():
+    procedures._STAGE1_MEMO.clear()
+    params, inst = _shared_case(DD)
+    for path in (44, 45):
+        estimate_pcs(params, inst, 100, RandomStream(SEED).substream(path))
+        assert [key[1] for key in procedures._STAGE1_MEMO] == [(path,)]
+    procedures._STAGE1_MEMO.clear()
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_run_procedure_on_a_given_stage1_matches_its_own_draw(method):
+    params, inst = _shared_case(DD)
+    h = solve_h(HEquationSpec(4, params.nu, params.p, DD))
+    whole = run_procedure(inst, params, h, RandomStream(SEED).substream(46), method, 50)
+    rng = RandomStream(SEED).substream(46)
+    stage1 = run_stage1(inst, params.n0, rng, method, 50)
+    given = run_procedure(inst, params, h, rng, method, 50, stage1)
+    for f in dataclasses.fields(whole):
+        np.testing.assert_array_equal(getattr(given, f.name), getattr(whole, f.name))
+    with pytest.raises(ValueError, match="stage 1 has shape"):
+        run_procedure(inst, params, h, rng, method, 49, stage1)
+
+
+@pytest.mark.parametrize("method", [CHI2, EXACT])
+def test_rinott_sizes_dominate_dd_on_a_shared_stage1(method):
+    # h_rinott >= h_dd, so on one pilot stage every Rinott second-stage size
+    # is at least the Dudewicz-Dalal one, replication by replication
+    dd, inst = _shared_case(DD)
+    rinott, _ = _shared_case(RINOTT)
+    stage1 = run_stage1(inst, dd.n0, RandomStream(SEED).substream(47), method, 500)
+    sizes = [run_procedure(inst, params, solve_h(HEquationSpec(4, 9, 0.9, params.variant)),
+                           RandomStream(SEED).substream(47), method, 500, stage1).sample_sizes
+             for params in (dd, rinott)]
+    assert np.all(sizes[1] >= sizes[0])
+    assert np.any(sizes[1] > sizes[0])
+
+
+# ----------------------------------------------- Clopper-Pearson interval
+
+
+def _binomial_tail_root(n, x, upper):
+    """p with P(Bin(n, p) >= x) = 0.025 (upper=False) or P(Bin(n, p) <= x) = 0.025, by bisection."""
+    def tail(p):
+        terms = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+        return math.fsum(terms[: x + 1]) if upper else math.fsum(terms[x:])
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # the lower-bound tail rises in p, the upper-bound tail falls
+        if (tail(mid) < 0.025) != upper:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("hits, trials", [(1, 10), (37, 100), (99, 100), (500, 1000)])
+def test_clopper_pearson_inverts_the_binomial_tails(hits, trials):
+    lo, hi = procedures._clopper_pearson(hits, trials)
+    assert lo == pytest.approx(_binomial_tail_root(trials, hits, upper=False), rel=1e-9)
+    assert hi == pytest.approx(_binomial_tail_root(trials, hits, upper=True), rel=1e-9)
+    assert lo < hits / trials < hi
+
+
+def test_pcs_interval_does_not_collapse_at_pcs_one():
+    params = params_for(2)
+    inst = make_slippage_instance(params, 100.0, (1.0, 1.0, 1.0))
+    est = estimate_pcs(params, inst, 100, RandomStream(SEED).substream(48))
+    assert (est.pcs, est.std_error) == (1.0, 0.0)
+    assert est.pcs_lo == 0.025 ** (1 / 100)
+    assert est.pcs_hi == 1.0
+    lo, hi = procedures._clopper_pearson(0, 100)
+    assert lo == 0.0
+    assert hi == pytest.approx(-math.expm1(math.log(0.025) / 100), rel=1e-14)
