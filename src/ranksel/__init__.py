@@ -20,11 +20,9 @@ from ranksel.hconst import (
     HConstant,
     HEquationSpec,
     HTableRow,
-    MCEstimate,
     SolverError,
     dd_prob,
     h_table,
-    mc_oracle,
     solve_h,
 )
 from ranksel.procedures import (

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ranksel.distributions import RandomStream, ScheduleSpec
+from ranksel.distributions import RandomStream, ScheduleSpec, _check_choice
 from ranksel.efficiency import efficiency_curve, theoretical_eta
 from ranksel.extremes import MAX_OF_T, STATISTICS, fit_extremes
 from ranksel.hconst import DD, RINOTT, SolverError, h_table
@@ -183,9 +183,7 @@ def _resolve(given: dict, params) -> dict:
             value = parse(value)
         except (OverflowError, ValueError) as err:  # float() of a huge JSON integer overflows
             raise UsageError(f"{_flag(name)}: {err}") from None
-        if choices is not None and value not in choices:
-            raise UsageError(f"{_flag(name)} must be one of {choices}, got {value!r}")
-        values[name] = value
+        values[name] = value if choices is None else _check_choice(value, choices, _flag(name))
     return values
 
 

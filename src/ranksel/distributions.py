@@ -1,9 +1,9 @@
 """Student-t primitives, the degrees-of-freedom schedule nu(k) and reproducible random streams.
 
-The blocked Monte Carlo loops (hconst.mc_oracle, procedures.estimate_pcs)
-cut their replications into the blocks of ``chunks`` and draw block b
-from substream b, in order and in the caller's thread: no code of the
-package starts a thread, and no result depends on the CPU count.
+The blocked Monte Carlo loop of procedures.estimate_pcs cuts its
+replications into the blocks of ``chunks`` and draws block b from
+substream b, in order and in the caller's thread: no code of the package
+starts a thread, and no result depends on the CPU count.
 
 The critical-constant solver propagates any CDF error straight into its
 residual, so the t functions evaluate ``scipy.special.stdtr`` on the
@@ -40,9 +40,12 @@ def _check_count(value, name: str, least: int = 1, most: int | None = None) -> i
     """The one check of a count (k, N0, nu, replications, draws): a Python int in [least, most].
 
     A non-integer raises TypeError and a value out of range ValueError; both
-    name the argument.  numpy integers are accepted.
+    name the argument.  numpy integers are accepted, a bool is not (as
+    numpy's own bool is not).
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
@@ -50,6 +53,13 @@ def _check_count(value, name: str, least: int = 1, most: int | None = None) -> i
         raise ValueError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
+
+
+def _check_choice(value, choices: tuple, name: str):
+    """The one check of an argument taking one of a closed set of names: ValueError naming it."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 
@@ -68,8 +78,7 @@ class ScheduleSpec:
     nu: int | None = None
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {self.kind!r}")
+        _check_choice(self.kind, SCHEDULE_KINDS, "schedule kind")
         if self.kind == "constant":
             if self.nu is None:
                 raise ValueError("constant schedule needs nu (--nu)")

@@ -37,7 +37,9 @@ from numpy.polynomial.chebyshev import chebval, chebvander
 from scipy import stats
 from scipy.special import stdtrit
 
-from ranksel.distributions import _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count
+from ranksel.distributions import (
+    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_choice, _check_count,
+)
 from ranksel.hconst import RINOTT, HEquationSpec, SolverError, dd_prob_with_slope, solve_h
 
 __all__ = [
@@ -444,8 +446,7 @@ def fit_extremes(
     ``ad_frechet`` equals ``ad_gumbel``.
     """
     grid = schedule.grid(ks)
-    if statistic not in STATISTICS:
-        raise ValueError(f"statistic must be one of {STATISTICS}, got {statistic!r}")
+    _check_choice(statistic, STATISTICS, "statistic")
     # at least 100 maxima for stable fits
     replications = _check_count(replications, "replications", least=100, most=_ARRAY_LIMIT)
     # no maximum draws its k statistics any more, but at nu >= 2 the sum's

@@ -46,8 +46,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from ranksel.distributions import (
-    _ARRAY_LIMIT, RandomStream, ScheduleSpec, _check_count, _t_logpdf, chunks, t_logcdf,
-    t_quantile,
+    ScheduleSpec, _check_choice, _check_count, _t_logpdf, t_logcdf, t_quantile,
 )
 from ranksel.quadrature import QuadratureError, geometric_edges, panel_quadrature
 
@@ -56,13 +55,11 @@ __all__ = [
     "RINOTT",
     "HEquationSpec",
     "HConstant",
-    "MCEstimate",
     "HTableRow",
     "SolverError",
     "dd_prob",
     "dd_prob_with_slope",
     "solve_h",
-    "mc_oracle",
     "h_table",
 ]
 
@@ -90,8 +87,6 @@ _H_LIMIT = 1e300
 # k, nu and p); the bounded cache returns those without changing a bit of
 # any result.
 _INTEGRAL_CACHE_SIZE = 4096
-# Variates per replication block of mc_oracle
-_ORACLE_BLOCK_ELEMENTS = 2**19
 
 
 class SolverError(RuntimeError):
@@ -103,12 +98,6 @@ def _check_probability(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {p}")
     return p
-
-
-def _check_variant(variant: str) -> str:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return variant
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ class HEquationSpec:
         object.__setattr__(self, "k", _check_count(self.k, "k"))
         object.__setattr__(self, "nu", _check_count(self.nu, "degrees of freedom"))
         _check_probability(self.p)
-        _check_variant(self.variant)
+        _check_choice(self.variant, VARIANTS, "variant")
 
 
 @dataclass(frozen=True)
@@ -137,13 +126,6 @@ class HConstant:
     bracket: tuple[float, float]
     iterations: int
     quadrature_nodes: int
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    value: float
-    std_error: float
-    replications: int
 
 
 @dataclass(frozen=True)
@@ -381,40 +363,6 @@ def _hermite_point(first: tuple, second: tuple, goal: float) -> float:
         if abs(delta) <= 1e-15 * max(1.0, abs(s)):
             return u1 * math.exp((s - 1.0) * d)
     return math.nan
-
-
-def mc_oracle(
-    spec: HEquationSpec, h: float, replications: int, rng: RandomStream
-) -> MCEstimate:
-    """Brute-force Monte Carlo estimate of `spec`'s selection probability at h.
-
-    Kept independent of the quadrature/CDF path: the DD event draws k
-    competitors plus a reference and compares the max, the Rinott event
-    draws k independent pairs and requires every difference under h.
-    Replications run in blocks of about 2^19 variates, in order, block b
-    from ``rng.substream(b)``, so the estimate depends on its inputs alone.
-    One replication draws k + 1 (DD) or 2k (Rinott) variates as one row, at
-    most 2^24 (ValueError).
-    """
-    replications = _check_count(replications, "replications")
-    k, nu = spec.k, spec.nu
-    per_rep = _check_count((k + 1) if spec.variant == DD else 2 * k,
-                           "the draws per replication (k + 1, or 2k for rinott)", most=_ARRAY_LIMIT)
-
-    def block(stream: RandomStream, n: int) -> int:
-        gen = stream.generator
-        if spec.variant == DD:
-            draws = gen.standard_t(nu, size=(n, k + 1))
-            return int(np.count_nonzero(draws[:, :k].max(axis=1) <= draws[:, k] + h))
-        draws = gen.standard_t(nu, size=(n, k, 2))
-        diffs = draws[:, :, 0] - draws[:, :, 1]
-        return int(np.count_nonzero(diffs.max(axis=1) <= h))
-
-    hits = sum(block(rng.substream(b), n)
-               for b, n in enumerate(chunks(replications, per_rep, _ORACLE_BLOCK_ELEMENTS)))
-    value = hits / replications
-    std_error = math.sqrt(value * (1.0 - value) / replications)
-    return MCEstimate(value, std_error, replications)
 
 
 def h_table(ks: Iterable[int], schedule: ScheduleSpec, p: float) -> list[HTableRow]:

@@ -42,15 +42,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import betaincinv, gammainc, gammaincc, ndtr
 
-from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_count, chunks
-from ranksel.hconst import (
-    DD,
-    HConstant,
-    HEquationSpec,
-    _check_probability,
-    _check_variant,
-    solve_h,
-)
+from ranksel.distributions import _ARRAY_LIMIT, RandomStream, _check_choice, _check_count, chunks
+from ranksel.hconst import DD, VARIANTS, HConstant, HEquationSpec, _check_probability, solve_h
 
 __all__ = [
     "ProcedureParams",
@@ -75,8 +68,8 @@ PRIOR_KINDS = ("fixed", "inverse-gamma", "lognormal")
 
 # Stage-1 random variates per replication block of estimate_pcs.  Blocks
 # are sized from k + 1 (and n0 on the exact path) only, so the streams, and
-# with them the estimates, never depend on the CPU count.  Not mc_oracle's
-# 2^19, which made an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
+# with them the estimates, never depend on the CPU count.  Blocks of 2^19
+# made an estimate at k = 100 or 1000 20-30 % slower and 4 MB larger.
 _BLOCK_ELEMENTS = 2**14
 # estimate_pcs keeps a run's stage 1 while replications * (k + 1) is at most
 # this: its errors and S^2 together hold 2^24 floats, 128 MiB, at most.
@@ -96,12 +89,6 @@ def _check_delta(delta: float) -> None:
     """The one check of the indifference gap delta: positive and finite."""
     if not (delta > 0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta}")
-
-
-def _check_method(method: str) -> None:
-    """The one check of a stage-sampling method name."""
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
 
 
 def _check_instance(instance: ProblemInstance, params: ProcedureParams) -> None:
@@ -140,7 +127,7 @@ class ProcedureParams:
         # every run holds arrays with one entry per population
         _check_count(self.k + 1, "the population count k + 1", most=_ARRAY_LIMIT)
         object.__setattr__(self, "n0", _check_count(self.n0, "N0", least=2))
-        _check_variant(self.variant)
+        _check_choice(self.variant, VARIANTS, "variant")
 
     @property
     def nu(self) -> int:
@@ -159,8 +146,7 @@ class VariancePrior:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in PRIOR_KINDS:
-            raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got {self.kind!r}")
+        _check_choice(self.kind, PRIOR_KINDS, "prior kind")
         object.__setattr__(self, "params", tuple(float(v) for v in self.params))
         if not all(math.isfinite(v) for v in self.params):
             raise ValueError(f"{self.kind} prior parameters must be finite, got {self.params}")
@@ -389,7 +375,7 @@ def run_stage1(
     the exact path refuses more than 2^24 draws per replication (ValueError).
     """
     n0 = _check_count(n0, "N0", least=2)
-    _check_method(method)
+    _check_choice(method, _METHODS, "method")
     replications = _check_count(replications, "replications")
     gen = rng.generator
     shape = (replications, instance.size)
@@ -623,7 +609,7 @@ def estimate_pcs(
     at most _STAGE1_MEMO_LIMIT are kept; larger runs draw on every call.
     The interval [pcs_lo, pcs_hi] is the exact 95 % Clopper-Pearson one.
     """
-    _check_method(method)
+    _check_choice(method, _METHODS, "method")
     _check_instance(instance, params)
     replications = _check_count(replications, "replications")
     per_rep = instance.size * (params.n0 if method == EXACT else 1)

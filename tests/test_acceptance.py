@@ -24,7 +24,8 @@ from ranksel.efficiency import (
     theoretical_eta,
 )
 from ranksel.extremes import MAX_OF_T, fit_extremes
-from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
+from oracle import oracle
+from ranksel.hconst import DD, RINOTT, HEquationSpec, solve_h
 from ranksel.procedures import (
     EXACT,
     ProcedureParams,
@@ -60,8 +61,8 @@ def test_criterion_01_solver_matches_mc_oracle():
     start = time.monotonic()
 
     def z_score(idx: int, spec: HEquationSpec) -> float:
-        est = mc_oracle(spec, solve_h(spec).value, 10**6, rng.substream(idx))
-        return abs(est.value - spec.p) / est.std_error
+        value, std_error = oracle(spec, solve_h(spec).value, 10**6, rng.substream(idx))
+        return abs(value - spec.p) / std_error
 
     # each spec owns its substream, so the specs run on a pool, a thread per
     # CPU (numpy's samplers release the interpreter lock), the most draws

@@ -17,7 +17,7 @@ from ranksel.efficiency import (
     theoretical_eta,
 )
 from ranksel.extremes import MAX_OF_T, MAX_OF_T_SUM, fit_extremes
-from ranksel.hconst import DD, RINOTT, HEquationSpec, mc_oracle, solve_h
+from ranksel.hconst import DD, RINOTT, HEquationSpec, solve_h
 from ranksel.procedures import (
     ProcedureParams, VariancePrior, estimate_pcs, make_slippage_instance, second_stage_size,
 )
@@ -126,7 +126,6 @@ PCS_PARAMS = ProcedureParams(0.9, 1.0, 3, 5, DD)
 # one tiny call of each Monte Carlo entry point
 MONTE_CARLO_CALLS = {
     "estimate_alpha": lambda rng: estimate_alpha(2.0, 4, 1.0, PRIOR, 1000, rng),
-    "mc_oracle": lambda rng: mc_oracle(HEquationSpec(4, 5, 0.9, DD), 2.5, 3000, rng),
     "estimate_pcs": lambda rng: estimate_pcs(
         PCS_PARAMS, make_slippage_instance(PCS_PARAMS, 1.5, (1.0,) * 4), 200, rng, h=2.5),
     "efficiency_curve": lambda rng: efficiency_curve(

@@ -13,7 +13,8 @@ from scipy.optimize import brentq
 from scipy.special import stdtr
 
 import ranksel.hconst as hconst
-from ranksel.distributions import RandomStream, ScheduleSpec, _t_logpdf, chunks, t_logcdf, t_pdf
+from oracle import oracle
+from ranksel.distributions import RandomStream, ScheduleSpec, _t_logpdf, t_logcdf, t_pdf
 from ranksel.hconst import (
     DD,
     RINOTT,
@@ -21,7 +22,6 @@ from ranksel.hconst import (
     SolverError,
     dd_prob,
     h_table,
-    mc_oracle,
     solve_h,
 )
 from ranksel.quadrature import (
@@ -71,8 +71,8 @@ def test_pairwise_prob_against_mc():
 
 def test_dd_prob_against_mc():
     spec = HEquationSpec(50, 4, 0.9, DD)
-    est = mc_oracle(spec, 3.0, 10**6, RandomStream(SEED).substream(1))
-    assert abs(dd_prob(3.0, 50, 4) - est.value) < 3.0 * est.std_error
+    value, std_error = oracle(spec, 3.0, 10**6, RandomStream(SEED).substream(1))
+    assert abs(dd_prob(3.0, 50, 4) - value) < 3.0 * std_error
 
 
 def test_dd_prob_large_k_stable():
@@ -182,64 +182,35 @@ def test_spec_accepts_numpy_integer_k():
     assert solve_h(spec) == solve_h(HEquationSpec(3, 4, 0.9, DD))
 
 
+def test_solver_draws_nothing(monkeypatch):
+    # the constants are deterministic roots: no stream is built on the way
+    # to one, and the solver module holds no random source
+    def refuse(self):
+        raise AssertionError("the solver drew from a random stream")
+
+    monkeypatch.setattr(RandomStream, "generator", property(refuse))
+    assert not hasattr(hconst, "RandomStream")
+    hconst._dd_integral.cache_clear()  # every integral is evaluated here
+    (row,) = h_table([1000], ScheduleSpec("constant", 9), 0.99)
+    for variant in (DD, RINOTT):
+        hc = solve_h(HEquationSpec(1000, 9, 0.99, variant))
+        assert hc == getattr(row, variant)
+    assert dd_prob(row.dd.value, 1000, 9) == pytest.approx(0.99, abs=1e-8)
+
+
 def test_mc_oracle_trivial_cases():
     rng = RandomStream(SEED)
-    est = mc_oracle(HEquationSpec(1, 1, 0.9, DD), 0.0, 10**6, rng.substream(0))
-    assert abs(est.value - 0.5) < 3.0 * est.std_error
-    est = mc_oracle(HEquationSpec(3, 2, 0.9, RINOTT), 1e6, 10**4, rng.substream(1))
-    assert est.value == 1.0
-
-
-@pytest.mark.parametrize("k, variant", [(10**9, DD), (2**24, DD), (2**23 + 1, RINOTT)])
-def test_mc_oracle_refuses_rows_beyond_memory(monkeypatch, k, variant):
-    # one replication is one row of k + 1 (DD) or 2k (Rinott) draws, at most 2^24
-    def no_draws(*args):
-        raise AssertionError("drew before refusing")
-
-    monkeypatch.setattr(hconst, "chunks", no_draws)
-    with pytest.raises(ValueError, match="draws per replication .* must be at most 16777216"):
-        mc_oracle(HEquationSpec(k, 4, 0.9, variant), 2.0, 1, RandomStream(0))
-
-
-def test_mc_oracle_determinism():
-    spec = HEquationSpec(4, 5, 0.9, DD)
-    a = mc_oracle(spec, 2.5, 10**4, RandomStream(3).substream(8))
-    b = mc_oracle(spec, 2.5, 10**4, RandomStream(3).substream(8))
-    assert a == b
-
-
-def _oracle_hits(spec, h, gen, n):
-    # one block of the oracle, drawn as documented: DD rows of k competitors
-    # and a reference, Rinott rows of k pairs
-    if spec.variant == DD:
-        draws = gen.standard_t(spec.nu, size=(n, spec.k + 1))
-        return np.count_nonzero(draws[:, : spec.k].max(axis=1) <= draws[:, spec.k] + h)
-    draws = gen.standard_t(spec.nu, size=(n, spec.k, 2))
-    return np.count_nonzero((draws[:, :, 0] - draws[:, :, 1]).max(axis=1) <= h)
-
-
-@pytest.mark.parametrize("variant", [DD, RINOTT])
-def test_mc_oracle_independent_of_worker_count(monkeypatch, variant):
-    # 3001 replications in blocks of 1000 elements, in order: block b must
-    # equal the same draws made from rng.substream(b), so the estimate
-    # depends on the inputs alone
-    monkeypatch.setattr(hconst, "_ORACLE_BLOCK_ELEMENTS", 1000)
-    spec = HEquationSpec(6, 4, 0.9, variant)
-    rng = RandomStream(5).substream(1)
-    per_rep = 7 if variant == DD else 12
-    hits = sum(
-        _oracle_hits(spec, 2.5, rng.substream(b).generator, n)
-        for b, n in enumerate(chunks(3001, per_rep, 1000))
-    )
-    assert len(chunks(3001, per_rep, 1000)) > 1
-    assert mc_oracle(spec, 2.5, 3001, rng).value == hits / 3001
+    value, std_error = oracle(HEquationSpec(1, 1, 0.9, DD), 0.0, 10**6, rng.substream(0))
+    assert abs(value - 0.5) < 3.0 * std_error
+    value, _ = oracle(HEquationSpec(3, 2, 0.9, RINOTT), 1e6, 10**4, rng.substream(1))
+    assert value == 1.0
 
 
 def test_mc_oracle_solver_agreement():
     spec = HEquationSpec(10, 9, 0.9, DD)
     hc = solve_h(spec)
-    est = mc_oracle(spec, hc.value, 10**6, RandomStream(SEED).substream(2))
-    assert abs(est.value - 0.9) < 3.0 * est.std_error
+    value, std_error = oracle(spec, hc.value, 10**6, RandomStream(SEED).substream(2))
+    assert abs(value - 0.9) < 3.0 * std_error
 
 
 def test_h_table_k1_ratio_is_one():

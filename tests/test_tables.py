@@ -17,7 +17,7 @@ import ranksel.hconst as hconst
 from ranksel.distributions import RandomStream, ScheduleSpec, t_logcdf
 from ranksel.efficiency import efficiency_curve, estimate_alpha
 from ranksel.extremes import MAX_OF_T, fit_extremes
-from ranksel.hconst import DD, HEquationSpec, SolverError, dd_prob, h_table, mc_oracle
+from ranksel.hconst import DD, HEquationSpec, SolverError, dd_prob, h_table
 from ranksel.procedures import (
     ProblemInstance,
     ProcedureParams,
@@ -144,8 +144,6 @@ INTEGER_ARGS = {
                      lambda v: estimate_pcs(_PAIR_PARAMS, _PAIR, v, RandomStream(0), h=2.0)),
     "estimate_alpha.replications": (
         "replications", 1, lambda v: estimate_alpha(2.0, 4, 1.0, _PRIOR, v, RandomStream(0))),
-    "mc_oracle": ("replications", 1,
-                  lambda v: mc_oracle(HEquationSpec(2, 4, 0.9, DD), 2.0, v, RandomStream(0))),
     "fit_extremes": ("replications", 100, lambda v: fit_extremes(
         [2], ScheduleSpec("constant", 3), MAX_OF_T, v, RandomStream(0))),
     "VariancePrior.sample": ("count", 1,
@@ -156,8 +154,10 @@ INTEGER_ARGS = {
 @pytest.mark.parametrize("name", INTEGER_ARGS)
 def test_k_and_n0_are_integers_from_their_floor(name):
     argument, floor, call = INTEGER_ARGS[name]
-    with pytest.raises(TypeError, match=f"^{argument} must be an integer, got 2.5$"):
-        call(2.5)
+    # a bool is an int subclass but no count, as numpy's np.True_ is not
+    for not_integer in (2.5, True, False):
+        with pytest.raises(TypeError, match=f"^{argument} must be an integer, got {not_integer}$"):
+            call(not_integer)
     for below in {0, floor - 1}:
         with pytest.raises(ValueError, match=f"^{argument} must be >= {floor}, got {below}$"):
             call(below)
